@@ -5,7 +5,7 @@ Library layout:
 - ``feeder``: network data model, file I/O, synthetic generation, partitioning
 - ``adoption``: agent-based PV adoption simulator producing binary scenarios
 - ``powerflow``: backward/forward-sweep solver, stress and violation objectives
-- ``pareto``: dominance relation and Pareto-set extraction
+- ``pareto``: one dominance kernel and the front builder
 - ``surrogate``: Gaussian processes with an ARD categorical (Hamming) kernel
 - ``search``: the Bayesian-optimization search loop and brute-force oracle
 - ``cli``: command-line entry point and run artifacts

@@ -133,41 +133,50 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _result_document(feeder, scenarios, stresses, violations, num_bus, num_line,
-                     bus_ids, line_ids, crit_bus, crit_line, invalid,
-                     per_obj_max, stop_reason, extra=None) -> dict:
-    by_id = {s.id: s for s in scenarios}
+def _result_document(feeder, result, stop_reason: str, extra=None) -> dict:
+    """result.json of a search or brute-force result (both carry the same fields)."""
+    by_id = {s.id: s for s in result.scenarios}
+    num_bus = result.num_bus_objectives
+    num_line = result.num_line_objectives
+    fronts = result.fronts
 
     def scen_entry(sid: int, lo: int, hi: int) -> dict:
         return {
             "id": sid,
             "bits": by_id[sid].bitstring(),
-            "violations": [float(v) for v in violations[sid][lo:hi]],
+            "violations": [float(v) for v in result.violations[sid][lo:hi]],
         }
 
     doc = {
         "schema": CONFIG_SCHEMA_VERSION,
         "feeder_hash": feeder.content_hash(),
         "stop_reason": stop_reason,
-        "num_evaluations": len(stresses),
-        "search_space_size": len(scenarios),
+        "num_evaluations": len(result.stresses),
+        "search_space_size": len(result.scenarios),
         "num_bus_objectives": num_bus,
         "num_line_objectives": num_line,
-        "critical_objectives": {"bus": list(crit_bus), "line": list(crit_line)},
-        "per_objective_max_violation": [float(v) for v in per_obj_max],
-        "critical_scenarios": {
-            "bus": [scen_entry(i, 0, num_bus) for i in bus_ids],
-            "line": [scen_entry(i, num_bus, num_bus + num_line) for i in line_ids],
+        "critical_objectives": {
+            "bus": list(fronts.critical_objectives_bus),
+            "line": list(fronts.critical_objectives_line),
         },
-        "invalid_ids": sorted(invalid),
+        "per_objective_max_violation": [
+            float(v) for v in fronts.per_objective_max_violation
+        ],
+        "critical_scenarios": {
+            "bus": [scen_entry(i, 0, num_bus) for i in fronts.bus_ids],
+            "line": [
+                scen_entry(i, num_bus, num_bus + num_line) for i in fronts.line_ids
+            ],
+        },
+        "invalid_ids": sorted(result.invalid_ids),
         "evaluations": [
             {
                 "id": sid,
                 "bits": by_id[sid].bitstring(),
-                "stress": [float(v) for v in stresses[sid]],
-                "violations": [float(v) for v in violations[sid]],
+                "stress": [float(v) for v in result.stresses[sid]],
+                "violations": [float(v) for v in result.violations[sid]],
             }
-            for sid in sorted(stresses)
+            for sid in sorted(result.stresses)
         ],
     }
     if extra:
@@ -261,12 +270,7 @@ def cmd_evaluate(config_path, scenario_path, output) -> None:
 def _write_search_artifacts(outdir: Path, feeder, result) -> None:
     num_bus = result.num_bus_objectives
     doc = _result_document(
-        feeder, result.scenarios, result.stresses, result.violations,
-        num_bus, result.num_line_objectives,
-        result.bus_archive.scenario_ids, result.line_archive.scenario_ids,
-        result.critical_objectives_bus, result.critical_objectives_line,
-        result.invalid_ids, result.per_objective_max_violation,
-        result.stop_reason,
+        feeder, result, result.stop_reason,
         extra={
             "relevance": {
                 str(k): [float(v) for v in vec] for k, vec in result.relevance.items()
@@ -332,8 +336,8 @@ def cmd_search(config_path, threads, output_dir) -> None:
     _write_search_artifacts(outdir, feeder, result)
     click.echo(
         f"{result.stop_reason}: {result.num_evaluations} evaluations, "
-        f"{len(result.bus_archive)} bus-critical, "
-        f"{len(result.line_archive)} line-critical -> {outdir}"
+        f"{len(result.fronts.bus_ids)} bus-critical, "
+        f"{len(result.fronts.line_ids)} line-critical -> {outdir}"
     )
     if result.stop_reason == "exhausted":
         sys.exit(EXIT_EXHAUSTED)
@@ -369,19 +373,12 @@ def cmd_brute_force(config_path, scenario_path, count, output_dir) -> None:
     )
     _write_manifest(outdir, "brute-force", config, count=count,
                     scenarios=scenario_path)
-    doc = _result_document(
-        feeder, scenarios, oracle.stresses, oracle.violations,
-        oracle.num_bus_objectives, oracle.num_line_objectives,
-        oracle.bus_critical_ids, oracle.line_critical_ids,
-        oracle.critical_objectives_bus, oracle.critical_objectives_line,
-        oracle.invalid_ids, oracle.per_objective_max_violation,
-        "oracle",
-    )
+    doc = _result_document(feeder, oracle, "oracle")
     _write_json(outdir / "result.json", doc)
     click.echo(
         f"oracle: {len(oracle.stresses)} evaluations, "
-        f"{len(oracle.bus_critical_ids)} bus-critical, "
-        f"{len(oracle.line_critical_ids)} line-critical -> {outdir}"
+        f"{len(oracle.fronts.bus_ids)} bus-critical, "
+        f"{len(oracle.fronts.line_ids)} line-critical -> {outdir}"
     )
 
 

@@ -1,10 +1,44 @@
-"""Dominance relation and Pareto-set extraction over violation vectors."""
+"""Dominance over violation vectors: one kernel and the front builder.
+
+Every dominance test in the package goes through :func:`dominated`. A front is
+built from it with a running front over fixed-size blocks of points, so no
+N x N comparison array is ever formed (maximal-vector method of Kung, Luccio &
+Preparata, J. ACM 22(4), 1975). Dominance is transitive and uses comparisons
+only, so testing against a front instead of every point is exact.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+# Points per block of the running front: a block's comparison arrays hold
+# at most _FRONT_BLOCK x (front size + _FRONT_BLOCK) booleans.
+_FRONT_BLOCK = 256
+
+
+def dominated(points, against) -> np.ndarray:
+    """Mask over ``points``: True where some row of ``against`` dominates it.
+
+    ``points`` has shape (..., N, K) and ``against`` (..., P, K); leading
+    batch axes broadcast. Row a dominates row p iff a >= p in every objective
+    and a > p in at least one. Returns a boolean array of shape (..., N).
+    """
+    p = np.asarray(points)
+    a = np.asarray(against)
+    if p.shape[-1] != a.shape[-1]:
+        raise ValueError("violation vectors have mismatched lengths")
+    shape = np.broadcast_shapes(p.shape[:-2], a.shape[:-2]) + (p.shape[-2], a.shape[-2])
+    ge = np.ones(shape, dtype=bool)
+    gt = np.zeros(shape, dtype=bool)
+    for k in range(p.shape[-1]):
+        pk = p[..., :, None, k]
+        ak = a[..., None, :, k]
+        ge &= ak >= pk
+        gt |= ak > pk
+    ge &= gt
+    return ge.any(axis=-1)
 
 
 def dominates(a, b) -> bool:
@@ -13,32 +47,43 @@ def dominates(a, b) -> bool:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError("violation vectors have mismatched lengths")
-    return bool(np.all(a >= b) and np.any(a > b))
+    return bool(dominated(b[None], a[None])[0])
+
+
+def front_indices(points) -> np.ndarray:
+    """Sorted indices of the rows of an (N, K) array that no row dominates.
+
+    Rows with identical values are all kept. Blocks of _FRONT_BLOCK rows are
+    tested against the running front and themselves; survivors then prune the
+    members they dominate.
+    """
+    pts = np.asarray(points)
+    front = np.empty(0, dtype=np.intp)
+    for start in range(0, len(pts), _FRONT_BLOCK):
+        block = pts[start:start + _FRONT_BLOCK]
+        keep = ~dominated(block, pts[front]) & ~dominated(block, block)
+        new = start + np.flatnonzero(keep)
+        front = np.concatenate([front[~dominated(pts[front], pts[new])], new])
+    return np.sort(front)
+
+
+def critical_indices(points) -> np.ndarray:
+    """Sorted indices of rows with a positive entry that no row dominates.
+
+    A row without a positive entry cannot dominate one with a positive entry,
+    so the front is built over the positive rows alone.
+    """
+    pts = np.asarray(points)
+    positive = np.flatnonzero(np.any(pts > 0, axis=-1))
+    return positive[front_indices(pts[positive])]
 
 
 def pareto_set(points) -> list[int]:
-    """Indices of non-dominated points; duplicates of front members retained.
-
-    Points are pre-sorted by descending coordinate sum, so a point can only be
-    dominated by one appearing earlier; each point is checked against the
-    running front only.
-    """
+    """Indices of non-dominated points; duplicates of front members retained."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError("points must be a non-empty 2-D collection")
-    order = np.argsort(-pts.sum(axis=1), kind="stable")
-    front: list[int] = []
-    for i in order:
-        p = pts[i]
-        dominated = False
-        for j in front:
-            f = pts[j]
-            if np.all(f >= p) and np.any(f > p):
-                dominated = True
-                break
-        if not dominated:
-            front.append(int(i))
-    return sorted(front)
+    return front_indices(pts).tolist()
 
 
 def is_critical(point, points) -> bool:
@@ -46,40 +91,37 @@ def is_critical(point, points) -> bool:
     point = np.asarray(point, dtype=float)
     if not np.any(point > 0):
         return False
-    for other in np.asarray(points, dtype=float):
-        if dominates(other, point):
-            return False
-    return True
+    others = np.asarray(points, dtype=float)
+    return others.size == 0 or not dominated(point[None], others)[0]
 
 
-@dataclass
-class ParetoArchive:
-    """Mutable archive of non-dominated, positively-violating members.
+@dataclass(frozen=True)
+class CriticalFronts:
+    """Critical scenarios and objectives of a set of evaluated scenarios.
 
-    Members with identical violation vectors are all retained. Scenarios with
-    no positive violation entry are never admitted.
+    ``bus_ids`` and ``line_ids`` are the scenarios with a positive violation
+    that no other scenario dominates over the bus (resp. line) objectives;
+    scenarios with identical violations are all kept.
     """
 
-    objective_ids: tuple[int, ...]
-    members: list[tuple[int, np.ndarray]] = field(default_factory=list)
+    bus_ids: tuple[int, ...]
+    line_ids: tuple[int, ...]
+    critical_objectives_bus: tuple[int, ...]
+    critical_objectives_line: tuple[int, ...]
+    per_objective_max_violation: np.ndarray
 
-    def add(self, scenario_id: int, violations) -> bool:
-        v = np.asarray(violations, dtype=float)
-        if len(v) != len(self.objective_ids):
-            raise ValueError("violation vector length does not match objectives")
-        if not np.any(v > 0):
-            return False
-        if any(dominates(mv, v) for _, mv in self.members):
-            return False
-        self.members = [
-            (sid, mv) for sid, mv in self.members if not dominates(v, mv)
-        ]
-        self.members.append((scenario_id, v))
-        return True
 
-    @property
-    def scenario_ids(self) -> list[int]:
-        return sorted(sid for sid, _ in self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
+def critical_fronts(ids, violations, num_bus: int) -> CriticalFronts:
+    """Fronts of scenarios ``ids`` whose violation vectors are the rows of
+    ``violations``; the first ``num_bus`` columns are the bus objectives."""
+    ids = np.asarray(ids, dtype=int)
+    viol = np.asarray(violations, dtype=float)
+    best = np.max(viol, axis=0, initial=0.0)
+    crit = np.flatnonzero(best > 0)
+    return CriticalFronts(
+        bus_ids=tuple(np.sort(ids[critical_indices(viol[:, :num_bus])]).tolist()),
+        line_ids=tuple(np.sort(ids[critical_indices(viol[:, num_bus:])]).tolist()),
+        critical_objectives_bus=tuple(crit[crit < num_bus].tolist()),
+        critical_objectives_line=tuple(crit[crit >= num_bus].tolist()),
+        per_objective_max_violation=best,
+    )

@@ -171,16 +171,21 @@ def compute_stress(
     return stress
 
 
-def violation_map(
-    stress: np.ndarray, num_bus_objectives: int, cfg: ViolationConfig
-) -> np.ndarray:
-    """Rectify bus stresses; bin positive line excess flows by severity."""
+def violation_map(stress: np.ndarray, bus, cfg: ViolationConfig) -> np.ndarray:
+    """Rectify bus stresses; bin positive line excess flows by severity.
+
+    Objectives run along the last axis of ``stress``. ``bus`` is either the
+    number of leading bus objectives or a boolean mask over the last axis
+    that is True for bus objectives; the others are line objectives.
+    """
     stress = np.asarray(stress, dtype=float)
-    pos = np.maximum(stress, 0.0)
-    out = pos.copy()
+    bus = np.asarray(bus)
+    if bus.dtype != bool:
+        bus = np.arange(stress.shape[-1]) < bus
+    line = ~bus
+    out = np.maximum(stress, 0.0)
     bins = np.asarray(cfg.line_bins)
-    line_part = pos[num_bus_objectives:]
     # Bin index j with y+ in [c_j, c_{j+1}); values above the last edge map to J.
-    idx = np.searchsorted(bins, line_part, side="right") - 1
-    out[num_bus_objectives:] = np.minimum(idx, len(bins) - 1).astype(float)
+    idx = np.searchsorted(bins, out[..., line], side="right") - 1
+    out[..., line] = np.minimum(idx, len(bins) - 1)
     return out

@@ -17,7 +17,7 @@ import numpy as np
 
 from gridcrit.adoption import DiffusionParams, Scenario, simulate_batch
 from gridcrit.feeder import BusPartition, Feeder
-from gridcrit.pareto import ParetoArchive
+from gridcrit.pareto import CriticalFronts, critical_fronts, dominated, front_indices
 from gridcrit.powerflow import (
     ViolationConfig,
     compute_stress,
@@ -81,10 +81,7 @@ class SearchResult:
     num_bus_objectives: int
     num_line_objectives: int
     violating_ids: list[int]
-    critical_objectives_bus: list[int]
-    critical_objectives_line: list[int]
-    bus_archive: ParetoArchive
-    line_archive: ParetoArchive
+    fronts: CriticalFronts
     tau_steps: list[int]
     tau_bus_trace: list[float]
     tau_line_trace: list[float]
@@ -95,14 +92,6 @@ class SearchResult:
     @property
     def num_evaluations(self) -> int:
         return len(self.evaluated_ids)
-
-    @property
-    def per_objective_max_violation(self) -> np.ndarray:
-        dim = self.num_bus_objectives + self.num_line_objectives
-        best = np.zeros(dim)
-        for v in self.violations.values():
-            best = np.maximum(best, v)
-        return best
 
     def found_bits(self) -> set[str]:
         by_id = {s.id: s for s in self.scenarios}
@@ -142,6 +131,11 @@ def sample_candidates(
     return sorted(int(i) for i in chosen)
 
 
+# Cap on the elements of each boolean comparison array in one block of Monte
+# Carlo samples: 256 KB per array, about 1 MB for a block's arrays together.
+_MC_BLOCK_ELEMENTS = 1 << 18
+
+
 def _candidate_nondominated_freq(
     sampled_stress: np.ndarray,
     evaluated_violations: np.ndarray,
@@ -152,28 +146,20 @@ def _candidate_nondominated_freq(
 
     sampled_stress has shape (N, M, K) over active objectives; evaluated
     violations (already mapped) enter each simulated front as fixed points.
+    A point dominated by an evaluated one is dominated by a member of their
+    front, so only the distinct front members are compared against.
     """
     n_samples, m, _ = sampled_stress.shape
-    bins = np.asarray(cfg.line_bins)
-    pos = np.maximum(sampled_stress, 0.0)
-    viol = pos.copy()
-    line_idx = np.searchsorted(bins, pos[:, :, ~bus_mask], side="right") - 1
-    viol[:, :, ~bus_mask] = np.minimum(line_idx, len(bins) - 1)
-
-    hits = np.zeros(m)
-    for i in range(n_samples):
-        cand = viol[i]
-        pool = (
-            np.vstack([cand, evaluated_violations])
-            if len(evaluated_violations)
-            else cand
-        )
-        # candidate m is dominated iff some pool point is >= everywhere and > somewhere
-        ge = np.all(pool[None, :, :] >= cand[:, None, :], axis=2)
-        gt = np.any(pool[None, :, :] > cand[:, None, :], axis=2)
-        dominated = np.any(ge & gt, axis=1)
-        positive = np.any(cand > 0, axis=1)
-        hits += (~dominated) & positive
+    viol = violation_map(sampled_stress, bus_mask, cfg)
+    fixed = np.unique(evaluated_violations, axis=0)
+    fixed = fixed[front_indices(fixed)]
+    per_block = max(1, _MC_BLOCK_ELEMENTS // max(1, m * (len(fixed) + m)))
+    hits = np.zeros(m, dtype=int)
+    for start in range(0, n_samples, per_block):
+        cand = viol[start:start + per_block]
+        critical = ~(dominated(cand, fixed) | dominated(cand, cand))
+        critical &= np.any(cand > 0, axis=-1)
+        hits += critical.sum(axis=0)
     return hits / n_samples
 
 
@@ -374,12 +360,7 @@ def run_search(
                 )
 
             bus_mask = np.array([k < num_bus for k in active])
-            bins = np.asarray(viol_cfg.line_bins)
-            eval_viol = np.maximum(stress_mat[:, active], 0.0)
-            line_cols = ~bus_mask
-            if line_cols.any():
-                idx = np.searchsorted(bins, eval_viol[:, line_cols], side="right") - 1
-                eval_viol[:, line_cols] = np.minimum(idx, len(bins) - 1)
+            eval_viol = violation_map(stress_mat[:, active], bus_mask, viol_cfg)
 
             cand_ids = sample_candidates(unevaluated, counts, m_cand, cand_rng)
             for cid in cand_ids:
@@ -453,6 +434,16 @@ def run_search(
     )
 
 
+def _violations_and_fronts(
+    stresses: dict[int, np.ndarray], num_bus: int, num_line: int, viol_cfg: ViolationConfig
+) -> tuple[dict[int, np.ndarray], CriticalFronts]:
+    """Violation vector per evaluated scenario, and their critical fronts."""
+    ids = list(stresses)
+    stress_mat = np.array([stresses[i] for i in ids]).reshape(len(ids), num_bus + num_line)
+    viol = violation_map(stress_mat, num_bus, viol_cfg)
+    return dict(zip(ids, viol)), critical_fronts(ids, viol, num_bus)
+
+
 def _assemble_result(
     feeder, scenarios, eval_order, invalid, stresses, viol_cfg,
     num_bus, num_line, tau_steps, tau_bus_trace, tau_line_trace,
@@ -460,25 +451,11 @@ def _assemble_result(
 ) -> SearchResult:
     from gridcrit.surrogate import adopter_relevance
 
-    violations = {
-        sid: violation_map(stress, num_bus, viol_cfg) for sid, stress in stresses.items()
-    }
+    violations, fronts = _violations_and_fronts(stresses, num_bus, num_line, viol_cfg)
     violating = sorted(sid for sid, v in violations.items() if np.any(v > 0))
-    crit_bus = sorted(
-        k for k in range(num_bus) if any(v[k] > 0 for v in violations.values())
-    )
-    crit_line = sorted(
-        k for k in range(num_bus, num_bus + num_line)
-        if any(v[k] > 0 for v in violations.values())
-    )
-    bus_archive = ParetoArchive(objective_ids=tuple(range(num_bus)))
-    line_archive = ParetoArchive(objective_ids=tuple(range(num_bus, num_bus + num_line)))
-    for sid in sorted(violations):
-        bus_archive.add(sid, violations[sid][:num_bus])
-        line_archive.add(sid, violations[sid][num_bus:])
+    critical = set(fronts.critical_objectives_bus) | set(fronts.critical_objectives_line)
     relevance = {
-        k: adopter_relevance(p) for k, p in params_cache.items()
-        if k in set(crit_bus) | set(crit_line)
+        k: adopter_relevance(p) for k, p in params_cache.items() if k in critical
     }
     return SearchResult(
         scenarios=scenarios,
@@ -489,10 +466,7 @@ def _assemble_result(
         num_bus_objectives=num_bus,
         num_line_objectives=num_line,
         violating_ids=violating,
-        critical_objectives_bus=crit_bus,
-        critical_objectives_line=crit_line,
-        bus_archive=bus_archive,
-        line_archive=line_archive,
+        fronts=fronts,
         tau_steps=tau_steps,
         tau_bus_trace=tau_bus_trace,
         tau_line_trace=tau_line_trace,
@@ -512,15 +486,11 @@ class OracleResult:
     invalid_ids: list[int]
     num_bus_objectives: int
     num_line_objectives: int
-    bus_critical_ids: list[int]
-    line_critical_ids: list[int]
-    critical_objectives_bus: list[int]
-    critical_objectives_line: list[int]
-    per_objective_max_violation: np.ndarray
+    fronts: CriticalFronts
 
     def critical_bits(self, family: str) -> set[str]:
         by_id = {s.id: s for s in self.scenarios}
-        ids = self.bus_critical_ids if family == "bus" else self.line_critical_ids
+        ids = self.fronts.bus_ids if family == "bus" else self.fronts.line_ids
         return {by_id[i].bitstring() for i in ids}
 
 
@@ -549,17 +519,7 @@ def brute_force_oracle(
             invalid.append(s.id)
             continue
         stresses[s.id] = compute_stress(feeder, partition, pf)
-    violations = {
-        sid: violation_map(st, num_bus, viol_cfg) for sid, st in stresses.items()
-    }
-    bus_arch = ParetoArchive(objective_ids=tuple(range(num_bus)))
-    line_arch = ParetoArchive(objective_ids=tuple(range(num_bus, num_bus + num_line)))
-    for sid in sorted(violations):
-        bus_arch.add(sid, violations[sid][:num_bus])
-        line_arch.add(sid, violations[sid][num_bus:])
-    best = np.zeros(num_bus + num_line)
-    for v in violations.values():
-        best = np.maximum(best, v)
+    violations, fronts = _violations_and_fronts(stresses, num_bus, num_line, viol_cfg)
     return OracleResult(
         scenarios=scenarios,
         stresses=stresses,
@@ -567,15 +527,7 @@ def brute_force_oracle(
         invalid_ids=invalid,
         num_bus_objectives=num_bus,
         num_line_objectives=num_line,
-        bus_critical_ids=bus_arch.scenario_ids,
-        line_critical_ids=line_arch.scenario_ids,
-        critical_objectives_bus=sorted(
-            k for k in range(num_bus) if best[k] > 0
-        ),
-        critical_objectives_line=sorted(
-            k for k in range(num_bus, num_bus + num_line) if best[k] > 0
-        ),
-        per_objective_max_violation=best,
+        fronts=fronts,
     )
 
 

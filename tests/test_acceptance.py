@@ -62,8 +62,8 @@ def test_criterion_1_oracle_recovery(standard_runs):
     full_obj_runs = sum(
         1
         for r, o, _ in runs
-        if set(o.critical_objectives_bus) <= set(r.critical_objectives_bus)
-        and set(o.critical_objectives_line) <= set(r.critical_objectives_line)
+        if set(o.fronts.critical_objectives_bus) <= set(r.fronts.critical_objectives_bus)
+        and set(o.fronts.critical_objectives_line) <= set(r.fronts.critical_objectives_line)
     )
     search_time = sum(t for _, _, t in runs)
     ok = (
@@ -85,15 +85,15 @@ def test_criterion_2_max_violation_fidelity(standard_runs):
     good = 0
     for result, oracle, _ in runs:
         nb = result.num_bus_objectives
-        search_max = result.per_objective_max_violation
-        oracle_max = oracle.per_objective_max_violation
+        search_max = result.fronts.per_objective_max_violation
+        oracle_max = oracle.fronts.per_objective_max_violation
         bus_ok = all(
             abs(search_max[k] - oracle_max[k]) <= 0.05 * oracle_max[k]
-            for k in oracle.critical_objectives_bus
+            for k in oracle.fronts.critical_objectives_bus
         )
         line_ok = all(
             search_max[k] == oracle_max[k]
-            for k in oracle.critical_objectives_line
+            for k in oracle.fronts.critical_objectives_line
         )
         good += bus_ok and line_ok
     ok = good >= 9

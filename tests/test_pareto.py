@@ -1,11 +1,22 @@
-"""Dominance relation, Pareto-set extraction and the archive."""
+"""Dominance kernel, Pareto-set extraction and the critical-front builder."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from gridcrit.pareto import ParetoArchive, dominates, is_critical, pareto_set
+from gridcrit import pareto
+from gridcrit.pareto import (
+    critical_fronts,
+    critical_indices,
+    dominated,
+    dominates,
+    is_critical,
+    pareto_set,
+)
 from gridcrit.powerflow import ViolationConfig, violation_map
 
 
@@ -20,6 +31,28 @@ def oracle_pareto_set(points):
         ):
             front.append(i)
     return front
+
+
+def reference_front(points):
+    """Rows with a positive entry that no row dominates (O(n^2) reference)."""
+    pts = np.asarray(points, dtype=float)
+    front = []
+    for i, p in enumerate(pts):
+        if not np.any(p > 0):
+            continue
+        if not np.any(np.all(pts >= p, axis=1) & np.any(pts > p, axis=1)):
+            front.append(i)
+    return front
+
+
+# Small-valued points, so ties, duplicates and zero rows are common.
+tied_points = st.integers(1, 6).flatmap(
+    lambda k: hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(0, 40), st.just(k)),
+        elements=st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 3.0]),
+    )
+)
 
 
 class TestDominates:
@@ -62,6 +95,12 @@ class TestParetoSet:
         with pytest.raises(ValueError):
             pareto_set([])
 
+    def test_float_rounding_does_not_hide_a_dominator(self):
+        # Both pairs have coordinate sums that round to the same value, so
+        # an order by sum cannot tell which point comes first.
+        assert pareto_set([(0.1, 0.2, 0.3), (0.1, 0.2, 0.3 + 5e-17)]) == [1]
+        assert pareto_set([(1e16, 0.0), (1e16, 1.0)]) == [1]
+
     def test_matches_oracle_on_random_instances(self):
         rng = np.random.default_rng(11)
         for trial in range(200):
@@ -82,6 +121,13 @@ class TestParetoSet:
     @settings(max_examples=100, deadline=None)
     def test_matches_oracle_property(self, points):
         assert pareto_set(points) == oracle_pareto_set(points)
+
+    @given(tied_points.filter(len), st.integers(1, 7))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle_across_blocks(self, points, block):
+        # Blocks of 1-7 rows: most inputs span several blocks.
+        with mock.patch.object(pareto, "_FRONT_BLOCK", block):
+            assert pareto_set(points) == oracle_pareto_set(points)
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(3)
@@ -115,42 +161,71 @@ class TestIsCritical:
         pts = [(1.0, 1.0), (0.5, 0.2)]
         assert not is_critical((0.5, 0.2), pts)
 
+    def test_empty_population(self):
+        assert is_critical((0.5, 0.0), [])
+
 
 class TestParetoArchive:
+    """The critical-scenario archive the search and the oracle report:
+    rows with a positive violation that no row dominates."""
+
     def test_rejects_zero_violations(self):
-        archive = ParetoArchive(objective_ids=(0, 1))
-        assert not archive.add(1, (0.0, 0.0))
-        assert len(archive) == 0
+        assert critical_indices(np.zeros((3, 2))).tolist() == []
+        fronts = critical_fronts([1], [(0.0, 0.0, 0.0)], num_bus=2)
+        assert fronts.bus_ids == () and fronts.line_ids == ()
+        assert not fronts.critical_objectives_bus
+        assert not fronts.critical_objectives_line
 
     def test_prunes_dominated_members(self):
-        archive = ParetoArchive(objective_ids=(0, 1))
-        archive.add(1, (0.5, 0.1))
-        archive.add(2, (1.0, 0.2))
-        assert archive.scenario_ids == [2]
+        fronts = critical_fronts([1, 2], [(0.5, 0.1), (1.0, 0.2)], num_bus=2)
+        assert fronts.bus_ids == (2,)
 
     def test_keeps_incomparable_and_ties(self):
-        archive = ParetoArchive(objective_ids=(0, 1))
-        archive.add(1, (1.0, 0.0))
-        archive.add(2, (0.0, 1.0))
-        archive.add(3, (1.0, 0.0))  # exact tie with member 1
-        assert archive.scenario_ids == [1, 2, 3]
+        points = [(1.0, 0.0), (0.0, 1.0), (1.0, 0.0)]  # rows 0 and 2 tie
+        fronts = critical_fronts([1, 2, 3], points, num_bus=2)
+        assert fronts.bus_ids == (1, 2, 3)
 
     def test_rejects_dominated_insert(self):
-        archive = ParetoArchive(objective_ids=(0, 1))
-        archive.add(1, (1.0, 1.0))
-        assert not archive.add(2, (0.5, 1.0))
+        assert critical_indices([(1.0, 1.0), (0.5, 1.0)]).tolist() == [0]
 
     def test_length_check(self):
-        archive = ParetoArchive(objective_ids=(0, 1))
         with pytest.raises(ValueError):
-            archive.add(1, (1.0,))
+            dominated(np.zeros((1, 2)), np.zeros((1, 3)))
 
     def test_archive_members_are_mutually_nondominated(self):
+        # 600 rows span three blocks of the running front.
         rng = np.random.default_rng(2)
-        archive = ParetoArchive(objective_ids=(0, 1, 2))
-        for i, point in enumerate(rng.integers(0, 5, size=(200, 3))):
-            archive.add(i, point.astype(float))
-        values = [v for _, v in archive.members]
+        points = rng.integers(0, 5, size=(600, 3)).astype(float)
+        members = critical_indices(points)
+        values = points[members]
         for a in values:
             for b in values:
                 assert not dominates(a, b) or np.array_equal(a, b)
+        assert members.tolist() == reference_front(points)
+
+
+class TestCriticalFronts:
+    @given(tied_points, st.integers(0, 6), st.integers(1, 7))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_fronts(self, points, num_bus, block):
+        num_bus = min(num_bus, points.shape[1])
+        ids = 100 + np.arange(len(points))
+        with mock.patch.object(pareto, "_FRONT_BLOCK", block):
+            fronts = critical_fronts(ids, points, num_bus)
+        bus = [100 + i for i in reference_front(points[:, :num_bus])]
+        line = [100 + i for i in reference_front(points[:, num_bus:])]
+        assert list(fronts.bus_ids) == bus
+        assert list(fronts.line_ids) == line
+        best = np.max(points, axis=0, initial=0.0)
+        np.testing.assert_array_equal(fronts.per_objective_max_violation, best)
+        crit = [k for k in range(points.shape[1]) if best[k] > 0]
+        assert list(fronts.critical_objectives_bus) == [k for k in crit if k < num_bus]
+        assert list(fronts.critical_objectives_line) == [k for k in crit if k >= num_bus]
+
+    def test_continuous_fronts_at_default_block(self):
+        rng = np.random.default_rng(8)
+        points = np.maximum(rng.normal(size=(1500, 4)), 0.0)
+        ids = rng.permutation(5000)[:1500]
+        fronts = critical_fronts(ids, points, num_bus=2)
+        assert list(fronts.bus_ids) == sorted(ids[reference_front(points[:, :2])])
+        assert list(fronts.line_ids) == sorted(ids[reference_front(points[:, 2:])])

@@ -1,9 +1,13 @@
 """Search loop: candidate sampling, acquisition, stopping and recovery."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.stats import norm
 
 from conftest import build_chain_feeder
@@ -15,8 +19,10 @@ from gridcrit.powerflow import (
     solve_power_flow,
     violation_map,
 )
+from gridcrit import search
 from gridcrit.search import (
     SearchConfig,
+    _candidate_nondominated_freq,
     acquisition_alpha_nd,
     brute_force_oracle,
     detect_active_objectives,
@@ -119,7 +125,60 @@ class TestSelectBatch:
         assert stopping_criterion(np.array([0.1, 0.25, 0.0])) == pytest.approx(0.35)
 
 
+def per_sample_nondominated_freq(sampled_stress, evaluated_violations, bus_mask, cfg):
+    """Reference: the acquisition's dominance test one Monte Carlo sample at a
+    time, against every evaluated point, with its own violation mapping."""
+    n_samples, m, _ = sampled_stress.shape
+    bins = np.asarray(cfg.line_bins)
+    pos = np.maximum(sampled_stress, 0.0)
+    viol = pos.copy()
+    line_idx = np.searchsorted(bins, pos[:, :, ~bus_mask], side="right") - 1
+    viol[:, :, ~bus_mask] = np.minimum(line_idx, len(bins) - 1)
+    hits = np.zeros(m)
+    for i in range(n_samples):
+        cand = viol[i]
+        pool = np.vstack([cand, evaluated_violations]) if len(evaluated_violations) else cand
+        ge = np.all(pool[None, :, :] >= cand[:, None, :], axis=2)
+        gt = np.any(pool[None, :, :] > cand[:, None, :], axis=2)
+        dominated = np.any(ge & gt, axis=1)
+        positive = np.any(cand > 0, axis=1)
+        hits += (~dominated) & positive
+    return hits / n_samples
+
+
+@st.composite
+def acquisition_inputs(draw):
+    """Sampled stresses and evaluated violations with frequent ties."""
+    k = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 13))
+    m = draw(st.integers(1, 9))
+    bus_mask = draw(hnp.arrays(bool, k))
+    if draw(st.booleans()):  # integer-valued stresses: many exact ties
+        values = st.integers(-2, 3).map(float)
+    else:
+        values = st.sampled_from([-0.3, -0.05, 0.0, 0.05, 0.1, 0.12, 0.3, 0.6])
+    stress = draw(hnp.arrays(np.float64, (n, m, k), elements=values))
+    evaluated = draw(hnp.arrays(np.float64, st.tuples(st.integers(0, 6), st.just(k)),
+                                elements=values))
+    evaluated = np.vstack([evaluated, evaluated[: draw(st.integers(0, 2))]])  # duplicates
+    evaluated = np.maximum(evaluated, 0.0)
+    evaluated[:, ~bus_mask] = np.floor(evaluated[:, ~bus_mask])
+    return stress, evaluated, bus_mask
+
+
 class TestAcquisition:
+    @given(acquisition_inputs(), st.integers(1, 400))
+    @settings(max_examples=300, deadline=None)
+    def test_blocked_matches_per_sample_loop(self, inputs, block_elements):
+        # Small element caps give blocks of one or a few samples that
+        # rarely divide the sample count.
+        stress, evaluated, bus_mask = inputs
+        cfg = ViolationConfig()
+        with mock.patch.object(search, "_MC_BLOCK_ELEMENTS", block_elements):
+            got = _candidate_nondominated_freq(stress, evaluated, bus_mask, cfg)
+        want = per_sample_nondominated_freq(stress, evaluated, bus_mask, cfg)
+        np.testing.assert_array_equal(got, want)
+
     def test_matches_gaussian_tail_oracle(self):
         # One active objective, one candidate far from all training data:
         # the posterior reverts to the prior N(mean(y), eta), and with a
@@ -245,12 +304,12 @@ class TestBruteForceOracle:
             stress = compute_stress(feeder, part, pf)
             direct[s.id] = violation_map(stress, part.num_groups, cfg)
         best = np.max(np.stack(list(direct.values())), axis=0)
-        np.testing.assert_allclose(oracle.per_objective_max_violation, best)
+        np.testing.assert_allclose(oracle.fronts.per_objective_max_violation, best)
 
         # Critical scenarios must be non-dominated among all positives.
         for family, ids, sl in (
-            ("bus", oracle.bus_critical_ids, slice(0, part.num_groups)),
-            ("line", oracle.line_critical_ids, slice(part.num_groups, None)),
+            ("bus", oracle.fronts.bus_ids, slice(0, part.num_groups)),
+            ("line", oracle.fronts.line_ids, slice(part.num_groups, None)),
         ):
             for cid in ids:
                 v = direct[cid][sl]
@@ -263,7 +322,7 @@ class TestBruteForceOracle:
         feeder = small_feeder()
         scen = self.enumerate_scenarios(feeder)
         oracle = brute_force_oracle(feeder, feeder.partition(), ViolationConfig(), scen)
-        assert oracle.critical_objectives_bus or oracle.critical_objectives_line
+        assert oracle.fronts.critical_objectives_bus or oracle.fronts.critical_objectives_line
 
 
 class TestRunSearch:
@@ -294,10 +353,10 @@ class TestRunSearch:
         cfg = SearchConfig(seed=0, **FAST_CONFIG)
         result = run_search(feeder, feeder.partition(), FAST_DIFFUSION, ViolationConfig(), cfg)
         assert result.stop_reason == "converged"
-        assert len(result.bus_archive) == 0
-        assert len(result.line_archive) == 0
-        assert not result.critical_objectives_bus
-        assert not result.critical_objectives_line
+        assert result.fronts.bus_ids == ()
+        assert result.fronts.line_ids == ()
+        assert not result.fronts.critical_objectives_bus
+        assert not result.fronts.critical_objectives_line
         assert result.num_evaluations == cfg.n0  # only the initial batch
 
     def test_reported_criticals_are_nondominated_and_positive(self):
@@ -306,11 +365,11 @@ class TestRunSearch:
         result = run_search(feeder, feeder.partition(), FAST_DIFFUSION, ViolationConfig(), cfg)
         assert result.stop_reason in ("converged", "exhausted")
         nb = result.num_bus_objectives
-        for archive, sl in (
-            (result.bus_archive, slice(0, nb)),
-            (result.line_archive, slice(nb, None)),
+        for ids, sl in (
+            (result.fronts.bus_ids, slice(0, nb)),
+            (result.fronts.line_ids, slice(nb, None)),
         ):
-            for sid in archive.scenario_ids:
+            for sid in ids:
                 v = result.violations[sid][sl]
                 assert np.any(v > 0)
                 assert not any(
@@ -347,7 +406,8 @@ class TestRunSearch:
         feeder = small_feeder()
         cfg = SearchConfig(seed=6, **FAST_CONFIG)
         result = run_search(feeder, feeder.partition(), FAST_DIFFUSION, ViolationConfig(), cfg)
-        crit = set(result.critical_objectives_bus) | set(result.critical_objectives_line)
+        fronts = result.fronts
+        crit = set(fronts.critical_objectives_bus) | set(fronts.critical_objectives_line)
         for k, rel in result.relevance.items():
             assert k in crit
             assert rel.shape == (feeder.num_adopters,)
