@@ -3,7 +3,7 @@ brute-force enumeration and report emission.
 
 Every run command writes a ``manifest.json`` with the fully resolved
 configuration; re-running with the manifest as the config reproduces all
-artifacts byte-identically (single-threaded mode).
+artifacts byte-identically.
 
 Exit codes: 0 success, 2 usage error, 3 validation error, 4 numerical
 failure, 5 search stopped by search-space exhaustion.
@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import click
@@ -35,11 +35,12 @@ from gridcrit.feeder import (
     load_feeder,
     save_feeder,
 )
-from gridcrit.powerflow import ViolationConfig, solve_power_flow, violation_map
+from gridcrit.powerflow import ViolationConfig, violation_map
 from gridcrit.search import (
     SearchAbort,
     SearchConfig,
     brute_force_oracle,
+    evaluate_scenarios,
     run_search,
 )
 from gridcrit.surrogate import NumericalError
@@ -93,10 +94,20 @@ def _load_config(path: str) -> dict:
         "powerflow": {"tol": 1e-8, "max_iter": 50, "pv_derate": 1.0},
         "search": {},
     }
-    for section in ("diffusion", "violation", "powerflow", "search"):
+    unknown = sorted(set(doc) - set(resolved))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    known = {s: set(resolved[s]) for s in ("diffusion", "violation", "powerflow")}
+    known["search"] = {f.name for f in fields(SearchConfig)}
+    for section, keys in known.items():
         extra = doc.get(section, {})
         if not isinstance(extra, dict):
             raise ConfigError(f"config section '{section}' must be an object")
+        unknown = sorted(set(extra) - keys)
+        if unknown:
+            raise ConfigError(
+                f"unknown keys in config section '{section}': {', '.join(unknown)}"
+            )
         resolved[section].update(extra)
     resolved["search"].setdefault("seed", resolved["seed"])
     return resolved
@@ -206,6 +217,11 @@ def cmd_make_feeder(buses, adopters, groups, seed, output) -> None:
         feeder = apply_partition(feeder, fallback_partition(feeder, groups))
     except (FeederError, ValueError) as exc:
         raise ConfigError(str(exc))
+    extremes = [Scenario(bits=(b,) * feeder.num_adopters, id=b) for b in (0, 1)]
+    if any(stress is None for stress in evaluate_scenarios(feeder, extremes)):
+        raise ConfigError(
+            "the generated feeder's power flow does not converge at zero and full adoption"
+        )
     save_feeder(feeder, output)
     click.echo(f"wrote {output} ({buses} buses, {adopters} adopters, {groups} groups)")
 
@@ -237,9 +253,10 @@ def cmd_evaluate(config_path, scenario_path, output) -> None:
         scenarios = load_scenarios(scenario_path, feeder)
     except (FeederError, ValueError) as exc:
         raise ConfigError(str(exc))
-    from gridcrit.powerflow import compute_stress
-
     pf_cfg = config["powerflow"]
+    stresses = evaluate_scenarios(
+        feeder, scenarios, pf_cfg["tol"], pf_cfg["max_iter"], pf_cfg["pv_derate"]
+    )
     num_bus = feeder.num_groups
     dim = num_bus + feeder.num_lines
     with open(output, "w", newline="") as fh:
@@ -250,20 +267,15 @@ def cmd_evaluate(config_path, scenario_path, output) -> None:
             + [f"violation_{k}" for k in range(dim)]
             + ["converged"]
         )
-        for s in scenarios:
-            pf = solve_power_flow(
-                feeder, s, tol=pf_cfg["tol"], max_iter=pf_cfg["max_iter"],
-                pv_derate=pf_cfg["pv_derate"],
-            )
-            if pf.converged:
-                stress = compute_stress(feeder, feeder.partition(), pf)
+        for s, stress in zip(scenarios, stresses):
+            if stress is None:
+                writer.writerow([s.id] + [""] * (2 * dim) + [False])
+            else:
                 viol = violation_map(stress, num_bus, viol_cfg)
                 writer.writerow(
                     [s.id] + [_fmt(v) for v in stress] + [_fmt(v) for v in viol]
                     + [True]
                 )
-            else:
-                writer.writerow([s.id] + [""] * (2 * dim) + [False])
     click.echo(f"wrote {output}")
 
 
@@ -313,11 +325,8 @@ def _write_search_artifacts(outdir: Path, feeder, result) -> None:
 @main.command("search")
 @click.option("--config", "config_path", type=click.Path(), required=True)
 @click.option("--output-dir", "-o", type=click.Path(), required=True)
-@click.option("--threads", type=int, default=1, show_default=True)
-def cmd_search(config_path, threads, output_dir) -> None:
+def cmd_search(config_path, output_dir) -> None:
     """Run the Bayesian-optimization search and write result artifacts."""
-    if threads < 1:
-        raise click.UsageError("threads must be >= 1")
     config = _load_config(config_path)
     feeder, diffusion, viol_cfg, search_cfg = _build_parts(config)
     outdir = Path(output_dir)
@@ -325,14 +334,14 @@ def cmd_search(config_path, threads, output_dir) -> None:
     pf_cfg = config["powerflow"]
     try:
         result = run_search(
-            feeder, feeder.partition(), diffusion, viol_cfg, search_cfg,
+            feeder, diffusion, viol_cfg, search_cfg,
             pf_tol=pf_cfg["tol"], pf_max_iter=pf_cfg["max_iter"],
-            pv_derate=pf_cfg["pv_derate"], threads=threads,
+            pv_derate=pf_cfg["pv_derate"],
         )
     except (NumericalError, SearchAbort) as exc:
         raise NumericalFailure(str(exc))
     config["search"] = {**asdict(search_cfg)}
-    _write_manifest(outdir, "search", config, threads=threads)
+    _write_manifest(outdir, "search", config)
     _write_search_artifacts(outdir, feeder, result)
     click.echo(
         f"{result.stop_reason}: {result.num_evaluations} evaluations, "
@@ -367,7 +376,7 @@ def cmd_brute_force(config_path, scenario_path, count, output_dir) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     pf_cfg = config["powerflow"]
     oracle = brute_force_oracle(
-        feeder, feeder.partition(), viol_cfg, scenarios,
+        feeder, viol_cfg, scenarios,
         pf_tol=pf_cfg["tol"], pf_max_iter=pf_cfg["max_iter"],
         pv_derate=pf_cfg["pv_derate"],
     )

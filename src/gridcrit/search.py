@@ -10,13 +10,12 @@ criterion bounding the probability of a missed critical scenario.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from gridcrit.adoption import DiffusionParams, Scenario, simulate_batch
-from gridcrit.feeder import BusPartition, Feeder
+from gridcrit.feeder import Feeder
 from gridcrit.pareto import CriticalFronts, critical_fronts, dominated, front_indices
 from gridcrit.powerflow import (
     ViolationConfig,
@@ -27,6 +26,7 @@ from gridcrit.powerflow import (
 from gridcrit.surrogate import (
     GPSurrogate,
     KernelParams,
+    adopter_relevance,
     fit_hyperparameters,
     posterior,
     sample_joint,
@@ -80,7 +80,6 @@ class SearchResult:
     violations: dict[int, np.ndarray]
     num_bus_objectives: int
     num_line_objectives: int
-    violating_ids: list[int]
     fronts: CriticalFronts
     tau_steps: list[int]
     tau_bus_trace: list[float]
@@ -213,27 +212,41 @@ def select_batch(
     return [candidate_ids[i] for i in order[:batch_size] if alpha[i] > 0]
 
 
+def evaluate_scenarios(
+    feeder: Feeder,
+    scenarios: list[Scenario],
+    pf_tol: float = 1e-8,
+    pf_max_iter: int = 50,
+    pv_derate: float = 1.0,
+) -> list[np.ndarray | None]:
+    """Stress of each scenario, in input order; None where the sweep did not converge.
+
+    Stresses are taken over the bus groups the feeder carries.
+    """
+    partition = feeder.partition()
+    out: list[np.ndarray | None] = []
+    for s in scenarios:
+        pf = solve_power_flow(
+            feeder, s, tol=pf_tol, max_iter=pf_max_iter, pv_derate=pv_derate
+        )
+        out.append(compute_stress(feeder, partition, pf) if pf.converged else None)
+    return out
+
+
 _DEFAULT_NOISE = 1e-4
 
 
 def run_search(
     feeder: Feeder,
-    partition: BusPartition,
     diffusion: DiffusionParams,
     viol_cfg: ViolationConfig,
     cfg: SearchConfig,
     pf_tol: float = 1e-8,
     pf_max_iter: int = 50,
     pv_derate: float = 1.0,
-    threads: int = 1,
 ) -> SearchResult:
-    """Run the full search loop until the stopping bound or exhaustion.
-
-    ``threads`` parallelizes the power-flow solves within a batch; results are
-    committed in scenario-id order, so the outcome is identical to a
-    single-threaded run (batch composition is fixed before evaluation).
-    """
-    num_bus = partition.num_groups
+    """Run the full search loop until the stopping bound or exhaustion."""
+    num_bus = feeder.num_groups
     num_line = feeder.num_lines
     dim = num_bus + num_line
     num_agents = feeder.num_adopters
@@ -243,7 +256,6 @@ def run_search(
     stresses: dict[int, np.ndarray] = {}
     invalid: list[int] = []
     eval_log: list[tuple[int, int]] = []
-    eval_order: list[int] = []
     done_bits: set[str] = set()  # evaluated or invalid bitstrings
     attempts = 0
 
@@ -264,36 +276,26 @@ def run_search(
                 reps[bits] = s.id
         return sorted(reps.values())
 
-    def solve(sid: int):
-        return solve_power_flow(
-            feeder, scenarios[sid], tol=pf_tol, max_iter=pf_max_iter, pv_derate=pv_derate
-        )
-
     def evaluate_batch(sids: list[int], step: int) -> None:
-        if threads > 1 and len(sids) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(solve, sids))
-        else:
-            results = [solve(sid) for sid in sids]
-        for sid, pf in zip(sids, results):
-            commit(sid, pf, step)
-
-    def commit(sid: int, pf, step: int) -> None:
+        """Evaluate a batch, then commit its results one at a time in batch order."""
         nonlocal attempts
-        attempts += 1
-        done_bits.add(scenarios[sid].bitstring())
-        if not pf.converged:
-            invalid.append(sid)
-            log.warning("power flow did not converge for scenario %d; excluded", sid)
-            if attempts >= 10 and len(invalid) > 0.1 * attempts:
-                raise SearchAbort(
-                    f"{len(invalid)}/{attempts} power flows failed to converge; "
-                    "check feeder data and solver settings"
-                )
-            return
-        stresses[sid] = compute_stress(feeder, partition, pf)
-        eval_order.append(sid)
-        eval_log.append((step, sid))
+        batch = evaluate_scenarios(
+            feeder, [scenarios[sid] for sid in sids], pf_tol, pf_max_iter, pv_derate
+        )
+        for sid, stress in zip(sids, batch):
+            attempts += 1
+            done_bits.add(scenarios[sid].bitstring())
+            if stress is None:
+                invalid.append(sid)
+                log.warning("power flow did not converge for scenario %d; excluded", sid)
+                if attempts >= 10 and len(invalid) > 0.1 * attempts:
+                    raise SearchAbort(
+                        f"{len(invalid)}/{attempts} power flows failed to converge; "
+                        "check feeder data and solver settings"
+                    )
+                continue
+            stresses[sid] = stress
+            eval_log.append((step, sid))
 
     # Initialization: n0 evaluated scenarios, then grow to |S_1|.
     add_scenarios(simulate_batch(feeder, diffusion, cfg.n0, seed=(cfg.seed, 0)))
@@ -427,10 +429,25 @@ def run_search(
                 )
             )
 
-    return _assemble_result(
-        feeder, scenarios, eval_order, invalid, stresses, viol_cfg,
-        num_bus, num_line, tau_steps, tau_bus_trace, tau_line_trace,
-        eval_log, params_cache, stop_reason,
+    violations, fronts = _violations_and_fronts(stresses, num_bus, num_line, viol_cfg)
+    critical = set(fronts.critical_objectives_bus) | set(fronts.critical_objectives_line)
+    return SearchResult(
+        scenarios=scenarios,
+        evaluated_ids=[sid for _, sid in eval_log],
+        invalid_ids=sorted(invalid),
+        stresses=stresses,
+        violations=violations,
+        num_bus_objectives=num_bus,
+        num_line_objectives=num_line,
+        fronts=fronts,
+        tau_steps=tau_steps,
+        tau_bus_trace=tau_bus_trace,
+        tau_line_trace=tau_line_trace,
+        evaluation_log=eval_log,
+        relevance={
+            k: adopter_relevance(p) for k, p in params_cache.items() if k in critical
+        },
+        stop_reason=stop_reason,
     )
 
 
@@ -442,38 +459,6 @@ def _violations_and_fronts(
     stress_mat = np.array([stresses[i] for i in ids]).reshape(len(ids), num_bus + num_line)
     viol = violation_map(stress_mat, num_bus, viol_cfg)
     return dict(zip(ids, viol)), critical_fronts(ids, viol, num_bus)
-
-
-def _assemble_result(
-    feeder, scenarios, eval_order, invalid, stresses, viol_cfg,
-    num_bus, num_line, tau_steps, tau_bus_trace, tau_line_trace,
-    eval_log, params_cache, stop_reason,
-) -> SearchResult:
-    from gridcrit.surrogate import adopter_relevance
-
-    violations, fronts = _violations_and_fronts(stresses, num_bus, num_line, viol_cfg)
-    violating = sorted(sid for sid, v in violations.items() if np.any(v > 0))
-    critical = set(fronts.critical_objectives_bus) | set(fronts.critical_objectives_line)
-    relevance = {
-        k: adopter_relevance(p) for k, p in params_cache.items() if k in critical
-    }
-    return SearchResult(
-        scenarios=scenarios,
-        evaluated_ids=list(eval_order),
-        invalid_ids=sorted(invalid),
-        stresses=stresses,
-        violations=violations,
-        num_bus_objectives=num_bus,
-        num_line_objectives=num_line,
-        violating_ids=violating,
-        fronts=fronts,
-        tau_steps=tau_steps,
-        tau_bus_trace=tau_bus_trace,
-        tau_line_trace=tau_line_trace,
-        evaluation_log=eval_log,
-        relevance=relevance,
-        stop_reason=stop_reason,
-    )
 
 
 @dataclass
@@ -496,7 +481,6 @@ class OracleResult:
 
 def brute_force_oracle(
     feeder: Feeder,
-    partition: BusPartition,
     viol_cfg: ViolationConfig,
     scenarios: list[Scenario],
     pf_tol: float = 1e-8,
@@ -509,16 +493,16 @@ def brute_force_oracle(
         raise ValueError(
             f"{len(scenarios)} scenarios exceed the oracle budget of {max_scenarios}"
         )
-    num_bus = partition.num_groups
+    num_bus = feeder.num_groups
     num_line = feeder.num_lines
     stresses: dict[int, np.ndarray] = {}
     invalid: list[int] = []
-    for s in scenarios:
-        pf = solve_power_flow(feeder, s, tol=pf_tol, max_iter=pf_max_iter, pv_derate=pv_derate)
-        if not pf.converged:
+    batch = evaluate_scenarios(feeder, scenarios, pf_tol, pf_max_iter, pv_derate)
+    for s, stress in zip(scenarios, batch):
+        if stress is None:
             invalid.append(s.id)
-            continue
-        stresses[s.id] = compute_stress(feeder, partition, pf)
+        else:
+            stresses[s.id] = stress
     violations, fronts = _violations_and_fronts(stresses, num_bus, num_line, viol_cfg)
     return OracleResult(
         scenarios=scenarios,

@@ -36,12 +36,11 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 def _run_one(feeder, diffusion, seed):
     cfg = SearchConfig(seed=seed, max_search_space=SPACE_CAP)
-    part = feeder.partition()
     viol = ViolationConfig()
     t0 = time.perf_counter()
-    result = run_search(feeder, part, diffusion, viol, cfg)
+    result = run_search(feeder, diffusion, viol, cfg)
     elapsed = time.perf_counter() - t0
-    oracle = brute_force_oracle(feeder, part, viol, result.scenarios)
+    oracle = brute_force_oracle(feeder, viol, result.scenarios)
     return result, oracle, elapsed
 
 
@@ -134,7 +133,6 @@ def test_criterion_4_statistical_guarantee(standard_runs):
 
 def test_criterion_5_naive_comparator_gap(adversarial_feeder):
     feeder = adversarial_feeder
-    part = feeder.partition()
     viol = ViolationConfig()
     scen = [
         Scenario(bits=bits, id=i)
@@ -142,7 +140,7 @@ def test_criterion_5_naive_comparator_gap(adversarial_feeder):
             itertools.product((0, 1), repeat=feeder.num_adopters)
         )
     ]
-    oracle = brute_force_oracle(feeder, part, viol, scen)
+    oracle = brute_force_oracle(feeder, viol, scen)
     crit = oracle.critical_bits("bus") | oracle.critical_bits("line")
     assert crit, "adversarial feeder must have critical scenarios"
 
@@ -155,7 +153,7 @@ def test_criterion_5_naive_comparator_gap(adversarial_feeder):
     recov = []
     for seed in range(5):
         result = run_search(
-            feeder, part, diffusion, viol,
+            feeder, diffusion, viol,
             SearchConfig(seed=seed, max_search_space=SPACE_CAP),
         )
         recov.append(len(crit & result.found_bits()) / len(crit))
@@ -169,16 +167,15 @@ def test_criterion_5_naive_comparator_gap(adversarial_feeder):
 
 
 def test_criterion_6_sensitivity_direction(standard_feeder, std_diffusion):
-    part = standard_feeder.partition()
     viol = ViolationConfig()
 
     def evals(tau_bar):
         cfg = SearchConfig(seed=0, tau_bar=tau_bar, max_search_space=SPACE_CAP)
-        return run_search(standard_feeder, part, std_diffusion, viol, cfg).num_evaluations
+        return run_search(standard_feeder, std_diffusion, viol, cfg).num_evaluations
 
     def simulated(n_expand):
         cfg = SearchConfig(seed=0, n_expand=n_expand, max_search_space=SPACE_CAP)
-        return len(run_search(standard_feeder, part, std_diffusion, viol, cfg).scenarios)
+        return len(run_search(standard_feeder, std_diffusion, viol, cfg).scenarios)
 
     e_tight, e_loose = evals(0.05), evals(0.5)
     s_big, s_small = simulated(400), simulated(50)

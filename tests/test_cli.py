@@ -69,6 +69,23 @@ class TestMakeFeeder:
         res = runner.invoke(main, ["make-feeder", "--buses", "5"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("buses,adopters,groups,seed", [(10, 6, 2, 3), (15, 12, 3, 19)])
+    def test_documented_sizes_solve(self, runner, tmp_path, buses, adopters, groups, seed):
+        write_feeder(runner, tmp_path / "f.json", buses, adopters, groups, seed)
+
+    def test_unsolvable_feeder_exit_3(self, runner, tmp_path):
+        # The generator does not scale load or impedance with depth: on this
+        # 30-bus feeder neither zero nor full adoption converges.
+        out = tmp_path / "f.json"
+        res = runner.invoke(
+            main,
+            ["make-feeder", "--buses", "30", "--adopters", "10", "--seed", "0",
+             "-o", str(out)],
+        )
+        assert res.exit_code == 3
+        assert "does not converge" in res.output
+        assert not out.exists()
+
 
 class TestSimulateEvaluate:
     def test_round_trip_through_csv(self, runner, tmp_path):
@@ -139,6 +156,23 @@ class TestConfigHandling:
         )
         assert res.exit_code == 3
 
+    @pytest.mark.parametrize("override", [
+        {"powerflow": {"tolerance": 1e-3}},
+        {"violation": {"line_bin": [0, 1]}},
+        {"sede": 7},
+        {"diffusion": {"p": 0.05, "q": 0.3, "horizon": 8}},
+        {"search": {"n_zero": 10}},
+    ], ids=["powerflow", "violation", "top-level", "diffusion", "search"])
+    def test_unknown_key_exit_3(self, runner, tmp_path, override):
+        feeder = write_feeder(runner, tmp_path / "f.json")
+        config = write_config(tmp_path / "cfg.json", feeder, **override)
+        res = runner.invoke(
+            main, ["search", "--config", str(config), "-o", str(tmp_path / "out")],
+        )
+        assert res.exit_code == 3
+        assert "unknown" in res.output
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_search_section_exit_3(self, runner, tmp_path):
         feeder = write_feeder(runner, tmp_path / "f.json")
         config = write_config(
@@ -176,14 +210,28 @@ class TestSearchCommand:
     def test_manifest_rerun_is_byte_identical(self, runner, tmp_path):
         res, outdir = self.run_search(runner, tmp_path)
         assert res.exit_code == 0, res.output
-        rerun = tmp_path / "rerun"
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert "threads" not in manifest
+        # Manifests of earlier versions carry a top-level thread count.
+        old_style = tmp_path / "old_manifest.json"
+        old_style.write_text(json.dumps({**manifest, "threads": 1}))
+        for config in (outdir / "manifest.json", old_style):
+            rerun = tmp_path / f"rerun_{config.stem}"
+            res = runner.invoke(
+                main, ["search", "--config", str(config), "-o", str(rerun)],
+            )
+            assert res.exit_code == 0, res.output
+            for name in sorted(p.name for p in outdir.iterdir()):
+                assert (outdir / name).read_bytes() == (rerun / name).read_bytes(), name
+
+    def test_threads_option_is_gone(self, runner, tmp_path):
+        feeder = write_feeder(runner, tmp_path / "f.json")
+        config = write_config(tmp_path / "cfg.json", feeder)
         res = runner.invoke(
-            main, ["search", "--config", str(outdir / "manifest.json"),
-                   "-o", str(rerun)],
+            main, ["search", "--config", str(config), "--threads", "2",
+                   "-o", str(tmp_path / "out")],
         )
-        assert res.exit_code == 0, res.output
-        for name in sorted(p.name for p in outdir.iterdir()):
-            assert (outdir / name).read_bytes() == (rerun / name).read_bytes(), name
+        assert res.exit_code == 2
 
     def test_exhaustion_exit_5(self, runner, tmp_path):
         # A search space capped below what the loop wants to evaluate, with a

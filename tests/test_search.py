@@ -21,11 +21,13 @@ from gridcrit.powerflow import (
 )
 from gridcrit import search
 from gridcrit.search import (
+    SearchAbort,
     SearchConfig,
     _candidate_nondominated_freq,
     acquisition_alpha_nd,
     brute_force_oracle,
     detect_active_objectives,
+    evaluate_scenarios,
     recovery_fraction,
     run_search,
     sample_candidates,
@@ -270,6 +272,15 @@ class TestSearchConfig:
             SearchConfig(num_candidates=0)
 
 
+class TestEvaluateScenarios:
+    # Exact stresses in input order are checked through the oracle below.
+    def test_unconverged_sweep_gives_none(self):
+        feeder = small_feeder()
+        scen = [Scenario(bits=(1, 0, 1), id=0), Scenario(bits=(0, 0, 0), id=1)]
+        assert evaluate_scenarios(feeder, scen, pf_max_iter=1) == [None, None]
+        assert evaluate_scenarios(feeder, []) == []
+
+
 class TestBruteForceOracle:
     def enumerate_scenarios(self, feeder):
         return [
@@ -283,28 +294,28 @@ class TestBruteForceOracle:
         feeder = small_feeder()
         scen = self.enumerate_scenarios(feeder)
         with pytest.raises(ValueError, match="budget"):
-            brute_force_oracle(
-                feeder, feeder.partition(), ViolationConfig(), scen, max_scenarios=3
-            )
+            brute_force_oracle(feeder, ViolationConfig(), scen, max_scenarios=3)
 
     def test_matches_direct_evaluation(self):
-        # Cross-module consistency on a full 2^A enumeration: the oracle's
-        # per-objective maxima and critical sets must agree with evaluating
-        # each scenario directly through the power-flow stack.
+        # Cross-module consistency on a full 2^A enumeration: every oracle
+        # stress, the per-objective maxima and the critical sets must agree
+        # exactly with evaluating each scenario directly through the
+        # power-flow stack.
         feeder = small_feeder()
         part = feeder.partition()
         cfg = ViolationConfig()
         scen = self.enumerate_scenarios(feeder)
-        oracle = brute_force_oracle(feeder, part, cfg, scen)
+        oracle = brute_force_oracle(feeder, cfg, scen)
         assert not oracle.invalid_ids
+        assert sorted(oracle.stresses) == [s.id for s in scen]
 
         direct = {}
         for s in scen:
-            pf = solve_power_flow(feeder, s)
-            stress = compute_stress(feeder, part, pf)
+            stress = compute_stress(feeder, part, solve_power_flow(feeder, s))
+            np.testing.assert_array_equal(oracle.stresses[s.id], stress)
             direct[s.id] = violation_map(stress, part.num_groups, cfg)
         best = np.max(np.stack(list(direct.values())), axis=0)
-        np.testing.assert_allclose(oracle.fronts.per_objective_max_violation, best)
+        np.testing.assert_array_equal(oracle.fronts.per_objective_max_violation, best)
 
         # Critical scenarios must be non-dominated among all positives.
         for family, ids, sl in (
@@ -321,7 +332,7 @@ class TestBruteForceOracle:
     def test_some_objective_is_critical(self):
         feeder = small_feeder()
         scen = self.enumerate_scenarios(feeder)
-        oracle = brute_force_oracle(feeder, feeder.partition(), ViolationConfig(), scen)
+        oracle = brute_force_oracle(feeder, ViolationConfig(), scen)
         assert oracle.fronts.critical_objectives_bus or oracle.fronts.critical_objectives_line
 
 
@@ -329,7 +340,7 @@ class TestRunSearch:
     def test_deterministic(self):
         feeder = small_feeder()
         cfg = SearchConfig(seed=5, **FAST_CONFIG)
-        kwargs = (feeder, feeder.partition(), FAST_DIFFUSION, ViolationConfig(), cfg)
+        kwargs = (feeder, FAST_DIFFUSION, ViolationConfig(), cfg)
         a = run_search(*kwargs)
         b = run_search(*kwargs)
         assert a.evaluated_ids == b.evaluated_ids
@@ -337,21 +348,25 @@ class TestRunSearch:
         for sid in a.stresses:
             np.testing.assert_array_equal(a.stresses[sid], b.stresses[sid])
 
-    def test_threads_match_single_threaded(self):
+    def test_evaluated_ids_follow_the_evaluation_log(self):
         feeder = small_feeder()
         cfg = SearchConfig(seed=2, **FAST_CONFIG)
-        one = run_search(feeder, feeder.partition(), FAST_DIFFUSION, ViolationConfig(), cfg)
-        four = run_search(
-            feeder, feeder.partition(), FAST_DIFFUSION, ViolationConfig(), cfg, threads=4
-        )
-        assert one.evaluated_ids == four.evaluated_ids
-        for sid in one.stresses:
-            np.testing.assert_array_equal(one.stresses[sid], four.stresses[sid])
+        result = run_search(feeder, FAST_DIFFUSION, ViolationConfig(), cfg)
+        assert result.evaluated_ids == [sid for _, sid in result.evaluation_log]
+        assert sorted(result.evaluated_ids) == sorted(result.stresses)
+
+    def test_aborts_at_the_tenth_failed_attempt(self):
+        # One sweep never meets the tolerance, so every power flow fails; the
+        # initial batch commits in order and aborts at its tenth attempt.
+        feeder = small_feeder()
+        cfg = SearchConfig(seed=0, **{**FAST_CONFIG, "n0": 12})
+        with pytest.raises(SearchAbort, match=r"^10/10 power flows failed to converge; "):
+            run_search(feeder, FAST_DIFFUSION, ViolationConfig(), cfg, pf_max_iter=1)
 
     def test_quiet_feeder_converges_with_empty_archives(self):
         feeder = quiet_feeder()
         cfg = SearchConfig(seed=0, **FAST_CONFIG)
-        result = run_search(feeder, feeder.partition(), FAST_DIFFUSION, ViolationConfig(), cfg)
+        result = run_search(feeder, FAST_DIFFUSION, ViolationConfig(), cfg)
         assert result.stop_reason == "converged"
         assert result.fronts.bus_ids == ()
         assert result.fronts.line_ids == ()
@@ -362,7 +377,7 @@ class TestRunSearch:
     def test_reported_criticals_are_nondominated_and_positive(self):
         feeder = small_feeder()
         cfg = SearchConfig(seed=1, **FAST_CONFIG)
-        result = run_search(feeder, feeder.partition(), FAST_DIFFUSION, ViolationConfig(), cfg)
+        result = run_search(feeder, FAST_DIFFUSION, ViolationConfig(), cfg)
         assert result.stop_reason in ("converged", "exhausted")
         nb = result.num_bus_objectives
         for ids, sl in (
@@ -382,14 +397,13 @@ class TestRunSearch:
         # scenarios whose bitstrings are oracle-critical (the diffusion
         # reaches essentially all bitstrings at A=3 adopters).
         feeder = small_feeder()
-        part = feeder.partition()
         scen = [
             Scenario(bits=bits, id=i)
             for i, bits in enumerate(itertools.product((0, 1), repeat=3))
         ]
-        oracle = brute_force_oracle(feeder, part, ViolationConfig(), scen)
+        oracle = brute_force_oracle(feeder, ViolationConfig(), scen)
         cfg = SearchConfig(seed=3, **FAST_CONFIG)
-        result = run_search(feeder, part, FAST_DIFFUSION, ViolationConfig(), cfg)
+        result = run_search(feeder, FAST_DIFFUSION, ViolationConfig(), cfg)
         assert result.stop_reason == "converged"
         assert recovery_fraction(oracle, result, "bus") >= 0.5
         assert recovery_fraction(oracle, result, "line") >= 0.5
@@ -397,7 +411,7 @@ class TestRunSearch:
     def test_tau_traces_align_with_steps(self):
         feeder = small_feeder()
         cfg = SearchConfig(seed=4, **FAST_CONFIG)
-        result = run_search(feeder, feeder.partition(), FAST_DIFFUSION, ViolationConfig(), cfg)
+        result = run_search(feeder, FAST_DIFFUSION, ViolationConfig(), cfg)
         assert len(result.tau_steps) == len(result.tau_bus_trace)
         assert len(result.tau_steps) == len(result.tau_line_trace)
         assert result.tau_steps == sorted(result.tau_steps)
@@ -405,7 +419,7 @@ class TestRunSearch:
     def test_relevance_reported_for_critical_objectives(self):
         feeder = small_feeder()
         cfg = SearchConfig(seed=6, **FAST_CONFIG)
-        result = run_search(feeder, feeder.partition(), FAST_DIFFUSION, ViolationConfig(), cfg)
+        result = run_search(feeder, FAST_DIFFUSION, ViolationConfig(), cfg)
         fronts = result.fronts
         crit = set(fronts.critical_objectives_bus) | set(fronts.critical_objectives_line)
         for k, rel in result.relevance.items():
@@ -417,13 +431,12 @@ class TestRunSearch:
 class TestRecoveryFraction:
     def test_empty_oracle_critical_set_is_full_recovery(self):
         feeder = quiet_feeder()
-        part = feeder.partition()
         scen = [
             Scenario(bits=bits, id=i)
             for i, bits in enumerate(itertools.product((0, 1), repeat=2))
         ]
-        oracle = brute_force_oracle(feeder, part, ViolationConfig(), scen)
+        oracle = brute_force_oracle(feeder, ViolationConfig(), scen)
         cfg = SearchConfig(seed=0, **FAST_CONFIG)
-        result = run_search(feeder, part, FAST_DIFFUSION, ViolationConfig(), cfg)
+        result = run_search(feeder, FAST_DIFFUSION, ViolationConfig(), cfg)
         assert recovery_fraction(oracle, result, "bus") == 1.0
         assert recovery_fraction(oracle, result, "line") == 1.0
