@@ -77,16 +77,24 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
-    if "command" in doc and "config" in doc:
+    if isinstance(doc, dict) and "command" in doc and "config" in doc:
         doc = doc["config"]  # manifest re-run
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a JSON object")
     if doc.get("schema") != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"config schema must be {CONFIG_SCHEMA_VERSION}")
     if "feeder" not in doc:
         raise ConfigError("config is missing the 'feeder' path")
+    if not isinstance(doc["feeder"], str):
+        raise ConfigError(f"config 'feeder' must be a path string, not {doc['feeder']!r}")
+    try:
+        seed = int(doc.get("seed", 0))
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"config 'seed' must be an integer, not {doc['seed']!r}")
     resolved = {
         "schema": CONFIG_SCHEMA_VERSION,
         "feeder": doc["feeder"],
-        "seed": int(doc.get("seed", 0)),
+        "seed": seed,
         "diffusion": {
             "p": 0.01, "q": 0.164, "horizon_steps": 10, "initial_rate": 0.0,
         },

@@ -26,6 +26,7 @@ from gridcrit.powerflow import (
 from gridcrit.surrogate import (
     GPSurrogate,
     KernelParams,
+    _single_thread_blas,
     adopter_relevance,
     fit_hyperparameters,
     posterior,
@@ -320,114 +321,117 @@ def run_search(
     def default_params() -> KernelParams:
         return KernelParams(eta=1.0, theta=np.ones(num_agents), noise=_DEFAULT_NOISE)
 
-    step = 0
-    while step < cfg.max_steps:
-        if max(tau["bus"], tau["line"]) < cfg.tau_bar:
-            stop_reason = "converged"
-            break
-        unevaluated = unevaluated_representatives()
-        if not unevaluated:
-            stop_reason = "exhausted"
-            break
-        step += 1
-        phase = "bus" if step % 2 == 1 else "line"
-        family = range(num_bus) if phase == "bus" else range(num_bus, dim)
-        eval_ids = sorted(stresses)
-        stress_mat = np.array([stresses[i] for i in eval_ids])
-        _, _, active = detect_active_objectives(stress_mat, family, cfg.stress_threshold)
+    # The GP matrices are too small to gain from a second BLAS thread.
+    with _single_thread_blas():
+        step = 0
+        while step < cfg.max_steps:
+            if max(tau["bus"], tau["line"]) < cfg.tau_bar:
+                stop_reason = "converged"
+                break
+            unevaluated = unevaluated_representatives()
+            if not unevaluated:
+                stop_reason = "exhausted"
+                break
+            step += 1
+            phase = "bus" if step % 2 == 1 else "line"
+            family = range(num_bus) if phase == "bus" else range(num_bus, dim)
+            eval_ids = sorted(stresses)
+            stress_mat = np.array([stresses[i] for i in eval_ids])
+            _, _, active = detect_active_objectives(stress_mat, family, cfg.stress_threshold)
 
-        if not active:
-            tau[phase] = 0.0
-        else:
-            x_eval = np.array([scenarios[i].as_array() for i in eval_ids], dtype=float)
-            gps: dict[int, GPSurrogate] = {}
-            for k in active:
-                need_refit = (
-                    k not in params_cache
-                    or (step - last_fit_step.get(k, 0)) >= cfg.refit_period
-                )
-                if need_refit:
-                    params_cache[k] = fit_hyperparameters(
-                        x_eval,
-                        stress_mat[:, k],
-                        init=params_cache.get(k, default_params()),
-                        seed=_seed_entropy((cfg.seed, 4, step, k)),
+            if not active:
+                tau[phase] = 0.0
+            else:
+                x_eval = np.array([scenarios[i].as_array() for i in eval_ids], dtype=float)
+                gps: dict[int, GPSurrogate] = {}
+                for k in active:
+                    need_refit = (
+                        k not in params_cache
+                        or (step - last_fit_step.get(k, 0)) >= cfg.refit_period
                     )
-                    last_fit_step[k] = step
-                gps[k] = GPSurrogate.build(x_eval, stress_mat[:, k], params_cache[k])
-                log.debug(
-                    "step %d obj %d: eta=%.3g noise=%.3g theta_max=%.3g refit=%s",
-                    step, k, params_cache[k].eta, params_cache[k].noise,
-                    float(np.max(params_cache[k].theta)), need_refit,
-                )
+                    if need_refit:
+                        params_cache[k] = fit_hyperparameters(
+                            x_eval,
+                            stress_mat[:, k],
+                            init=params_cache.get(k, default_params()),
+                            seed=_seed_entropy((cfg.seed, 4, step, k)),
+                        )
+                        last_fit_step[k] = step
+                    gps[k] = GPSurrogate.build(x_eval, stress_mat[:, k], params_cache[k])
+                    if log.isEnabledFor(logging.DEBUG):
+                        log.debug(
+                            "step %d obj %d: eta=%.3g noise=%.3g theta_max=%.3g refit=%s",
+                            step, k, params_cache[k].eta, params_cache[k].noise,
+                            float(np.max(params_cache[k].theta)), need_refit,
+                        )
 
-            bus_mask = np.array([k < num_bus for k in active])
-            eval_viol = violation_map(stress_mat[:, active], bus_mask, viol_cfg)
+                bus_mask = np.array([k < num_bus for k in active])
+                eval_viol = violation_map(stress_mat[:, active], bus_mask, viol_cfg)
 
-            cand_ids = sample_candidates(unevaluated, counts, m_cand, cand_rng)
-            for cid in cand_ids:
-                counts[cid] = counts.get(cid, 0) + 1
-            cand_bits = np.array([scenarios[i].as_array() for i in cand_ids], dtype=float)
-            alpha = acquisition_alpha_nd(
-                gps,
-                cand_bits,
-                eval_viol,
-                bus_mask,
-                viol_cfg,
-                cfg.num_mc_samples,
-                seed=(cfg.seed, 5, step),
-            )
-
-            # Stopping subsample: prefer unevaluated scenarios disjoint from the
-            # acquisition candidates; top up by reusing candidate alphas.
-            pool = sorted(set(unevaluated) - set(cand_ids))
-            tau_val = 0.0
-            take = min(m_cand, len(pool))
-            if take > 0:
-                sub = sorted(
-                    int(i) for i in stop_rng.choice(np.asarray(pool), size=take, replace=False)
-                )
-                sub_bits = np.array([scenarios[i].as_array() for i in sub], dtype=float)
-                sub_alpha = acquisition_alpha_nd(
+                cand_ids = sample_candidates(unevaluated, counts, m_cand, cand_rng)
+                for cid in cand_ids:
+                    counts[cid] = counts.get(cid, 0) + 1
+                cand_bits = np.array([scenarios[i].as_array() for i in cand_ids], dtype=float)
+                alpha = acquisition_alpha_nd(
                     gps,
-                    sub_bits,
+                    cand_bits,
                     eval_viol,
                     bus_mask,
                     viol_cfg,
                     cfg.num_mc_samples,
-                    seed=(cfg.seed, 6, step),
-                )
-                tau_val += stopping_criterion(sub_alpha)
-            if take < m_cand:
-                alpha_by_id = dict(zip(cand_ids, alpha))
-                short = min(m_cand - take, len(cand_ids))
-                reuse = sorted(cand_ids, key=lambda i: (-alpha_by_id[i], i))[:short]
-                tau_val += stopping_criterion(np.array([alpha_by_id[i] for i in reuse]))
-            tau[phase] = tau_val
-            if log.isEnabledFor(logging.DEBUG):
-                nz = alpha[alpha > 0]
-                log.debug(
-                    "step %d %s: tau=%.3f alpha>0 %d/%d max=%.3f",
-                    step, phase, tau_val, len(nz), len(alpha),
-                    float(alpha.max()) if len(alpha) else 0.0,
+                    seed=(cfg.seed, 5, step),
                 )
 
-            batch = select_batch(alpha, cand_ids, cfg.batch_size)
-            evaluate_batch(batch, step)
+                # Stopping subsample: prefer unevaluated scenarios disjoint from the
+                # acquisition candidates; top up by reusing candidate alphas.
+                pool = sorted(set(unevaluated) - set(cand_ids))
+                tau_val = 0.0
+                take = min(m_cand, len(pool))
+                if take > 0:
+                    sub = sorted(
+                        int(i) for i in stop_rng.choice(np.asarray(pool), size=take, replace=False)
+                    )
+                    sub_bits = np.array([scenarios[i].as_array() for i in sub], dtype=float)
+                    sub_alpha = acquisition_alpha_nd(
+                        gps,
+                        sub_bits,
+                        eval_viol,
+                        bus_mask,
+                        viol_cfg,
+                        cfg.num_mc_samples,
+                        seed=(cfg.seed, 6, step),
+                    )
+                    tau_val += stopping_criterion(sub_alpha)
+                if take < m_cand:
+                    alpha_by_id = dict(zip(cand_ids, alpha))
+                    short = min(m_cand - take, len(cand_ids))
+                    reuse = sorted(cand_ids, key=lambda i: (-alpha_by_id[i], i))[:short]
+                    tau_val += stopping_criterion(np.array([alpha_by_id[i] for i in reuse]))
+                tau[phase] = tau_val
+                if log.isEnabledFor(logging.DEBUG):
+                    nz = alpha[alpha > 0]
+                    log.debug(
+                        "step %d %s: tau=%.3f alpha>0 %d/%d max=%.3f",
+                        step, phase, tau_val, len(nz), len(alpha),
+                        float(alpha.max()) if len(alpha) else 0.0,
+                    )
 
-        tau_steps.append(step)
-        tau_bus_trace.append(tau["bus"] if np.isfinite(tau["bus"]) else np.nan)
-        tau_line_trace.append(tau["line"] if np.isfinite(tau["line"]) else np.nan)
+                batch = select_batch(alpha, cand_ids, cfg.batch_size)
+                evaluate_batch(batch, step)
 
-        cap = cfg.max_search_space
-        room = (cap - len(scenarios)) if cap is not None else cfg.n_expand
-        n_new = min(cfg.n_expand, max(room, 0))
-        if n_new > 0:
-            add_scenarios(
-                simulate_batch(
-                    feeder, diffusion, n_new, seed=(cfg.seed, 7, step), start_id=len(scenarios)
+            tau_steps.append(step)
+            tau_bus_trace.append(tau["bus"] if np.isfinite(tau["bus"]) else np.nan)
+            tau_line_trace.append(tau["line"] if np.isfinite(tau["line"]) else np.nan)
+
+            cap = cfg.max_search_space
+            room = (cap - len(scenarios)) if cap is not None else cfg.n_expand
+            n_new = min(cfg.n_expand, max(room, 0))
+            if n_new > 0:
+                add_scenarios(
+                    simulate_batch(
+                        feeder, diffusion, n_new, seed=(cfg.seed, 7, step), start_id=len(scenarios)
+                    )
                 )
-            )
 
     violations, fronts = _violations_and_fronts(stresses, num_bus, num_line, viol_cfg)
     critical = set(fronts.critical_objectives_bus) | set(fronts.critical_objectives_line)

@@ -7,10 +7,15 @@ weights theta_j double as an adopter-relevance measure.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import minimize
 
 JITTER_START = 1e-8
@@ -69,22 +74,67 @@ def gram_matrix(params: KernelParams, x1: np.ndarray, x2: np.ndarray | None = No
     return params.eta * np.exp(-w / a)
 
 
+@functools.cache
+def _openblas_thread_setters() -> tuple:
+    """``openblas_set_num_threads_local`` of every OpenBLAS this process has loaded.
+
+    numpy and scipy each bring their own OpenBLAS. Empty where ``/proc`` or
+    the symbol is missing.
+    """
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return ()
+    setters = {}
+    for line in maps.splitlines():
+        fields = line.split(maxsplit=5)
+        if len(fields) < 6 or fields[5] in setters:
+            continue
+        if "openblas" not in Path(fields[5]).name.lower():
+            continue
+        try:
+            fn = ctypes.CDLL(fields[5]).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        fn.argtypes = [ctypes.c_int]
+        fn.restype = ctypes.c_int
+        setters[fields[5]] = fn
+    return tuple(setters.values())
+
+
+@contextmanager
+def _single_thread_blas():
+    """Run the body with every loaded OpenBLAS capped at one thread.
+
+    The search's GP matrices have at most a few hundred rows; handing them to
+    a second BLAS thread costs more in hand-off and spin-waiting than it
+    saves. A product OpenBLAS splits across threads sums in another order,
+    so the cap also keeps results independent of the core count. The count
+    set is the calling thread's where OpenBLAS keeps one per thread and the
+    process's in its pthreads builds; either way the previous count is
+    restored on exit. A no-op where no loaded OpenBLAS has the symbol.
+    """
+    setters = _openblas_thread_setters()
+    previous = [set_local(1) for set_local in setters]
+    try:
+        yield
+    finally:
+        for set_local, count in zip(setters, previous):
+            set_local(count)
+
+
 def _chol_with_jitter(mat: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor with escalating diagonal jitter."""
-    jitter = 0.0
-    eye = np.eye(mat.shape[0])
-    while True:
-        try:
-            return cholesky(mat + jitter * eye, lower=True), jitter
-        except np.linalg.LinAlgError:
-            pass
-        except ValueError:
-            pass
-        jitter = JITTER_START if jitter == 0.0 else jitter * 10.0
-        if jitter > JITTER_MAX:
-            raise NumericalError(
-                f"covariance not factorizable after jitter {JITTER_MAX:g}"
-            )
+    if np.isfinite(mat).all():
+        work, diag = mat.copy(), mat.diagonal()
+        jitter = 0.0
+        while jitter <= JITTER_MAX:
+            low, info = dpotrf(work, lower=1)
+            if info == 0:
+                return low, jitter
+            jitter = JITTER_START if jitter == 0.0 else jitter * 10.0
+            np.fill_diagonal(work, diag + jitter)
+    raise NumericalError(f"covariance not factorizable after jitter {JITTER_MAX:g}")
 
 
 def _log_marginal_likelihood_and_grad(
@@ -100,20 +150,23 @@ def _log_marginal_likelihood_and_grad(
     theta = np.logaddexp(0.0, rho)  # softplus
     eta = np.exp(log_eta)
     noise = np.exp(log_noise)
-    params = KernelParams(eta=eta, theta=theta, noise=noise)
-    k = gram_matrix(params, x)
-    ky = k + noise * np.eye(n)
-    try:
-        low = cholesky(ky, lower=True)
-    except np.linalg.LinAlgError:
+    # gram_matrix(x, x) inline, in the same order, without KernelParams checks.
+    xt = x @ theta
+    k = eta * np.exp(-(xt[:, None] + xt[None, :] - 2.0 * (x * theta) @ x.T) / a)
+    ky = k.copy()
+    ky.flat[:: n + 1] += noise
+    if not np.isfinite(ky).all():
+        raise ValueError("covariance must be finite")
+    low, info = dpotrf(ky, lower=1)
+    if info > 0:
         return 1e12, np.zeros_like(phi)
-    alpha = cho_solve((low, True), y)
+    alpha, _ = dpotrs(low, y, lower=1)
     lml = (
         -0.5 * float(y @ alpha)
         - float(np.log(np.diag(low)).sum())
         - 0.5 * n * np.log(2.0 * np.pi)
     )
-    ky_inv = cho_solve((low, True), np.eye(n))
+    ky_inv, _ = dpotrs(low, np.eye(n, order="F"), lower=1, overwrite_b=1)
     g = np.outer(alpha, alpha) - ky_inv
     h = g * k
     grad = np.empty_like(phi)
@@ -251,7 +304,7 @@ class GPSurrogate:
 
 def posterior(gp: GPSurrogate, candidates) -> JointPosterior:
     """Joint predictive distribution over candidates, on the original scale."""
-    xc = np.asarray([np.asarray(c, dtype=float) for c in candidates])
+    xc = np.asarray(candidates, dtype=float)
     if xc.ndim != 2 or xc.shape[0] < 1:
         raise ValueError("need at least one candidate")
     k_star = gram_matrix(gp.params, xc, gp.train_inputs)

@@ -173,6 +173,27 @@ class TestConfigHandling:
         assert "unknown" in res.output
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("document", [
+        {"seed": "abc"},
+        {"seed": 1e400},
+        {"feeder": 5},
+        [1, 2],
+        {"command": "search", "config": "x"},
+    ], ids=["seed-text", "seed-inf", "feeder-number", "array", "manifest-config-text"])
+    def test_malformed_document_exit_3(self, runner, tmp_path, document):
+        feeder = write_feeder(runner, tmp_path / "f.json")
+        config = write_config(tmp_path / "cfg.json", feeder)
+        if isinstance(document, dict):
+            document = {**json.loads(config.read_text()), **document}
+        config.write_text(json.dumps(document))
+        res = runner.invoke(
+            main, ["simulate", "--config", str(config), "--count", "1",
+                   "-o", str(tmp_path / "s.txt")],
+        )
+        assert res.exit_code == 3, res.output
+        assert "config" in res.output
+        assert not (tmp_path / "s.txt").exists()
+
     def test_invalid_search_section_exit_3(self, runner, tmp_path):
         feeder = write_feeder(runner, tmp_path / "f.json")
         config = write_config(

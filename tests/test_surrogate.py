@@ -6,13 +6,21 @@ differences; the posterior is checked against closed-form small cases.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.linalg import cho_solve, cholesky
 
 from gridcrit.surrogate import (
+    THETA_SCALE_CAP,
     GPSurrogate,
     KernelParams,
     NumericalError,
     _chol_with_jitter,
+    _inv_softplus,
     _log_marginal_likelihood_and_grad,
+    _openblas_thread_setters,
+    _single_thread_blas,
     adopter_relevance,
     fit_hyperparameters,
     gram_matrix,
@@ -25,6 +33,73 @@ from gridcrit.surrogate import (
 
 def random_bits(rng, n, a):
     return rng.integers(0, 2, size=(n, a)).astype(float)
+
+
+def reference_objective(phi, x, y):
+    """The likelihood through a validated KernelParams and scipy's checked
+    cholesky/cho_solve: the same arithmetic as the LAPACK-level objective."""
+    n, a = x.shape
+    log_eta, rho, log_noise = phi[0], phi[1:-1], phi[-1]
+    theta = np.logaddexp(0.0, rho)
+    eta = np.exp(log_eta)
+    noise = np.exp(log_noise)
+    params = KernelParams(eta=eta, theta=theta, noise=noise)
+    k = gram_matrix(params, x)
+    ky = k + noise * np.eye(n)
+    try:
+        low = cholesky(ky, lower=True)
+    except np.linalg.LinAlgError:
+        return 1e12, np.zeros_like(phi)
+    alpha = cho_solve((low, True), y)
+    lml = (
+        -0.5 * float(y @ alpha)
+        - float(np.log(np.diag(low)).sum())
+        - 0.5 * n * np.log(2.0 * np.pi)
+    )
+    ky_inv = cho_solve((low, True), np.eye(n))
+    g = np.outer(alpha, alpha) - ky_inv
+    h = g * k
+    grad = np.empty_like(phi)
+    grad[0] = 0.5 * h.sum()
+    row = h.sum(axis=1)
+    quad = np.sum(x * (h @ x), axis=0)
+    t_j = 2.0 * (x.T @ row) - 2.0 * quad
+    sig = 1.0 / (1.0 + np.exp(-rho))
+    grad[1:-1] = 0.5 * (-1.0 / a) * t_j * sig
+    grad[-1] = 0.5 * noise * np.trace(g)
+    return -lml, -grad
+
+
+@st.composite
+def likelihood_problems(draw):
+    """Training bits, outputs and a phi inside the bounds the fit searches."""
+    n = draw(st.integers(2, 40))
+    a = draw(st.integers(1, 12))
+    x = draw(hnp.arrays(float, (n, a), elements=st.sampled_from([0.0, 1.0])))
+    y = draw(hnp.arrays(float, n, elements=st.floats(-3.0, 3.0)))
+    rho_cap = float(_inv_softplus(THETA_SCALE_CAP * a))
+    phi = np.array(
+        [draw(st.floats(np.log(1e-4), np.log(1e4)))]
+        + [draw(st.floats(-20.0, rho_cap)) for _ in range(a)]
+        + [draw(st.floats(np.log(1e-7), np.log(10.0)))]
+    )
+    return phi, x, y
+
+
+def blas_thread_counts() -> list[int]:
+    """Thread count of each loaded OpenBLAS, read by setting it and back."""
+    counts = []
+    for set_local in _openblas_thread_setters():
+        count = set_local(1)
+        set_local(count)
+        counts.append(count)
+    return counts
+
+
+needs_openblas = pytest.mark.skipif(
+    not _openblas_thread_setters(),
+    reason="no loaded OpenBLAS exports openblas_set_num_threads_local",
+)
 
 
 class TestKernel:
@@ -98,6 +173,36 @@ class TestLikelihoodGradient:
                 denom = max(abs(fd), abs(grad[k]), 1e-8)
                 assert abs(grad[k] - fd) / denom <= 1e-4
 
+    @given(likelihood_problems())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_scipy_reference(self, problem):
+        phi, x, y = problem
+        value, grad = _log_marginal_likelihood_and_grad(phi, x, y)
+        ref_value, ref_grad = reference_objective(phi, x, y)
+        assert value == ref_value
+        np.testing.assert_array_equal(grad, ref_grad)
+
+    def test_not_positive_definite_returns_penalty(self):
+        # Repeated rows, near-zero weights and a noise far below the fit's
+        # lower bound leave K + noise*I numerically singular.
+        rng = np.random.default_rng(6)
+        x = np.repeat(random_bits(rng, 10, 5), 3, axis=0)
+        y = rng.normal(size=30)
+        phi = np.concatenate([[np.log(1e4)], np.full(5, -20.0), [-60.0]])
+        value, grad = _log_marginal_likelihood_and_grad(phi, x, y)
+        ref_value, ref_grad = reference_objective(phi, x, y)
+        assert value == ref_value == 1e12
+        np.testing.assert_array_equal(grad, ref_grad)
+        np.testing.assert_array_equal(grad, np.zeros_like(phi))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_covariance_raises(self, bad):
+        rng = np.random.default_rng(7)
+        x = random_bits(rng, 6, 3)
+        phi = np.array([bad, 0.0, 0.0, 0.0, -3.0])
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            _log_marginal_likelihood_and_grad(phi, x, rng.normal(size=6))
+
     def test_lml_wrapper_consistent(self):
         rng = np.random.default_rng(5)
         x = random_bits(rng, 10, 3)
@@ -159,6 +264,57 @@ class TestFit:
         assert log_marginal_likelihood(fitted, x, y_std) >= log_marginal_likelihood(
             init, x, y_std
         ) - 1e-8
+
+
+class TestSingleThreadBlas:
+    @needs_openblas
+    def test_cap_reads_one_inside_and_restores_on_exit(self):
+        setters = _openblas_thread_setters()
+        outer = [set_local(2) for set_local in setters]
+        try:
+            with _single_thread_blas():
+                assert blas_thread_counts() == [1] * len(setters)
+            assert blas_thread_counts() == [2] * len(setters)
+            with pytest.raises(RuntimeError, match="body failed"):
+                with _single_thread_blas():
+                    assert blas_thread_counts() == [1] * len(setters)
+                    raise RuntimeError("body failed")
+            assert blas_thread_counts() == [2] * len(setters)
+        finally:
+            for set_local, count in zip(setters, outer):
+                set_local(count)
+
+    def test_fit_is_unchanged_by_the_cap(self):
+        # 80 points and 12 bits, the size of a long search on the benchmark
+        # feeders: below OpenBLAS's threading thresholds for every product
+        # and solve of the likelihood, so the thread count cannot move a bit.
+        rng = np.random.default_rng(12)
+        x = random_bits(rng, 80, 12)
+        y = x @ rng.normal(size=12) + 0.1 * rng.normal(size=80)
+        init = KernelParams(eta=1.0, theta=np.ones(12), noise=1e-4)
+        free = fit_hyperparameters(x, y, init, num_restarts=2, seed=3)
+        with _single_thread_blas():
+            capped = fit_hyperparameters(x, y, init, num_restarts=2, seed=3)
+        assert capped.eta == free.eta and capped.noise == free.noise
+        np.testing.assert_array_equal(capped.theta, free.theta)
+
+    def test_posterior_under_the_cap_agrees_to_roundoff(self):
+        # A 250-candidate covariance is large enough for OpenBLAS to split
+        # its products across threads, which sums in another order: the
+        # last bits may differ, nothing more.
+        rng = np.random.default_rng(14)
+        x = random_bits(rng, 80, 12)
+        params = KernelParams(eta=1.3, theta=rng.uniform(0.0, 5.0, 12), noise=1e-4)
+        gp = GPSurrogate.build(x, rng.normal(size=80), params)
+        cands = random_bits(rng, 250, 12)
+        free = posterior(gp, cands)
+        with _single_thread_blas():
+            capped = posterior(gp, cands)
+        scale = params.eta * gp.output_scale**2
+        np.testing.assert_allclose(capped.mean, free.mean, rtol=0, atol=1e-10 * scale)
+        np.testing.assert_allclose(
+            capped.covariance, free.covariance, rtol=0, atol=1e-10 * scale
+        )
 
 
 class TestPosterior:
@@ -306,7 +462,10 @@ class TestNumericalSafety:
         mat[0, 0] = -1e-10  # tiny negative eigenvalue
         low, jitter = _chol_with_jitter(mat)
         assert jitter > 0
-        assert np.all(np.isfinite(low))
+        np.testing.assert_array_equal(
+            low, cholesky(mat + jitter * np.eye(3), lower=True)
+        )
+        np.testing.assert_array_equal(mat.diagonal(), [-1e-10, 1.0, 1.0])
 
     def test_unrepairable_matrix_raises(self):
         mat = -np.eye(3)
