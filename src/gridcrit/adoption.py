@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -11,6 +12,14 @@ import numpy as np
 from gridcrit.feeder import Feeder
 
 SCENARIO_SCHEMA_VERSION = 1
+
+
+def _check_int(name: str, value, minimum: int) -> None:
+    """Raise ValueError unless ``value`` is an integer (not a bool) >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
 
 
 @dataclass(frozen=True)
@@ -30,28 +39,22 @@ class DiffusionParams:
                 "p + q > 1: one-step adoption probability will be clamped to 1",
                 stacklevel=2,
             )
-        if self.horizon_steps < 1:
-            raise ValueError("horizon_steps must be >= 1")
+        _check_int("horizon_steps", self.horizon_steps, 1)
         if not 0.0 <= self.initial_rate <= 1.0:
             raise ValueError("initial_rate must be in [0, 1]")
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Binary adoption vector over the feeder's adopters, with a run-stable id."""
+    """Binary adoption vector over the feeder's adopters.
+
+    A scenario's id is its position in the list that holds it.
+    """
 
     bits: tuple[int, ...]
-    id: int = -1
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.bits, dtype=np.int8)
 
     def bitstring(self) -> str:
         return "".join(str(b) for b in self.bits)
-
-    @property
-    def num_adopted(self) -> int:
-        return int(sum(self.bits))
 
 
 def adoption_probability(
@@ -91,7 +94,6 @@ def simulate_batch(
     params: DiffusionParams,
     count: int,
     seed,
-    start_id: int = 0,
 ) -> list[Scenario]:
     """Simulate ``count`` independent scenarios with distinct derived sub-seeds.
 
@@ -102,13 +104,7 @@ def simulate_batch(
     if count < 1:
         raise ValueError("count must be >= 1")
     children = np.random.SeedSequence(seed).spawn(count)
-    return [
-        Scenario(
-            bits=simulate_scenario(feeder, params, child).bits,
-            id=start_id + i,
-        )
-        for i, child in enumerate(children)
-    ]
+    return [simulate_scenario(feeder, params, child) for child in children]
 
 
 def save_scenarios(path, scenarios: list[Scenario], feeder: Feeder) -> None:
@@ -134,9 +130,9 @@ def load_scenarios(path, feeder: Feeder | None = None) -> list[Scenario]:
             key, _, value = line[1:].partition(":")
             header[key.strip()] = value.strip()
             continue
-        scenarios.append(
-            Scenario(bits=tuple(int(c) for c in line), id=len(scenarios))
-        )
+        if not set(line) <= {"0", "1"}:
+            raise ValueError(f"scenario bits must be 0 or 1: {line!r}")
+        scenarios.append(Scenario(bits=tuple(int(c) for c in line)))
     if int(header.get("schema", -1)) != SCENARIO_SCHEMA_VERSION:
         raise ValueError("unsupported or missing scenario file schema")
     num_adopters = int(header["adopters"])

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -23,6 +25,7 @@ import numpy as np
 from gridcrit.adoption import (
     DiffusionParams,
     Scenario,
+    _check_int,
     load_scenarios,
     save_scenarios,
     simulate_batch,
@@ -87,10 +90,11 @@ def _load_config(path: str) -> dict:
         raise ConfigError("config is missing the 'feeder' path")
     if not isinstance(doc["feeder"], str):
         raise ConfigError(f"config 'feeder' must be a path string, not {doc['feeder']!r}")
+    seed = doc.get("seed", 0)
     try:
-        seed = int(doc.get("seed", 0))
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"config 'seed' must be an integer, not {doc['seed']!r}")
+        _check_int("seed", seed, 0)
+    except ValueError:
+        raise ConfigError(f"config 'seed' must be a non-negative integer, not {seed!r}")
     resolved = {
         "schema": CONFIG_SCHEMA_VERSION,
         "feeder": doc["feeder"],
@@ -131,9 +135,29 @@ def _build_parts(config: dict):
         diffusion = DiffusionParams(**config["diffusion"])
         viol_cfg = ViolationConfig(line_bins=tuple(config["violation"]["line_bins"]))
         search_cfg = SearchConfig(**config["search"])
+        _check_powerflow(config["powerflow"])
     except (FeederError, ValueError, TypeError) as exc:
         raise ConfigError(str(exc))
     return feeder, diffusion, viol_cfg, search_cfg
+
+
+def _is_finite_number(value) -> bool:
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def _check_powerflow(pf: dict) -> None:
+    """Raise ValueError unless the power-flow settings can be handed to the solver."""
+    if not (_is_finite_number(pf["tol"]) and pf["tol"] > 0):
+        raise ValueError(f"powerflow tol must be a finite number > 0, not {pf['tol']!r}")
+    _check_int("powerflow max_iter", pf["max_iter"], 1)
+    if not (_is_finite_number(pf["pv_derate"]) and pf["pv_derate"] >= 0):
+        raise ValueError(
+            f"powerflow pv_derate must be a finite number >= 0, not {pf['pv_derate']!r}"
+        )
 
 
 def _write_manifest(outdir: Path, command: str, config: dict, **extra) -> None:
@@ -154,7 +178,6 @@ def _write_json(path: Path, doc: dict) -> None:
 
 def _result_document(feeder, result, stop_reason: str, extra=None) -> dict:
     """result.json of a search or brute-force result (both carry the same fields)."""
-    by_id = {s.id: s for s in result.scenarios}
     num_bus = result.num_bus_objectives
     num_line = result.num_line_objectives
     fronts = result.fronts
@@ -162,7 +185,7 @@ def _result_document(feeder, result, stop_reason: str, extra=None) -> dict:
     def scen_entry(sid: int, lo: int, hi: int) -> dict:
         return {
             "id": sid,
-            "bits": by_id[sid].bitstring(),
+            "bits": result.scenarios[sid].bitstring(),
             "violations": [float(v) for v in result.violations[sid][lo:hi]],
         }
 
@@ -191,7 +214,7 @@ def _result_document(feeder, result, stop_reason: str, extra=None) -> dict:
         "evaluations": [
             {
                 "id": sid,
-                "bits": by_id[sid].bitstring(),
+                "bits": result.scenarios[sid].bitstring(),
                 "stress": [float(v) for v in result.stresses[sid]],
                 "violations": [float(v) for v in result.violations[sid]],
             }
@@ -225,7 +248,7 @@ def cmd_make_feeder(buses, adopters, groups, seed, output) -> None:
         feeder = apply_partition(feeder, fallback_partition(feeder, groups))
     except (FeederError, ValueError) as exc:
         raise ConfigError(str(exc))
-    extremes = [Scenario(bits=(b,) * feeder.num_adopters, id=b) for b in (0, 1)]
+    extremes = [Scenario(bits=(b,) * feeder.num_adopters) for b in (0, 1)]
     if any(stress is None for stress in evaluate_scenarios(feeder, extremes)):
         raise ConfigError(
             "the generated feeder's power flow does not converge at zero and full adoption"
@@ -275,13 +298,13 @@ def cmd_evaluate(config_path, scenario_path, output) -> None:
             + [f"violation_{k}" for k in range(dim)]
             + ["converged"]
         )
-        for s, stress in zip(scenarios, stresses):
+        for sid, stress in enumerate(stresses):
             if stress is None:
-                writer.writerow([s.id] + [""] * (2 * dim) + [False])
+                writer.writerow([sid] + [""] * (2 * dim) + [False])
             else:
                 viol = violation_map(stress, num_bus, viol_cfg)
                 writer.writerow(
-                    [s.id] + [_fmt(v) for v in stress] + [_fmt(v) for v in viol]
+                    [sid] + [_fmt(v) for v in stress] + [_fmt(v) for v in viol]
                     + [True]
                 )
     click.echo(f"wrote {output}")
@@ -310,14 +333,13 @@ def _write_search_artifacts(outdir: Path, feeder, result) -> None:
                  _fmt(tl) if np.isfinite(tl) else ""]
             )
 
-    by_id = {s.id: s for s in result.scenarios}
     with open(outdir / "evaluation_log.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         dim = num_bus + result.num_line_objectives
         writer.writerow(["step", "id", "bits"] + [f"stress_{k}" for k in range(dim)])
         for step, sid in result.evaluation_log:
             writer.writerow(
-                [step, sid, by_id[sid].bitstring()]
+                [step, sid, result.scenarios[sid].bitstring()]
                 + [_fmt(v) for v in result.stresses[sid]]
             )
 
@@ -380,14 +402,17 @@ def cmd_brute_force(config_path, scenario_path, count, output_dir) -> None:
         if count < 1:
             raise click.UsageError("count must be >= 1")
         scenarios = simulate_batch(feeder, diffusion, count, seed=config["seed"])
+    pf_cfg = config["powerflow"]
+    try:
+        oracle = brute_force_oracle(
+            feeder, viol_cfg, scenarios,
+            pf_tol=pf_cfg["tol"], pf_max_iter=pf_cfg["max_iter"],
+            pv_derate=pf_cfg["pv_derate"],
+        )
+    except ValueError as exc:  # more scenarios than the oracle budget
+        raise ConfigError(str(exc))
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    pf_cfg = config["powerflow"]
-    oracle = brute_force_oracle(
-        feeder, viol_cfg, scenarios,
-        pf_tol=pf_cfg["tol"], pf_max_iter=pf_cfg["max_iter"],
-        pv_derate=pf_cfg["pv_derate"],
-    )
     _write_manifest(outdir, "brute-force", config, count=count,
                     scenarios=scenario_path)
     doc = _result_document(feeder, oracle, "oracle")
@@ -399,10 +424,32 @@ def cmd_brute_force(config_path, scenario_path, count, output_dir) -> None:
     )
 
 
-def _read_result(path: Path) -> dict:
+# The result.json fields that ``report`` reads.
+_RESULT_KEYS = (
+    "feeder_hash",
+    "num_bus_objectives",
+    "num_line_objectives",
+    "per_objective_max_violation",
+    "evaluations",
+)
+
+
+def _read_result(path: Path, feeder) -> dict:
+    """A result.json written for ``feeder``; anything else is a validation error."""
     if not path.exists():
         raise ConfigError(f"missing result file: {path}")
-    return json.loads(path.read_text())
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path} is not a result document")
+    missing = [key for key in _RESULT_KEYS if key not in doc]
+    if missing:
+        raise ConfigError(f"{path} lacks {', '.join(missing)}")
+    if doc["feeder_hash"] != feeder.content_hash():
+        raise ConfigError(f"{path} was written for another feeder")
+    return doc
 
 
 @main.command("report")
@@ -419,9 +466,9 @@ def cmd_report(feeder_path, search_dir, oracle_dir, top_n, output_dir) -> None:
         feeder = load_feeder(feeder_path)
     except FeederError as exc:
         raise ConfigError(str(exc))
-    search_doc = _read_result(Path(search_dir) / "result.json")
+    search_doc = _read_result(Path(search_dir) / "result.json", feeder)
     oracle_doc = (
-        _read_result(Path(oracle_dir) / "result.json") if oracle_dir else None
+        _read_result(Path(oracle_dir) / "result.json", feeder) if oracle_dir else None
     )
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)

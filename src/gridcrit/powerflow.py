@@ -114,7 +114,7 @@ def solve_power_flow(
     q = np.array([b.load_q for b in feeder.buses]) / s_base_kw
     pv = np.array([b.pv_capacity for b in feeder.buses]) / s_base_kw
     x = np.zeros(n)
-    x[tree.adopter_pos] = scenario.as_array()
+    x[tree.adopter_pos] = scenario.bits
     s_load = (p - x * pv * pv_derate) + 1j * q  # consumption positive
 
     v = np.ones(n, dtype=complex)

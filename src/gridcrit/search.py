@@ -10,11 +10,12 @@ criterion bounding the probability of a missed critical scenario.
 from __future__ import annotations
 
 import logging
+from collections.abc import Collection
 from dataclasses import dataclass
 
 import numpy as np
 
-from gridcrit.adoption import DiffusionParams, Scenario, simulate_batch
+from gridcrit.adoption import DiffusionParams, Scenario, _check_int, simulate_batch
 from gridcrit.feeder import Feeder
 from gridcrit.pareto import CriticalFronts, critical_fronts, dominated, front_indices
 from gridcrit.powerflow import (
@@ -59,15 +60,14 @@ class SearchConfig:
 
     def __post_init__(self):
         for name in ("n0", "n_init", "n_expand", "batch_size", "num_mc_samples",
-                     "refit_period", "max_steps"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+                     "refit_period", "max_steps", "num_candidates", "max_search_space"):
+            if getattr(self, name) is not None:
+                _check_int(name, getattr(self, name), 1)
+        _check_int("seed", self.seed, 0)
         if self.tau_bar <= 0:
             raise ValueError("tau_bar must be positive")
         if self.stress_threshold >= 0:
             raise ValueError("stress_threshold must be negative")
-        if self.num_candidates is not None and self.num_candidates < 1:
-            raise ValueError("num_candidates must be >= 1")
 
 
 @dataclass
@@ -94,8 +94,7 @@ class SearchResult:
         return len(self.evaluated_ids)
 
     def found_bits(self) -> set[str]:
-        by_id = {s.id: s for s in self.scenarios}
-        return {by_id[i].bitstring() for i in self.evaluated_ids}
+        return {self.scenarios[i].bitstring() for i in self.evaluated_ids}
 
 
 def detect_active_objectives(
@@ -111,7 +110,7 @@ def detect_active_objectives(
 
 
 def sample_candidates(
-    unevaluated_ids: list[int],
+    unevaluated_ids: Collection[int],
     counts: dict[int, int],
     m: int,
     rng: np.random.Generator,
@@ -257,25 +256,19 @@ def run_search(
     stresses: dict[int, np.ndarray] = {}
     invalid: list[int] = []
     eval_log: list[tuple[int, int]] = []
-    done_bits: set[str] = set()  # evaluated or invalid bitstrings
     attempts = 0
+    # Stress is a function of the bits alone, so only the lowest id carrying
+    # each bit vector is ever evaluated; Monte Carlo duplicates of an
+    # evaluated (or invalid) scenario carry no information.
+    representative: dict[tuple[int, ...], int] = {}
+    unevaluated: set[int] = set()
 
     def add_scenarios(batch: list[Scenario]) -> None:
+        for sid, s in enumerate(batch, start=len(scenarios)):
+            if s.bits not in representative:
+                representative[s.bits] = sid
+                unevaluated.add(sid)
         scenarios.extend(batch)
-
-    def unevaluated_representatives() -> list[int]:
-        """Lowest scenario id per distinct bitstring not yet evaluated.
-
-        Stress is a function of the bitstring alone, so Monte Carlo
-        duplicates of an evaluated scenario carry no information and are
-        treated as evaluated.
-        """
-        reps: dict[str, int] = {}
-        for s in scenarios:
-            bits = s.bitstring()
-            if bits not in done_bits and bits not in reps:
-                reps[bits] = s.id
-        return sorted(reps.values())
 
     def evaluate_batch(sids: list[int], step: int) -> None:
         """Evaluate a batch, then commit its results one at a time in batch order."""
@@ -285,7 +278,7 @@ def run_search(
         )
         for sid, stress in zip(sids, batch):
             attempts += 1
-            done_bits.add(scenarios[sid].bitstring())
+            unevaluated.discard(representative[scenarios[sid].bits])
             if stress is None:
                 invalid.append(sid)
                 log.warning("power flow did not converge for scenario %d; excluded", sid)
@@ -303,9 +296,7 @@ def run_search(
     evaluate_batch(list(range(cfg.n0)), step=0)
     if not stresses:
         raise SearchAbort("no initial scenario produced a converged power flow")
-    add_scenarios(
-        simulate_batch(feeder, diffusion, cfg.n_init, seed=(cfg.seed, 1), start_id=cfg.n0)
-    )
+    add_scenarios(simulate_batch(feeder, diffusion, cfg.n_init, seed=(cfg.seed, 1)))
     m_cand = cfg.num_candidates or (cfg.n0 + cfg.n_init)
 
     params_cache: dict[int, KernelParams] = {}
@@ -328,7 +319,6 @@ def run_search(
             if max(tau["bus"], tau["line"]) < cfg.tau_bar:
                 stop_reason = "converged"
                 break
-            unevaluated = unevaluated_representatives()
             if not unevaluated:
                 stop_reason = "exhausted"
                 break
@@ -342,7 +332,7 @@ def run_search(
             if not active:
                 tau[phase] = 0.0
             else:
-                x_eval = np.array([scenarios[i].as_array() for i in eval_ids], dtype=float)
+                x_eval = np.array([scenarios[i].bits for i in eval_ids], dtype=float)
                 gps: dict[int, GPSurrogate] = {}
                 for k in active:
                     need_refit = (
@@ -371,7 +361,7 @@ def run_search(
                 cand_ids = sample_candidates(unevaluated, counts, m_cand, cand_rng)
                 for cid in cand_ids:
                     counts[cid] = counts.get(cid, 0) + 1
-                cand_bits = np.array([scenarios[i].as_array() for i in cand_ids], dtype=float)
+                cand_bits = np.array([scenarios[i].bits for i in cand_ids], dtype=float)
                 alpha = acquisition_alpha_nd(
                     gps,
                     cand_bits,
@@ -384,14 +374,14 @@ def run_search(
 
                 # Stopping subsample: prefer unevaluated scenarios disjoint from the
                 # acquisition candidates; top up by reusing candidate alphas.
-                pool = sorted(set(unevaluated) - set(cand_ids))
+                pool = sorted(unevaluated - set(cand_ids))
                 tau_val = 0.0
                 take = min(m_cand, len(pool))
                 if take > 0:
                     sub = sorted(
                         int(i) for i in stop_rng.choice(np.asarray(pool), size=take, replace=False)
                     )
-                    sub_bits = np.array([scenarios[i].as_array() for i in sub], dtype=float)
+                    sub_bits = np.array([scenarios[i].bits for i in sub], dtype=float)
                     sub_alpha = acquisition_alpha_nd(
                         gps,
                         sub_bits,
@@ -403,10 +393,8 @@ def run_search(
                     )
                     tau_val += stopping_criterion(sub_alpha)
                 if take < m_cand:
-                    alpha_by_id = dict(zip(cand_ids, alpha))
-                    short = min(m_cand - take, len(cand_ids))
-                    reuse = sorted(cand_ids, key=lambda i: (-alpha_by_id[i], i))[:short]
-                    tau_val += stopping_criterion(np.array([alpha_by_id[i] for i in reuse]))
+                    reuse = sorted(range(len(cand_ids)), key=lambda j: (-alpha[j], cand_ids[j]))
+                    tau_val += stopping_criterion(alpha[reuse[:m_cand - take]])
                 tau[phase] = tau_val
                 if log.isEnabledFor(logging.DEBUG):
                     nz = alpha[alpha > 0]
@@ -427,11 +415,7 @@ def run_search(
             room = (cap - len(scenarios)) if cap is not None else cfg.n_expand
             n_new = min(cfg.n_expand, max(room, 0))
             if n_new > 0:
-                add_scenarios(
-                    simulate_batch(
-                        feeder, diffusion, n_new, seed=(cfg.seed, 7, step), start_id=len(scenarios)
-                    )
-                )
+                add_scenarios(simulate_batch(feeder, diffusion, n_new, seed=(cfg.seed, 7, step)))
 
     violations, fronts = _violations_and_fronts(stresses, num_bus, num_line, viol_cfg)
     critical = set(fronts.critical_objectives_bus) | set(fronts.critical_objectives_line)
@@ -478,9 +462,8 @@ class OracleResult:
     fronts: CriticalFronts
 
     def critical_bits(self, family: str) -> set[str]:
-        by_id = {s.id: s for s in self.scenarios}
         ids = self.fronts.bus_ids if family == "bus" else self.fronts.line_ids
-        return {by_id[i].bitstring() for i in ids}
+        return {self.scenarios[i].bitstring() for i in ids}
 
 
 def brute_force_oracle(
@@ -502,11 +485,11 @@ def brute_force_oracle(
     stresses: dict[int, np.ndarray] = {}
     invalid: list[int] = []
     batch = evaluate_scenarios(feeder, scenarios, pf_tol, pf_max_iter, pv_derate)
-    for s, stress in zip(scenarios, batch):
+    for sid, stress in enumerate(batch):
         if stress is None:
-            invalid.append(s.id)
+            invalid.append(sid)
         else:
-            stresses[s.id] = stress
+            stresses[sid] = stress
     violations, fronts = _violations_and_fronts(stresses, num_bus, num_line, viol_cfg)
     return OracleResult(
         scenarios=scenarios,

@@ -135,18 +135,18 @@ def test_criterion_5_naive_comparator_gap(adversarial_feeder):
     feeder = adversarial_feeder
     viol = ViolationConfig()
     scen = [
-        Scenario(bits=bits, id=i)
-        for i, bits in enumerate(
-            itertools.product((0, 1), repeat=feeder.num_adopters)
-        )
+        Scenario(bits=bits)
+        for bits in itertools.product((0, 1), repeat=feeder.num_adopters)
     ]
     oracle = brute_force_oracle(feeder, viol, scen)
     crit = oracle.critical_bits("bus") | oracle.critical_bits("line")
     assert crit, "adversarial feeder must have critical scenarios"
 
     pv = np.array([b.pv_capacity for b in feeder.buses if b.is_adopter])
-    top25 = sorted(scen, key=lambda s: (-float(np.dot(s.bits, pv)), s.id))[:25]
-    top_bits = {s.bitstring() for s in top25}
+    top25 = sorted(
+        range(len(scen)), key=lambda i: (-float(np.dot(scen[i].bits, pv)), i)
+    )[:25]
+    top_bits = {scen[i].bitstring() for i in top25}
     comparator_missed = len(crit - top_bits) / len(crit)
 
     diffusion = DiffusionParams(p=0.02, q=0.25, horizon_steps=10, initial_rate=0.0)

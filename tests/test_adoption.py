@@ -93,7 +93,7 @@ class TestSimulate:
         params = DiffusionParams(p=0.5, q=0.0, horizon_steps=1, initial_rate=0.0)
         trials = 100_000
         scenarios = simulate_batch(feeder, params, trials, seed=123)
-        counts = np.array([s.num_adopted for s in scenarios])
+        counts = np.array([sum(s.bits) for s in scenarios])
         expected = 3 * 0.5
         sigma = np.sqrt(3 * 0.5 * 0.5 / trials)
         assert abs(counts.mean() - expected) < 3 * sigma
@@ -115,9 +115,8 @@ class TestSimulate:
 
 class TestBatch:
     def test_count_and_ids(self, standard_feeder, std_diffusion):
-        batch = simulate_batch(standard_feeder, std_diffusion, 25, seed=1, start_id=10)
+        batch = simulate_batch(standard_feeder, std_diffusion, 25, seed=1)
         assert len(batch) == 25
-        assert [s.id for s in batch] == list(range(10, 35))
 
     def test_same_seed_identical(self, standard_feeder, std_diffusion):
         a = simulate_batch(standard_feeder, std_diffusion, 40, seed=9)
@@ -153,6 +152,14 @@ class TestScenarioFiles:
         with pytest.raises(ValueError, match="different feeder"):
             load_scenarios(path, altered)
 
+    @pytest.mark.parametrize("line", ["222222222222", "900000000000"])
+    def test_bits_other_than_zero_and_one_rejected(self, tmp_path, standard_feeder, line):
+        path = tmp_path / "scen.txt"
+        save_scenarios(path, [], standard_feeder)
+        path.write_text(path.read_text() + line + "\n")
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            load_scenarios(path, standard_feeder)
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "scen.txt"
         path.write_text("0101\n")
@@ -162,7 +169,5 @@ class TestScenarioFiles:
 
 class TestScenario:
     def test_bitstring_and_count(self):
-        s = Scenario(bits=(1, 0, 1, 1), id=7)
+        s = Scenario(bits=(1, 0, 1, 1))
         assert s.bitstring() == "1011"
-        assert s.num_adopted == 3
-        assert s.as_array().tolist() == [1, 0, 1, 1]

@@ -176,10 +176,14 @@ class TestConfigHandling:
     @pytest.mark.parametrize("document", [
         {"seed": "abc"},
         {"seed": 1e400},
+        {"seed": 2.7},
+        {"seed": True},
+        {"seed": -1},
         {"feeder": 5},
         [1, 2],
         {"command": "search", "config": "x"},
-    ], ids=["seed-text", "seed-inf", "feeder-number", "array", "manifest-config-text"])
+    ], ids=["seed-text", "seed-inf", "seed-float", "seed-bool", "seed-negative",
+            "feeder-number", "array", "manifest-config-text"])
     def test_malformed_document_exit_3(self, runner, tmp_path, document):
         feeder = write_feeder(runner, tmp_path / "f.json")
         config = write_config(tmp_path / "cfg.json", feeder)
@@ -194,15 +198,29 @@ class TestConfigHandling:
         assert "config" in res.output
         assert not (tmp_path / "s.txt").exists()
 
-    def test_invalid_search_section_exit_3(self, runner, tmp_path):
+    @pytest.mark.parametrize("override", [
+        {"search": {"n0": 0}},
+        {"search": {"seed": "abc"}},
+        {"search": {"seed": True}},
+        {"search": {"n0": 2.5}},
+        {"search": {"max_search_space": 2.5}},
+        {"diffusion": {"horizon_steps": 2.5}},
+        {"powerflow": {"tol": "x"}},
+        {"powerflow": {"tol": float("nan")}},
+        {"powerflow": {"max_iter": 0}},
+        {"powerflow": {"max_iter": True}},
+        {"powerflow": {"pv_derate": -1.0}},
+    ], ids=["n0-zero", "seed-text", "seed-bool", "n0-float", "space-float",
+            "horizon-float", "tol-text", "tol-nan", "max-iter-zero", "max-iter-bool",
+            "derate-negative"])
+    def test_invalid_search_section_exit_3(self, runner, tmp_path, override):
         feeder = write_feeder(runner, tmp_path / "f.json")
-        config = write_config(
-            tmp_path / "cfg.json", feeder, search={"n0": 0}
-        )
+        config = write_config(tmp_path / "cfg.json", feeder, **override)
         res = runner.invoke(
             main, ["search", "--config", str(config), "-o", str(tmp_path / "out")],
         )
-        assert res.exit_code == 3
+        assert res.exit_code == 3, res.output
+        assert not (tmp_path / "out").exists()
 
 
 class TestSearchCommand:
@@ -339,11 +357,51 @@ class TestBruteForceAndReport:
         for row in rows:
             assert float(row["top50_max"]) == pytest.approx(float(row["oracle_max"]))
 
-    def test_report_missing_search_dir_exit_3(self, runner, tmp_path):
+    @pytest.mark.parametrize("case", [
+        "missing", "not-json", "no-num-bus-objectives", "other-feeder",
+    ])
+    def test_report_missing_search_dir_exit_3(self, runner, tmp_path, case):
         feeder = write_feeder(runner, tmp_path / "f.json")
+        result_dir = tmp_path / "result"
+        if case != "missing":
+            # A brute-force result carries every field report reads.
+            other = write_feeder(runner, tmp_path / "other.json", buses=12, adopters=8)
+            config = write_config(
+                tmp_path / "cfg.json", other if case == "other-feeder" else feeder
+            )
+            res = runner.invoke(
+                main, ["brute-force", "--config", str(config), "--count", "20",
+                       "-o", str(result_dir)],
+            )
+            assert res.exit_code == 0, res.output
+            path = result_dir / "result.json"
+            if case == "not-json":
+                path.write_text(path.read_text()[:-10])
+            elif case == "no-num-bus-objectives":
+                doc = json.loads(path.read_text())
+                del doc["num_bus_objectives"]
+                path.write_text(json.dumps(doc))
         res = runner.invoke(
             main, ["report", "--feeder", str(feeder),
-                   "--search-dir", str(tmp_path / "missing"),
+                   "--search-dir", str(result_dir),
                    "-o", str(tmp_path / "rep")],
         )
-        assert res.exit_code == 3
+        assert res.exit_code == 3, res.output
+        assert not (tmp_path / "rep").exists()
+
+    def test_brute_force_over_the_oracle_budget_exit_3(self, runner, tmp_path):
+        from gridcrit.adoption import Scenario, save_scenarios
+        from gridcrit.feeder import load_feeder
+
+        feeder_path = write_feeder(runner, tmp_path / "f.json")
+        feeder = load_feeder(feeder_path)
+        scen = tmp_path / "scen.txt"
+        save_scenarios(scen, [Scenario(bits=(0,) * feeder.num_adopters)] * 100_001, feeder)
+        config = write_config(tmp_path / "cfg.json", feeder_path)
+        res = runner.invoke(
+            main, ["brute-force", "--config", str(config), "--scenarios", str(scen),
+                   "-o", str(tmp_path / "out")],
+        )
+        assert res.exit_code == 3, res.output
+        assert "budget" in res.output
+        assert not (tmp_path / "out").exists()

@@ -276,7 +276,7 @@ class TestEvaluateScenarios:
     # Exact stresses in input order are checked through the oracle below.
     def test_unconverged_sweep_gives_none(self):
         feeder = small_feeder()
-        scen = [Scenario(bits=(1, 0, 1), id=0), Scenario(bits=(0, 0, 0), id=1)]
+        scen = [Scenario(bits=(1, 0, 1)), Scenario(bits=(0, 0, 0))]
         assert evaluate_scenarios(feeder, scen, pf_max_iter=1) == [None, None]
         assert evaluate_scenarios(feeder, []) == []
 
@@ -284,10 +284,8 @@ class TestEvaluateScenarios:
 class TestBruteForceOracle:
     def enumerate_scenarios(self, feeder):
         return [
-            Scenario(bits=bits, id=i)
-            for i, bits in enumerate(
-                itertools.product((0, 1), repeat=feeder.num_adopters)
-            )
+            Scenario(bits=bits)
+            for bits in itertools.product((0, 1), repeat=feeder.num_adopters)
         ]
 
     def test_budget_guard(self):
@@ -307,13 +305,13 @@ class TestBruteForceOracle:
         scen = self.enumerate_scenarios(feeder)
         oracle = brute_force_oracle(feeder, cfg, scen)
         assert not oracle.invalid_ids
-        assert sorted(oracle.stresses) == [s.id for s in scen]
+        assert sorted(oracle.stresses) == list(range(len(scen)))
 
         direct = {}
-        for s in scen:
+        for sid, s in enumerate(scen):
             stress = compute_stress(feeder, part, solve_power_flow(feeder, s))
-            np.testing.assert_array_equal(oracle.stresses[s.id], stress)
-            direct[s.id] = violation_map(stress, part.num_groups, cfg)
+            np.testing.assert_array_equal(oracle.stresses[sid], stress)
+            direct[sid] = violation_map(stress, part.num_groups, cfg)
         best = np.max(np.stack(list(direct.values())), axis=0)
         np.testing.assert_array_equal(oracle.fronts.per_objective_max_violation, best)
 
@@ -354,6 +352,32 @@ class TestRunSearch:
         result = run_search(feeder, FAST_DIFFUSION, ViolationConfig(), cfg)
         assert result.evaluated_ids == [sid for _, sid in result.evaluation_log]
         assert sorted(result.evaluated_ids) == sorted(result.stresses)
+
+    def test_duplicates_are_evaluated_once_at_their_lowest_id(self):
+        # The pool repeats bits (8 distinct vectors among 120 scenarios), and
+        # some vectors first arrive with an expansion. After the initial batch
+        # only the lowest id carrying each vector is ever evaluated, never a
+        # vector evaluated before, and an exhausted search has evaluated every
+        # distinct vector in its pool.
+        feeder = small_feeder()
+        config = {**FAST_CONFIG, "n0": 6, "n_init": 6, "tau_bar": 1e-9, "batch_size": 2}
+        cfg = SearchConfig(seed=0, **config)
+        result = run_search(feeder, FAST_DIFFUSION, ViolationConfig(), cfg)
+        bits = [s.bits for s in result.scenarios]
+        lowest: dict[tuple, int] = {}
+        for sid, b in enumerate(bits):
+            lowest.setdefault(b, sid)
+        assert len(lowest) < len(bits)
+        assert result.stop_reason == "exhausted"
+        assert not result.invalid_ids
+        initial = {bits[sid] for step, sid in result.evaluation_log if step == 0}
+        later = [sid for step, sid in result.evaluation_log if step > 0]
+        assert any(sid >= cfg.n0 + cfg.n_init for sid in later)
+        assert all(lowest[bits[sid]] == sid for sid in later)
+        later_bits = [bits[sid] for sid in later]
+        assert len(set(later_bits)) == len(later_bits)
+        assert not initial & set(later_bits)
+        assert initial | set(later_bits) == set(lowest)
 
     def test_aborts_at_the_tenth_failed_attempt(self):
         # One sweep never meets the tolerance, so every power flow fails; the
@@ -397,10 +421,7 @@ class TestRunSearch:
         # scenarios whose bitstrings are oracle-critical (the diffusion
         # reaches essentially all bitstrings at A=3 adopters).
         feeder = small_feeder()
-        scen = [
-            Scenario(bits=bits, id=i)
-            for i, bits in enumerate(itertools.product((0, 1), repeat=3))
-        ]
+        scen = [Scenario(bits=bits) for bits in itertools.product((0, 1), repeat=3)]
         oracle = brute_force_oracle(feeder, ViolationConfig(), scen)
         cfg = SearchConfig(seed=3, **FAST_CONFIG)
         result = run_search(feeder, FAST_DIFFUSION, ViolationConfig(), cfg)
@@ -431,10 +452,7 @@ class TestRunSearch:
 class TestRecoveryFraction:
     def test_empty_oracle_critical_set_is_full_recovery(self):
         feeder = quiet_feeder()
-        scen = [
-            Scenario(bits=bits, id=i)
-            for i, bits in enumerate(itertools.product((0, 1), repeat=2))
-        ]
+        scen = [Scenario(bits=bits) for bits in itertools.product((0, 1), repeat=2)]
         oracle = brute_force_oracle(feeder, ViolationConfig(), scen)
         cfg = SearchConfig(seed=0, **FAST_CONFIG)
         result = run_search(feeder, FAST_DIFFUSION, ViolationConfig(), cfg)
