@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -22,6 +23,16 @@ def _check_int(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be >= {minimum}")
 
 
+def _check_real(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is a finite real number (not a bool)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+    ):
+        raise ValueError(f"{name} must be a finite number, not {value!r}")
+
+
 @dataclass(frozen=True)
 class DiffusionParams:
     """Innovation/imitation coefficients and horizon of the diffusion model."""
@@ -32,6 +43,8 @@ class DiffusionParams:
     initial_rate: float = 0.0
 
     def __post_init__(self):
+        for name in ("p", "q", "initial_rate"):
+            _check_real(name, getattr(self, name))
         if self.p < 0 or self.q < 0:
             raise ValueError("p and q must be non-negative")
         if self.p + self.q > 1:
@@ -69,24 +82,47 @@ def adoption_probability(
     return min(max(prob, 0.0), 1.0)
 
 
-def _simulate_bits(num_agents: int, params: DiffusionParams, rng: np.random.Generator) -> np.ndarray:
-    state = (rng.random(num_agents) < params.initial_rate).astype(np.int8)
-    for _ in range(params.horizon_steps):
-        # Synchronous update: probability from the state at step start.
-        prob = adoption_probability(params, int(state.sum()), num_agents)
-        flips = rng.random(num_agents) < prob
-        state = np.where(state == 1, 1, flips.astype(np.int8))
-    return state
+# Cap on the uniform draws held at once (2 MB of doubles), so memory stays
+# bounded at the oracle's scenario budget and at long horizons.
+_DRAW_BLOCK_ELEMENTS = 1 << 18
+
+
+def _simulate(feeder: Feeder, params: DiffusionParams, seeds: list) -> list[Scenario]:
+    """One diffusion trajectory per seed, all through one vectorised kernel.
+
+    Each trajectory draws from its own ``default_rng(seed)``: ``num_agents``
+    uniforms for the initial state, then as many for every step. Drawing t
+    steps at once yields the same doubles as t single draws, so the result
+    does not depend on the blocking.
+    """
+    num_agents = feeder.num_adopters
+    if num_agents < 1:
+        raise ValueError("feeder has no adopters")
+    steps = params.horizon_steps + 1
+    per_block = max(1, _DRAW_BLOCK_ELEMENTS // (steps * num_agents))
+    scenarios: list[Scenario] = []
+    for start in range(0, len(seeds), per_block):
+        rngs = [np.random.default_rng(s) for s in seeds[start:start + per_block]]
+        span = max(1, _DRAW_BLOCK_ELEMENTS // (len(rngs) * num_agents))  # steps per draw
+        state = None
+        for t0 in range(0, steps, span):
+            draws = np.empty((len(rngs), min(span, steps - t0), num_agents))
+            for rng, own in zip(rngs, draws):
+                rng.random(out=own)
+            for step_draws in draws.swapaxes(0, 1):
+                if state is None:
+                    state = step_draws < params.initial_rate
+                    continue
+                # Synchronous update: probability from the state at step start.
+                prob = params.p + params.q * state.sum(axis=1) / num_agents
+                state |= step_draws < np.minimum(np.maximum(prob, 0.0), 1.0)[:, None]
+        scenarios += [Scenario(bits=tuple(row)) for row in state.astype(int).tolist()]
+    return scenarios
 
 
 def simulate_scenario(feeder: Feeder, params: DiffusionParams, rng_seed) -> Scenario:
     """Run one diffusion trajectory; adoption is absorbing; seed-deterministic."""
-    num_agents = feeder.num_adopters
-    if num_agents < 1:
-        raise ValueError("feeder has no adopters")
-    rng = np.random.default_rng(rng_seed)
-    bits = _simulate_bits(num_agents, params, rng)
-    return Scenario(bits=tuple(int(b) for b in bits))
+    return _simulate(feeder, params, [rng_seed])[0]
 
 
 def simulate_batch(
@@ -103,8 +139,7 @@ def simulate_batch(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    children = np.random.SeedSequence(seed).spawn(count)
-    return [simulate_scenario(feeder, params, child) for child in children]
+    return _simulate(feeder, params, np.random.SeedSequence(seed).spawn(count))
 
 
 def save_scenarios(path, scenarios: list[Scenario], feeder: Feeder) -> None:

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
-import numbers
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -26,6 +24,7 @@ from gridcrit.adoption import (
     DiffusionParams,
     Scenario,
     _check_int,
+    _check_real,
     load_scenarios,
     save_scenarios,
     simulate_batch,
@@ -141,23 +140,15 @@ def _build_parts(config: dict):
     return feeder, diffusion, viol_cfg, search_cfg
 
 
-def _is_finite_number(value) -> bool:
-    return (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
-
-
 def _check_powerflow(pf: dict) -> None:
     """Raise ValueError unless the power-flow settings can be handed to the solver."""
-    if not (_is_finite_number(pf["tol"]) and pf["tol"] > 0):
-        raise ValueError(f"powerflow tol must be a finite number > 0, not {pf['tol']!r}")
+    _check_real("powerflow tol", pf["tol"])
+    if pf["tol"] <= 0:
+        raise ValueError("powerflow tol must be > 0")
     _check_int("powerflow max_iter", pf["max_iter"], 1)
-    if not (_is_finite_number(pf["pv_derate"]) and pf["pv_derate"] >= 0):
-        raise ValueError(
-            f"powerflow pv_derate must be a finite number >= 0, not {pf['pv_derate']!r}"
-        )
+    _check_real("powerflow pv_derate", pf["pv_derate"])
+    if pf["pv_derate"] < 0:
+        raise ValueError("powerflow pv_derate must be >= 0")
 
 
 def _write_manifest(outdir: Path, command: str, config: dict, **extra) -> None:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +78,15 @@ class Feeder:
     base_voltage: float
     base_power: float
     num_groups: int
+
+    def __hash__(self) -> int:
+        # Feeders key the power-flow caches, which look one up per solve:
+        # hash the contents once.
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(astuple(self))
 
     @property
     def num_buses(self) -> int:

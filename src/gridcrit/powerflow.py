@@ -41,13 +41,24 @@ class UnconvergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class _Tree:
-    """Feeder topology oriented away from the slack bus (cached per feeder)."""
+    """Per-feeder constants of the sweep and the stress (cached per feeder).
 
-    order: np.ndarray          # bus positions in BFS order from the slack
-    parent: np.ndarray         # parent bus position per bus (-1 for slack)
-    parent_line: np.ndarray    # line position feeding each bus (-1 for slack)
-    z: np.ndarray              # per-unit series impedance of each line
+    The topology is oriented away from the slack bus. Impedances are Python
+    ``complex``: the sweeps run on lists, whose ``*``, ``+`` and ``abs``
+    round exactly like numpy's complex scalars, while numpy's complex *array*
+    ``*`` and ``abs`` do not. So the solver never vectorises over buses.
+    """
+
+    p: np.ndarray              # per-bus load and PV nameplate, p.u. of the system base
+    q: np.ndarray
+    pv: np.ndarray
     adopter_pos: np.ndarray    # bus position per adopter, in scenario bit order
+    backward: tuple[tuple[int, int], ...]          # (bus, parent), reverse BFS order
+    forward: tuple[tuple[int, int, complex], ...]  # (bus, parent, z of its line), BFS order
+    line_ends: tuple[tuple[int, int, int], ...]    # (line, receiving bus, sending bus)
+    v_lower: np.ndarray        # per-bus voltage limits (p.u.)
+    v_upper: np.ndarray
+    rating: np.ndarray         # per-line flow rating
 
 
 @lru_cache(maxsize=32)
@@ -60,35 +71,47 @@ def _build_tree(feeder: Feeder) -> _Tree:
         adj[a].append((b, li))
         adj[b].append((a, li))
 
-    parent = np.full(n, -1, dtype=int)
-    parent_line = np.full(n, -1, dtype=int)
-    order = [pos[feeder.slack_bus]]
-    seen = {pos[feeder.slack_bus]}
+    slack = pos[feeder.slack_bus]
+    order = [slack]
+    parent = {slack: (-1, -1)}  # bus -> (parent bus, line feeding it)
     head = 0
     while head < len(order):
         u = order[head]
         head += 1
         for v, li in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                parent[v] = u
-                parent_line[v] = li
+            if v not in parent:
+                parent[v] = (u, li)
                 order.append(v)
 
     z_base = feeder.base_voltage**2 / feeder.base_power
-    z = np.zeros(n, dtype=complex)  # impedance of the line feeding each bus
-    for v in range(n):
-        li = parent_line[v]
-        if li >= 0:
-            ln = feeder.lines[li]
-            z[v] = (ln.resistance + 1j * ln.reactance) / z_base
+    forward = []
+    line_ends = []
+    for u in order[1:]:
+        par, li = parent[u]
+        ln = feeder.lines[li]
+        forward.append((u, par, complex((ln.resistance + 1j * ln.reactance) / z_base)))
+        line_ends.append((li, u, par))
+    s_base_kw = feeder.base_power * 1000.0
     return _Tree(
-        order=np.array(order),
-        parent=parent,
-        parent_line=parent_line,
-        z=z,
+        p=np.array([b.load_p for b in feeder.buses]) / s_base_kw,
+        q=np.array([b.load_q for b in feeder.buses]) / s_base_kw,
+        pv=np.array([b.pv_capacity for b in feeder.buses]) / s_base_kw,
         adopter_pos=np.array([pos[a] for a in feeder.adopters], dtype=int),
+        backward=tuple((u, par) for u, par, _ in reversed(forward)),
+        forward=tuple(forward),
+        line_ends=tuple(line_ends),
+        v_lower=np.array([b.v_lower for b in feeder.buses]),
+        v_upper=np.array([b.v_upper for b in feeder.buses]),
+        rating=np.array([ln.rating for ln in feeder.lines]),
     )
+
+
+def _magnitude(z: complex) -> float:
+    """``abs(z)``, but inf (as numpy gives) where finite parts overflow it."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return np.inf
 
 
 def solve_power_flow(
@@ -104,50 +127,44 @@ def solve_power_flow(
     nameplate, unity power factor. The slack bus is held at 1.0 p.u.; flows
     are sending-end apparent power magnitudes in p.u. of the system base.
     """
-    if len(scenario.bits) != feeder.num_adopters:
-        raise ValueError("scenario length does not match feeder adopter count")
     tree = _build_tree(feeder)
+    if len(scenario.bits) != len(tree.adopter_pos):
+        raise ValueError("scenario length does not match feeder adopter count")
     n = feeder.num_buses
 
-    s_base_kw = feeder.base_power * 1000.0
-    p = np.array([b.load_p for b in feeder.buses]) / s_base_kw
-    q = np.array([b.load_q for b in feeder.buses]) / s_base_kw
-    pv = np.array([b.pv_capacity for b in feeder.buses]) / s_base_kw
     x = np.zeros(n)
     x[tree.adopter_pos] = scenario.bits
-    s_load = (p - x * pv * pv_derate) + 1j * q  # consumption positive
+    s_load = (tree.p - x * tree.pv * pv_derate) + 1j * tree.q  # consumption positive
 
     v = np.ones(n, dtype=complex)
-    i_branch = np.zeros(n, dtype=complex)  # current into each bus from its parent
+    ib = [0j] * n  # current into each bus from its parent
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        i_inj = np.conj(s_load / v)
-        i_branch = i_inj.copy()
-        for u in tree.order[::-1]:
-            par = tree.parent[u]
-            if par >= 0:
-                i_branch[par] += i_branch[u]
-        v_new = v.copy()
-        slack = tree.order[0]
-        v_new[slack] = 1.0 + 0.0j
-        for u in tree.order[1:]:
-            v_new[u] = v_new[tree.parent[u]] - tree.z[u] * i_branch[u]
-        delta = float(np.max(np.abs(v_new - v)))
+        # The division stays an array op: Python's complex division rounds
+        # differently from numpy's.
+        ib = np.conj(s_load / v).tolist()
+        for u, par in tree.backward:
+            ib[par] += ib[u]
+        vn = [1.0 + 0.0j] * n
+        for u, par, z in tree.forward:
+            vn[u] = vn[par] - z * ib[u]
+        v_new = np.array(vn)
+        delta = float(np.abs(v_new - v).max())
         v = v_new
         if delta < tol:
             converged = True
             break
 
+    vl = v.tolist()
     flows = np.zeros(feeder.num_lines)
-    for u in range(n):
-        li = tree.parent_line[u]
-        if li >= 0:
-            flows[li] = abs(v[tree.parent[u]] * np.conj(i_branch[u]))
-    if not np.all(np.isfinite(np.abs(v))):
+    for li, u, par in tree.line_ends:
+        flows[li] = _magnitude(vl[par] * ib[u].conjugate())
+    voltages = np.abs(v)
+    if not np.all(np.isfinite(voltages)):
         converged = False
     return PowerFlowResult(
-        voltages=np.abs(v), flows=flows, converged=converged, iterations=iterations
+        voltages=voltages, flows=flows, converged=converged, iterations=iterations
     )
 
 
@@ -157,18 +174,13 @@ def compute_stress(
     """Signed distances from limits: P bus-group entries then L line entries."""
     if not pf.converged:
         raise UnconvergedError("stress requires a converged power flow")
+    tree = _build_tree(feeder)
+    vm = pf.voltages
+    excess = np.maximum(vm - tree.v_upper, tree.v_lower - vm)
     groups = partition.as_dict()
-    num_groups = partition.num_groups
-    stress = np.empty(num_groups + feeder.num_lines)
-    group_vals: list[list[float]] = [[] for _ in range(num_groups)]
-    for i, b in enumerate(feeder.buses):
-        volt = pf.voltages[i]
-        group_vals[groups[b.id] - 1].append(max(volt - b.v_upper, b.v_lower - volt))
-    for k in range(num_groups):
-        stress[k] = max(group_vals[k])
-    for li, ln in enumerate(feeder.lines):
-        stress[num_groups + li] = pf.flows[li] - ln.rating
-    return stress
+    group = np.array([groups[b.id] for b in feeder.buses])
+    worst = [excess[group == k].max() for k in range(1, partition.num_groups + 1)]
+    return np.concatenate([worst, pf.flows - tree.rating])
 
 
 def violation_map(stress: np.ndarray, bus, cfg: ViolationConfig) -> np.ndarray:

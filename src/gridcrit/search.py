@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gridcrit.adoption import DiffusionParams, Scenario, _check_int, simulate_batch
+from gridcrit.adoption import (
+    DiffusionParams,
+    Scenario,
+    _check_int,
+    _check_real,
+    simulate_batch,
+)
 from gridcrit.feeder import Feeder
 from gridcrit.pareto import CriticalFronts, critical_fronts, dominated, front_indices
 from gridcrit.powerflow import (
@@ -64,6 +70,8 @@ class SearchConfig:
             if getattr(self, name) is not None:
                 _check_int(name, getattr(self, name), 1)
         _check_int("seed", self.seed, 0)
+        _check_real("tau_bar", self.tau_bar)
+        _check_real("stress_threshold", self.stress_threshold)
         if self.tau_bar <= 0:
             raise ValueError("tau_bar must be positive")
         if self.stress_threshold >= 0:
@@ -221,16 +229,22 @@ def evaluate_scenarios(
 ) -> list[np.ndarray | None]:
     """Stress of each scenario, in input order; None where the sweep did not converge.
 
-    Stresses are taken over the bus groups the feeder carries.
+    Stresses are taken over the bus groups the feeder carries. A stress is a
+    function of the bits alone, so each distinct bit vector is solved once
+    and its duplicates share that one read-only array.
     """
     partition = feeder.partition()
-    out: list[np.ndarray | None] = []
+    by_bits: dict[tuple[int, ...], np.ndarray | None] = {}
     for s in scenarios:
-        pf = solve_power_flow(
-            feeder, s, tol=pf_tol, max_iter=pf_max_iter, pv_derate=pv_derate
-        )
-        out.append(compute_stress(feeder, partition, pf) if pf.converged else None)
-    return out
+        if s.bits not in by_bits:
+            pf = solve_power_flow(
+                feeder, s, tol=pf_tol, max_iter=pf_max_iter, pv_derate=pv_derate
+            )
+            stress = compute_stress(feeder, partition, pf) if pf.converged else None
+            if stress is not None:
+                stress.flags.writeable = False
+            by_bits[s.bits] = stress
+    return [by_bits[s.bits] for s in scenarios]
 
 
 _DEFAULT_NOISE = 1e-4
@@ -312,6 +326,11 @@ def run_search(
     def default_params() -> KernelParams:
         return KernelParams(eta=1.0, theta=np.ones(num_agents), noise=_DEFAULT_NOISE)
 
+    def expansion_size() -> int:
+        cap = cfg.max_search_space
+        room = (cap - len(scenarios)) if cap is not None else cfg.n_expand
+        return min(cfg.n_expand, max(room, 0))
+
     # The GP matrices are too small to gain from a second BLAS thread.
     with _single_thread_blas():
         step = 0
@@ -319,7 +338,7 @@ def run_search(
             if max(tau["bus"], tau["line"]) < cfg.tau_bar:
                 stop_reason = "converged"
                 break
-            if not unevaluated:
+            if not unevaluated and not expansion_size():
                 stop_reason = "exhausted"
                 break
             step += 1
@@ -329,7 +348,9 @@ def run_search(
             stress_mat = np.array([stresses[i] for i in eval_ids])
             _, _, active = detect_active_objectives(stress_mat, family, cfg.stress_threshold)
 
-            if not active:
+            if not active or not unevaluated:
+                # No objective is active, or nothing is left to evaluate: no
+                # scenario in the pool can be a missed critical one.
                 tau[phase] = 0.0
             else:
                 x_eval = np.array([scenarios[i].bits for i in eval_ids], dtype=float)
@@ -411,9 +432,7 @@ def run_search(
             tau_bus_trace.append(tau["bus"] if np.isfinite(tau["bus"]) else np.nan)
             tau_line_trace.append(tau["line"] if np.isfinite(tau["line"]) else np.nan)
 
-            cap = cfg.max_search_space
-            room = (cap - len(scenarios)) if cap is not None else cfg.n_expand
-            n_new = min(cfg.n_expand, max(room, 0))
+            n_new = expansion_size()
             if n_new > 0:
                 add_scenarios(simulate_batch(feeder, diffusion, n_new, seed=(cfg.seed, 7, step)))
 

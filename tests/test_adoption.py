@@ -1,10 +1,14 @@
 """Diffusion simulator: transition probability, trajectories, serialization."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import build_chain_feeder
+from gridcrit import adoption
 from gridcrit.adoption import (
     DiffusionParams,
     Scenario,
@@ -62,6 +66,12 @@ class TestParamValidation:
     def test_bad_initial_rate(self):
         with pytest.raises(ValueError):
             DiffusionParams(p=0.1, q=0.1, initial_rate=1.5)
+
+    @pytest.mark.parametrize("field", ["p", "q", "initial_rate"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True, "0.1"])
+    def test_non_finite_or_non_number_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite number"):
+            DiffusionParams(**{"p": 0.1, "q": 0.1, field: value})
 
     def test_p_plus_q_above_one_warns(self):
         with pytest.warns(UserWarning, match="clamped"):
@@ -130,6 +140,66 @@ class TestBatch:
     def test_bad_count(self, standard_feeder, std_diffusion):
         with pytest.raises(ValueError):
             simulate_batch(standard_feeder, std_diffusion, 0, seed=0)
+
+
+def per_scenario_reference(num_agents, params, count, seed):
+    """The simulator as first written: one generator and one Python loop per scenario."""
+    out = []
+    for child in np.random.SeedSequence(seed).spawn(count):
+        rng = np.random.default_rng(child)
+        state = (rng.random(num_agents) < params.initial_rate).astype(np.int8)
+        for _ in range(params.horizon_steps):
+            prob = adoption_probability(params, int(state.sum()), num_agents)
+            flips = rng.random(num_agents) < prob
+            state = np.where(state == 1, 1, flips.astype(np.int8))
+        out.append(tuple(int(b) for b in state))
+    return out
+
+
+def adopter_feeder(num_agents):
+    return build_chain_feeder([0.0] + [1.0] * num_agents, pv_kw=[0] + [5.0] * num_agents)
+
+
+class TestBatchMatchesPerScenarioLoop:
+    @given(
+        num_agents=st.integers(min_value=1, max_value=20),
+        horizon=st.integers(min_value=1, max_value=25),
+        p=st.floats(min_value=0.0, max_value=1.0),
+        q=st.floats(min_value=0.0, max_value=1.0),
+        initial_rate=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        count=st.integers(min_value=1, max_value=40),
+        seed=st.one_of(
+            st.integers(min_value=0, max_value=2**32),
+            st.tuples(st.integers(0, 99), st.integers(0, 9), st.integers(0, 500)),
+        ),
+        block=st.sampled_from([1, 7, 64, 300, 1 << 18]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical(
+        self, num_agents, horizon, p, q, initial_rate, count, seed, block
+    ):
+        # Small draw blocks split both the scenarios and the horizon.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # p + q > 1 is allowed, with a warning
+            params = DiffusionParams(p=p, q=q, horizon_steps=horizon, initial_rate=initial_rate)
+        feeder = adopter_feeder(num_agents)
+        ref = per_scenario_reference(num_agents, params, count, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(adoption, "_DRAW_BLOCK_ELEMENTS", block)
+            got = simulate_batch(feeder, params, count, seed)
+            one = simulate_scenario(feeder, params, np.random.SeedSequence(seed).spawn(1)[0])
+        assert [s.bits for s in got] == ref
+        assert one.bits == ref[0]
+        assert all(type(b) is int for s in got for b in s.bits)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_counts_straddling_the_block(self, standard_feeder, std_diffusion, extra):
+        steps = std_diffusion.horizon_steps + 1
+        rows = adoption._DRAW_BLOCK_ELEMENTS // (steps * standard_feeder.num_adopters)
+        count = rows + extra
+        got = simulate_batch(standard_feeder, std_diffusion, count, seed=(3, 1))
+        ref = per_scenario_reference(standard_feeder.num_adopters, std_diffusion, count, (3, 1))
+        assert [s.bits for s in got] == ref
 
 
 class TestScenarioFiles:

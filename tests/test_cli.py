@@ -210,9 +210,17 @@ class TestConfigHandling:
         {"powerflow": {"max_iter": 0}},
         {"powerflow": {"max_iter": True}},
         {"powerflow": {"pv_derate": -1.0}},
+        {"diffusion": {"p": float("nan")}},
+        {"diffusion": {"p": True}},
+        {"diffusion": {"q": float("inf")}},
+        {"diffusion": {"initial_rate": True}},
+        {"search": {"tau_bar": True}},
+        {"search": {"tau_bar": float("nan")}},
+        {"search": {"stress_threshold": float("-inf")}},
     ], ids=["n0-zero", "seed-text", "seed-bool", "n0-float", "space-float",
             "horizon-float", "tol-text", "tol-nan", "max-iter-zero", "max-iter-bool",
-            "derate-negative"])
+            "derate-negative", "p-nan", "p-bool", "q-inf", "initial-rate-bool",
+            "tau-bar-bool", "tau-bar-nan", "threshold-inf"])
     def test_invalid_search_section_exit_3(self, runner, tmp_path, override):
         feeder = write_feeder(runner, tmp_path / "f.json")
         config = write_config(tmp_path / "cfg.json", feeder, **override)

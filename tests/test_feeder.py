@@ -141,6 +141,15 @@ class TestRoundTrip:
         save_feeder(standard_feeder, path)
         assert load_feeder(path) == standard_feeder
 
+    def test_equal_feeders_hash_equal(self, tmp_path, standard_feeder):
+        # The power-flow caches key on a feeder's hash, computed once.
+        path = tmp_path / "f.json"
+        save_feeder(standard_feeder, path)
+        copy = load_feeder(path)
+        assert copy is not standard_feeder
+        assert {copy: 1}[standard_feeder] == 1
+        assert hash(copy) == hash(copy) == hash(standard_feeder)
+
     def test_save_is_byte_deterministic(self, tmp_path, standard_feeder):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         save_feeder(standard_feeder, p1)

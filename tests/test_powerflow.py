@@ -112,6 +112,78 @@ def local_sweep_voltages(feeder, scenario, tol=1e-12, max_iter=200):
     return volts
 
 
+def numpy_scalar_sweep(feeder, scenario, tol=1e-8, max_iter=50, pv_derate=1.0):
+    """The sweep as first written, on numpy complex scalars (test-only reference).
+
+    ``solve_power_flow`` must reproduce it bit for bit: voltages, flows,
+    ``converged`` and ``iterations``.
+    """
+    n = feeder.num_buses
+    pos = {b.id: i for i, b in enumerate(feeder.buses)}
+    adj = {i: [] for i in range(n)}
+    for li, ln in enumerate(feeder.lines):
+        a, b = pos[ln.from_bus], pos[ln.to_bus]
+        adj[a].append((b, li))
+        adj[b].append((a, li))
+    parent = np.full(n, -1, dtype=int)
+    parent_line = np.full(n, -1, dtype=int)
+    order = [pos[feeder.slack_bus]]
+    seen = {pos[feeder.slack_bus]}
+    head = 0
+    while head < len(order):
+        u = order[head]
+        head += 1
+        for v, li in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                parent[v] = u
+                parent_line[v] = li
+                order.append(v)
+    z_base = feeder.base_voltage**2 / feeder.base_power
+    z = np.zeros(n, dtype=complex)
+    for v in range(n):
+        if parent_line[v] >= 0:
+            ln = feeder.lines[parent_line[v]]
+            z[v] = (ln.resistance + 1j * ln.reactance) / z_base
+
+    s_base_kw = feeder.base_power * 1000.0
+    p = np.array([b.load_p for b in feeder.buses]) / s_base_kw
+    q = np.array([b.load_q for b in feeder.buses]) / s_base_kw
+    pv = np.array([b.pv_capacity for b in feeder.buses]) / s_base_kw
+    x = np.zeros(n)
+    x[[pos[a] for a in feeder.adopters]] = scenario.bits
+    s_load = (p - x * pv * pv_derate) + 1j * q
+
+    v = np.ones(n, dtype=complex)
+    i_branch = np.zeros(n, dtype=complex)
+    converged = False
+    iterations = 0
+    with np.errstate(all="ignore"):
+        for iterations in range(1, max_iter + 1):
+            i_branch = np.conj(s_load / v)
+            for u in order[::-1]:
+                if parent[u] >= 0:
+                    i_branch[parent[u]] += i_branch[u]
+            v_new = v.copy()
+            v_new[order[0]] = 1.0 + 0.0j
+            for u in order[1:]:
+                v_new[u] = v_new[parent[u]] - z[u] * i_branch[u]
+            delta = float(np.max(np.abs(v_new - v)))
+            v = v_new
+            if delta < tol:
+                converged = True
+                break
+        flows = np.zeros(feeder.num_lines)
+        for u in range(n):
+            if parent_line[u] >= 0:
+                flows[parent_line[u]] = abs(v[parent[u]] * np.conj(i_branch[u]))
+    if not np.all(np.isfinite(np.abs(v))):
+        converged = False
+    return PowerFlowResult(
+        voltages=np.abs(v), flows=flows, converged=converged, iterations=iterations
+    )
+
+
 class TestSolvePowerFlow:
     def test_no_injections_is_flat(self):
         feeder = build_chain_feeder([0.0, 0.0, 0.0], pv_kw=[0, 0, 5])
@@ -182,6 +254,48 @@ class TestSolvePowerFlow:
         full = solve_power_flow(feeder, Scenario(bits=(1,)), pv_derate=1.0)
         half = solve_power_flow(feeder, Scenario(bits=(1,)), pv_derate=0.5)
         assert half.voltages[2] < full.voltages[2]
+
+    @given(
+        num_buses=st.integers(min_value=4, max_value=30),
+        feeder_seed=st.integers(min_value=0, max_value=2**16),
+        bits_seed=st.integers(min_value=0, max_value=2**16),
+        pv_derate=st.floats(min_value=0.0, max_value=1.5),
+        max_iter=st.integers(min_value=1, max_value=50),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_numpy_scalar_sweep(
+        self, num_buses, feeder_seed, bits_seed, pv_derate, max_iter
+    ):
+        # Generator feeders above ~20 buses often do not converge; those
+        # (and max_iter cut-offs) must match the reference just as well.
+        feeder = generate_synthetic_feeder(num_buses, max(1, num_buses // 3), seed=feeder_seed)
+        rng = np.random.default_rng(bits_seed)
+        scenario = Scenario(bits=tuple(int(b) for b in rng.integers(0, 2, feeder.num_adopters)))
+        with np.errstate(all="ignore"):
+            got = solve_power_flow(feeder, scenario, max_iter=max_iter, pv_derate=pv_derate)
+        ref = numpy_scalar_sweep(feeder, scenario, max_iter=max_iter, pv_derate=pv_derate)
+        assert got.converged == ref.converged
+        assert got.iterations == ref.iterations
+        assert np.array_equal(got.voltages, ref.voltages, equal_nan=True)
+        assert np.array_equal(got.flows, ref.flows, equal_nan=True)
+
+    def test_flow_beyond_the_float_range_reads_inf(self):
+        # One sweep leaves a current whose finite parts have a magnitude
+        # above the largest float: the flow is inf, as in the reference.
+        from gridcrit.feeder import Bus, Line, make_feeder
+
+        buses = [
+            Bus(0, 0.0, 0.0, 0.95, 1.05, 1, False, 0.0),
+            Bus(1, 1.5e308, 1.5e308, 0.95, 1.05, 1, False, 0.0),
+        ]
+        lines = [Line(2, 0, 1, 1.0, 1.0, 1.0)]
+        feeder = make_feeder(buses, lines, slack_bus=0, base_voltage=1.0,
+                             base_power=0.001, num_groups=1)
+        with np.errstate(all="ignore"):
+            pf = solve_power_flow(feeder, Scenario(bits=()), max_iter=1)
+            ref = numpy_scalar_sweep(feeder, Scenario(bits=()), max_iter=1)
+        assert not pf.converged
+        assert pf.flows[0] == ref.flows[0] == np.inf
 
     def test_scenario_length_mismatch(self, standard_feeder):
         with pytest.raises(ValueError, match="length"):

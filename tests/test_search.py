@@ -271,6 +271,12 @@ class TestSearchConfig:
         with pytest.raises(ValueError):
             SearchConfig(num_candidates=0)
 
+    @pytest.mark.parametrize("field", ["tau_bar", "stress_threshold"])
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf"), True])
+    def test_non_finite_or_bool_floats_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite number"):
+            SearchConfig(**{field: value})
+
 
 class TestEvaluateScenarios:
     # Exact stresses in input order are checked through the oracle below.
@@ -279,6 +285,40 @@ class TestEvaluateScenarios:
         scen = [Scenario(bits=(1, 0, 1)), Scenario(bits=(0, 0, 0))]
         assert evaluate_scenarios(feeder, scen, pf_max_iter=1) == [None, None]
         assert evaluate_scenarios(feeder, []) == []
+
+    @staticmethod
+    def count_solves(monkeypatch) -> list:
+        solved = []
+        solve = search.solve_power_flow
+
+        def counting(feeder, scenario, **kwargs):
+            solved.append(scenario.bits)
+            return solve(feeder, scenario, **kwargs)
+
+        monkeypatch.setattr(search, "solve_power_flow", counting)
+        return solved
+
+    def test_each_distinct_vector_solved_once(self, monkeypatch):
+        feeder = small_feeder()
+        part = feeder.partition()
+        bits = [(1, 0, 1), (0, 0, 0), (1, 0, 1), (1, 1, 1), (0, 0, 0), (1, 0, 1)]
+        solved = self.count_solves(monkeypatch)
+        out = evaluate_scenarios(feeder, [Scenario(bits=b) for b in bits])
+        assert sorted(solved) == sorted(set(bits))
+        assert out[0] is out[2] is out[5] and not out[0].flags.writeable
+        for b, stress in zip(bits, out):
+            direct = compute_stress(feeder, part, solve_power_flow(feeder, Scenario(bits=b)))
+            np.testing.assert_array_equal(stress, direct)
+
+    def test_unconverged_duplicate_is_none_everywhere(self, monkeypatch):
+        # Four sweeps solve (0, 1, 0) but not (1, 1, 1).
+        feeder = small_feeder()
+        bits = [(1, 1, 1), (0, 1, 0), (1, 1, 1), (0, 1, 0), (1, 1, 1)]
+        solved = self.count_solves(monkeypatch)
+        out = evaluate_scenarios(feeder, [Scenario(bits=b) for b in bits], pf_max_iter=4)
+        assert len(solved) == 2
+        assert [stress is None for stress in out] == [True, False, True, False, True]
+        np.testing.assert_array_equal(out[1], out[3])
 
 
 class TestBruteForceOracle:
@@ -378,6 +418,21 @@ class TestRunSearch:
         assert len(set(later_bits)) == len(later_bits)
         assert not initial & set(later_bits)
         assert initial | set(later_bits) == set(lowest)
+
+    def test_exhausted_only_when_the_pool_cannot_grow(self):
+        # Step 0 evaluates every distinct vector of the 8-scenario initial
+        # pool, far below its cap of 120: the search must go on expanding
+        # the pool instead of stopping, and exhaust only at the cap.
+        feeder = small_feeder()
+        config = {**FAST_CONFIG, "n0": 4, "n_init": 4, "tau_bar": 1e-9, "batch_size": 2}
+        cfg = SearchConfig(seed=0, **config)
+        result = run_search(feeder, FAST_DIFFUSION, ViolationConfig(), cfg)
+        bits = [s.bits for s in result.scenarios]
+        initial = {bits[sid] for step, sid in result.evaluation_log if step == 0}
+        assert set(bits[:cfg.n0 + cfg.n_init]) == initial
+        assert result.stop_reason == "exhausted"
+        assert len(bits) == cfg.max_search_space
+        assert {bits[sid] for sid in result.evaluated_ids} == set(bits) != initial
 
     def test_aborts_at_the_tenth_failed_attempt(self):
         # One sweep never meets the tolerance, so every power flow fails; the
