@@ -14,7 +14,9 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from collections.abc import Iterator
 from dataclasses import asdict, fields
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import click
@@ -64,6 +66,30 @@ class NumericalFailure(click.ClickException):
     """Numerical breakdown in the solver or surrogate; exit code 4."""
 
     exit_code = EXIT_NUMERICAL
+
+
+class OutputPathError(click.ClickException):
+    """An output path that cannot be written; a usage error, exit code 2."""
+
+    exit_code = 2
+
+
+def _check_output_file(output: str) -> None:
+    """Refuse an output file whose directory is missing, or that is a directory."""
+    path = Path(output)
+    if path.is_dir():
+        raise OutputPathError(f"output {output} is a directory")
+    if not path.parent.is_dir():
+        raise OutputPathError(f"output directory {path.parent} does not exist")
+
+
+def _check_output_dir(output_dir: str) -> None:
+    """Refuse an output directory that exists as a file or lies under one."""
+    path = Path(output_dir)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise OutputPathError(f"cannot make output directory {output_dir}: "
+                              f"{existing} is not a directory")
 
 
 def _fmt(value: float) -> str:
@@ -158,13 +184,86 @@ def _write_manifest(outdir: Path, command: str, config: dict, **extra) -> None:
         "config": config,
         **extra,
     }
-    (outdir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
+    _write_json(outdir / "manifest.json", manifest)
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    """Write ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline."""
+    with open(path, "w") as fh:
+        fh.writelines(_json_chunks(doc))
+        fh.write("\n")
+
+
+_NUMBER_TYPES = {int, float}
+_JSON_LEAF_BLOCK = 256  # leaves per call of the C encoder
+
+
+def _json_chunks(doc) -> Iterator[str]:
+    """``json.dumps(doc, indent=2, sort_keys=True)`` in chunks, for string keys.
+
+    With an indent, ``json`` falls back to its pure-Python encoder. Here the
+    layout is written by hand, and the C encoder writes the numbers. Each
+    list of numbers, and each other scalar but a string as a one-element
+    list, is a leaf; a block of leaves is encoded in one call and split at
+    its "], [" and ", " separators, which no number's text contains.
+    """
+    pieces: list[str | None] = []  # None: the next leaf
+    leaves: list = []
+    indents: list[str | None] = []  # per leaf, its items' indent; None for a scalar
+    # Layout strings repeat from row to row; each is made once.
+    layout: dict[tuple, str] = {}
+
+    def text(*parts: str) -> str:
+        s = layout.get(parts)
+        if s is None:
+            s = layout[parts] = "".join(parts)
+        return s
+
+    def emit(obj, indent: str) -> None:
+        inner = indent + "  "
+        if isinstance(obj, str):
+            pieces.append(encode_basestring_ascii(obj))
+        elif isinstance(obj, (dict, list, tuple)) and not obj:
+            pieces.append("{}" if isinstance(obj, dict) else "[]")
+        elif isinstance(obj, dict):
+            sep = "{\n"
+            for key, value in sorted(obj.items()):
+                pieces.append(text(sep, inner, encode_basestring_ascii(key), ": "))
+                emit(value, inner)
+                sep = ",\n"
+            pieces.append(text("\n", indent, "}"))
+        elif isinstance(obj, (list, tuple)) and not set(map(type, obj)) <= _NUMBER_TYPES:
+            sep = "[\n"
+            for value in obj:
+                pieces.append(text(sep, inner))
+                emit(value, inner)
+                sep = ",\n"
+            pieces.append(text("\n", indent, "]"))
+        else:
+            number_list = isinstance(obj, (list, tuple))
+            leaves.append(obj if number_list else [obj])
+            indents.append(inner if number_list else None)
+            pieces.append(None)
+
+    emit(doc, "")
+
+    def leaf_texts() -> Iterator[str]:
+        for start in range(0, len(leaves), _JSON_LEAF_BLOCK):
+            texts = json.dumps(leaves[start:start + _JSON_LEAF_BLOCK]).split("], [")
+            texts[0] = texts[0][2:]
+            texts[-1] = texts[-1][:-2]
+            yield from texts
+
+    # Leaves are encoded a block at a time and laid out only as they are
+    # written, so few of their strings are alive at once.
+    leaf = zip(leaf_texts(), indents)
+    for piece in pieces:
+        if piece is None:
+            piece, inner = next(leaf)
+            if inner is not None:
+                items = piece.replace(", ", ",\n" + inner)
+                piece = f"[\n{inner}{items}\n{inner[:-2]}]"
+        yield piece
 
 
 def _result_document(feeder, result, stop_reason: str, extra=None) -> dict:
@@ -177,7 +276,7 @@ def _result_document(feeder, result, stop_reason: str, extra=None) -> dict:
         return {
             "id": sid,
             "bits": result.scenarios[sid].bitstring(),
-            "violations": [float(v) for v in result.violations[sid][lo:hi]],
+            "violations": result.violations[sid][lo:hi].tolist(),
         }
 
     doc = {
@@ -206,8 +305,8 @@ def _result_document(feeder, result, stop_reason: str, extra=None) -> dict:
             {
                 "id": sid,
                 "bits": result.scenarios[sid].bitstring(),
-                "stress": [float(v) for v in result.stresses[sid]],
-                "violations": [float(v) for v in result.violations[sid]],
+                "stress": result.stresses[sid].tolist(),
+                "violations": result.violations[sid].tolist(),
             }
             for sid in sorted(result.stresses)
         ],
@@ -234,6 +333,7 @@ def cmd_make_feeder(buses, adopters, groups, seed, output) -> None:
         raise click.UsageError("need 1 <= adopters < buses and buses >= 2")
     if not 1 <= groups <= buses:
         raise click.UsageError("groups must be in [1, buses]")
+    _check_output_file(output)
     try:
         feeder = generate_synthetic_feeder(buses, adopters, seed)
         feeder = apply_partition(feeder, fallback_partition(feeder, groups))
@@ -256,6 +356,7 @@ def cmd_simulate(config_path, count, output) -> None:
     """Simulate adoption scenarios and write them to a scenario file."""
     if count < 1:
         raise click.UsageError("count must be >= 1")
+    _check_output_file(output)
     config = _load_config(config_path)
     feeder, diffusion, _, _ = _build_parts(config)
     scenarios = simulate_batch(feeder, diffusion, count, seed=config["seed"])
@@ -269,6 +370,7 @@ def cmd_simulate(config_path, count, output) -> None:
 @click.option("--output", "-o", type=click.Path(), required=True)
 def cmd_evaluate(config_path, scenario_path, output) -> None:
     """Evaluate a scenario file: power flow, stresses and violations to CSV."""
+    _check_output_file(output)
     config = _load_config(config_path)
     feeder, _, viol_cfg, _ = _build_parts(config)
     try:
@@ -348,6 +450,7 @@ def _write_search_artifacts(outdir: Path, feeder, result) -> None:
 @click.option("--output-dir", "-o", type=click.Path(), required=True)
 def cmd_search(config_path, output_dir) -> None:
     """Run the Bayesian-optimization search and write result artifacts."""
+    _check_output_dir(output_dir)
     config = _load_config(config_path)
     feeder, diffusion, viol_cfg, search_cfg = _build_parts(config)
     outdir = Path(output_dir)
@@ -382,6 +485,7 @@ def cmd_search(config_path, output_dir) -> None:
 @click.option("--output-dir", "-o", type=click.Path(), required=True)
 def cmd_brute_force(config_path, scenario_path, count, output_dir) -> None:
     """Exhaustively evaluate a scenario set and write the exact fronts."""
+    _check_output_dir(output_dir)
     config = _load_config(config_path)
     feeder, diffusion, viol_cfg, _ = _build_parts(config)
     if scenario_path is not None:
@@ -453,6 +557,7 @@ def cmd_report(feeder_path, search_dir, oracle_dir, top_n, output_dir) -> None:
     """Emit plot-ready CSVs: PV ranking, max-violation comparison, relevance."""
     if top_n < 1:
         raise click.UsageError("top-n must be >= 1")
+    _check_output_dir(output_dir)
     try:
         feeder = load_feeder(feeder_path)
     except FeederError as exc:

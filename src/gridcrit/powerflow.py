@@ -13,12 +13,16 @@ from gridcrit.feeder import BusPartition, Feeder
 
 @dataclass(frozen=True)
 class PowerFlowResult:
-    """Bus voltages (p.u.) and sending-end line flows (p.u. apparent power)."""
+    """Bus voltages (p.u.) and sending-end line flows (p.u. apparent power).
+
+    Of one scenario, or of a batch: then every field has a leading scenario
+    axis, and ``converged`` and ``iterations`` are arrays.
+    """
 
     voltages: np.ndarray
     flows: np.ndarray
-    converged: bool
-    iterations: int
+    converged: bool | np.ndarray
+    iterations: int | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -43,19 +47,27 @@ class UnconvergedError(RuntimeError):
 class _Tree:
     """Per-feeder constants of the sweep and the stress (cached per feeder).
 
-    The topology is oriented away from the slack bus. Impedances are Python
-    ``complex``: the sweeps run on lists, whose ``*``, ``+`` and ``abs``
-    round exactly like numpy's complex scalars, while numpy's complex *array*
-    ``*`` and ``abs`` do not. So the solver never vectorises over buses.
+    The topology is oriented away from the slack bus. The sweep runs on
+    separate float64 real and imaginary arrays, one row per bus and one
+    column per scenario, and writes every complex product out as CPython
+    does, ``(ar*br - ai*bi, ar*bi + ai*br)``: numpy's complex-array ``*`` may
+    fuse a multiply and an add and so round differently. The division
+    ``conj(s_load / v)`` and the ``np.abs`` of the voltages and of their change
+    per sweep stay numpy complex-array ops, as in the one-scenario sweep; they
+    are element-wise, so they do not depend on the batch. A flow magnitude is
+    ``np.hypot``, which rounds as ``abs`` of a complex scalar does. So each
+    row is bit for bit the sweep of its scenario alone on complex scalars,
+    whatever batch it is solved in.
     """
 
     p: np.ndarray              # per-bus load and PV nameplate, p.u. of the system base
     q: np.ndarray
     pv: np.ndarray
     adopter_pos: np.ndarray    # bus position per adopter, in scenario bit order
-    backward: tuple[tuple[int, int], ...]          # (bus, parent), reverse BFS order
-    forward: tuple[tuple[int, int, complex], ...]  # (bus, parent, z of its line), BFS order
-    line_ends: tuple[tuple[int, int, int], ...]    # (line, receiving bus, sending bus)
+    backward: tuple[tuple[int, int], ...]                # (bus, parent), reverse BFS order
+    forward: tuple[tuple[int, int, float, float], ...]   # (bus, parent, Re z, Im z), BFS order
+    line_bus: np.ndarray       # per line, in line order: its receiving bus
+    line_parent: np.ndarray    # and its sending bus
     v_lower: np.ndarray        # per-bus voltage limits (p.u.)
     v_upper: np.ndarray
     rating: np.ndarray         # per-line flow rating
@@ -85,102 +97,147 @@ def _build_tree(feeder: Feeder) -> _Tree:
 
     z_base = feeder.base_voltage**2 / feeder.base_power
     forward = []
-    line_ends = []
+    line_bus = np.zeros(feeder.num_lines, dtype=int)
+    line_parent = np.zeros(feeder.num_lines, dtype=int)
     for u in order[1:]:
         par, li = parent[u]
         ln = feeder.lines[li]
-        forward.append((u, par, complex((ln.resistance + 1j * ln.reactance) / z_base)))
-        line_ends.append((li, u, par))
+        z = complex((ln.resistance + 1j * ln.reactance) / z_base)
+        forward.append((u, par, z.real, z.imag))
+        line_bus[li], line_parent[li] = u, par
     s_base_kw = feeder.base_power * 1000.0
     return _Tree(
         p=np.array([b.load_p for b in feeder.buses]) / s_base_kw,
         q=np.array([b.load_q for b in feeder.buses]) / s_base_kw,
         pv=np.array([b.pv_capacity for b in feeder.buses]) / s_base_kw,
         adopter_pos=np.array([pos[a] for a in feeder.adopters], dtype=int),
-        backward=tuple((u, par) for u, par, _ in reversed(forward)),
+        backward=tuple((u, par) for u, par, _, _ in reversed(forward)),
         forward=tuple(forward),
-        line_ends=tuple(line_ends),
+        line_bus=line_bus,
+        line_parent=line_parent,
         v_lower=np.array([b.v_lower for b in feeder.buses]),
         v_upper=np.array([b.v_upper for b in feeder.buses]),
         rating=np.array([ln.rating for ln in feeder.lines]),
     )
 
 
-def _magnitude(z: complex) -> float:
-    """``abs(z)``, but inf (as numpy gives) where finite parts overflow it."""
-    try:
-        return abs(z)
-    except OverflowError:
-        return np.inf
+# Cap on the elements of each (bus, scenario) working array in one block of
+# scenarios: 1 MB per complex array.
+_PF_BLOCK_ELEMENTS = 1 << 16
 
 
 def solve_power_flow(
     feeder: Feeder,
-    scenario: Scenario,
+    scenarios: Scenario | np.ndarray,
     tol: float = 1e-8,
     max_iter: int = 50,
     pv_derate: float = 1.0,
 ) -> PowerFlowResult:
     """Solve the radial network by backward/forward sweep.
 
+    ``scenarios`` is one ``Scenario`` or a 0/1 matrix with one scenario per
+    row (S x A). For a matrix, the result holds voltages (S x n), flows
+    (S x L), ``converged`` (S,) and ``iterations`` (S,); for a ``Scenario``, a
+    bool, an int and the one row of each. A row stops at the sweep where it
+    converges, so its result does not depend on the other rows.
+
     Net injection at an adopter bus is load minus PV at ``pv_derate`` of
     nameplate, unity power factor. The slack bus is held at 1.0 p.u.; flows
     are sending-end apparent power magnitudes in p.u. of the system base.
     """
     tree = _build_tree(feeder)
-    if len(scenario.bits) != len(tree.adopter_pos):
+    single = isinstance(scenarios, Scenario)
+    bits = np.atleast_2d(scenarios.bits) if single else np.asarray(scenarios)
+    if bits.ndim != 2 or bits.shape[1] != len(tree.adopter_pos):
         raise ValueError("scenario length does not match feeder adopter count")
-    n = feeder.num_buses
-
-    x = np.zeros(n)
-    x[tree.adopter_pos] = scenario.bits
-    s_load = (tree.p - x * tree.pv * pv_derate) + 1j * tree.q  # consumption positive
-
-    v = np.ones(n, dtype=complex)
-    ib = [0j] * n  # current into each bus from its parent
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        # The division stays an array op: Python's complex division rounds
-        # differently from numpy's.
-        ib = np.conj(s_load / v).tolist()
-        for u, par in tree.backward:
-            ib[par] += ib[u]
-        vn = [1.0 + 0.0j] * n
-        for u, par, z in tree.forward:
-            vn[u] = vn[par] - z * ib[u]
-        v_new = np.array(vn)
-        delta = float(np.abs(v_new - v).max())
-        v = v_new
-        if delta < tol:
-            converged = True
-            break
-
-    vl = v.tolist()
-    flows = np.zeros(feeder.num_lines)
-    for li, u, par in tree.line_ends:
-        flows[li] = _magnitude(vl[par] * ib[u].conjugate())
-    voltages = np.abs(v)
-    if not np.all(np.isfinite(voltages)):
-        converged = False
+    count, n = len(bits), feeder.num_buses
+    voltages = np.empty((count, n))
+    flows = np.empty((count, feeder.num_lines))
+    converged = np.zeros(count, dtype=bool)
+    iterations = np.zeros(count, dtype=int)
+    per_block = max(1, _PF_BLOCK_ELEMENTS // n)
+    with np.errstate(all="ignore"):  # a diverging row reports converged=False
+        for start in range(0, count, per_block):
+            rows = slice(start, start + per_block)
+            voltages[rows], flows[rows], converged[rows], iterations[rows] = _sweep(
+                tree, bits[rows], tol, max_iter, pv_derate
+            )
+    if single:
+        return PowerFlowResult(
+            voltages=voltages[0], flows=flows[0],
+            converged=bool(converged[0]), iterations=int(iterations[0]),
+        )
     return PowerFlowResult(
         voltages=voltages, flows=flows, converged=converged, iterations=iterations
     )
 
 
+def _sweep(tree: _Tree, bits: np.ndarray, tol: float, max_iter: int, pv_derate: float):
+    """Voltages (S x n), flows (S x L), converged and iterations of one block."""
+    n, count = len(tree.p), len(bits)
+    x = np.zeros((n, count))
+    x[tree.adopter_pos] = bits.T
+    # consumption positive
+    s_load = (tree.p[:, None] - x * tree.pv[:, None] * pv_derate) + 1j * tree.q[:, None]
+
+    # Final voltage and current per row; a row is written when it converges.
+    v_out = np.ones((n, count), dtype=complex)
+    ib_out = np.zeros((n, count), dtype=complex)
+    iterations = np.zeros(count, dtype=int)
+    converged = np.zeros(count, dtype=bool)
+    live = np.arange(count)  # rows still sweeping, in block order
+    v = v_out.copy()
+    ib = ib_out.copy()
+    it = 0
+    for it in range(1, max_iter + 1):
+        if not len(live):
+            break
+        ib = np.conj(s_load / v)  # current into each bus from its parent
+        ir, ii = ib.real, ib.imag
+        for u, par in tree.backward:
+            ir[par] += ir[u]
+            ii[par] += ii[u]
+        v_new = np.ones_like(v)
+        vr, vi = v_new.real, v_new.imag
+        for u, par, zr, zi in tree.forward:
+            vr[u] = vr[par] - (zr * ir[u] - zi * ii[u])
+            vi[u] = vi[par] - (zr * ii[u] + zi * ir[u])
+        done = np.abs(v_new - v).max(axis=0) < tol
+        v = v_new
+        if done.any():
+            rows = live[done]
+            v_out[:, rows], ib_out[:, rows] = v[:, done], ib[:, done]
+            iterations[rows], converged[rows] = it, True
+            keep = ~done
+            live, v, ib, s_load = live[keep], v[:, keep], ib[:, keep], s_load[:, keep]
+    v_out[:, live], ib_out[:, live] = v, ib
+    iterations[live] = it
+
+    # Sending-end power v[parent] * conj(ib[bus]) of each line, as CPython rounds it.
+    vr, vi = v_out.real[tree.line_parent], v_out.imag[tree.line_parent]
+    ir, nii = ib_out.real[tree.line_bus], -ib_out.imag[tree.line_bus]
+    flows = np.hypot(vr * ir - vi * nii, vr * nii + vi * ir)
+    voltages = np.abs(v_out)
+    converged &= np.isfinite(voltages).all(axis=0)
+    return voltages.T, flows.T, converged, iterations
+
+
 def compute_stress(
     feeder: Feeder, partition: BusPartition, pf: PowerFlowResult
 ) -> np.ndarray:
-    """Signed distances from limits: P bus-group entries then L line entries."""
-    if not pf.converged:
+    """Signed distances from limits: P bus-group entries then L line entries.
+
+    Works on the last axis, so a batched result gives one row per scenario.
+    """
+    if not np.all(pf.converged):
         raise UnconvergedError("stress requires a converged power flow")
     tree = _build_tree(feeder)
     vm = pf.voltages
     excess = np.maximum(vm - tree.v_upper, tree.v_lower - vm)
     groups = partition.as_dict()
     group = np.array([groups[b.id] for b in feeder.buses])
-    worst = [excess[group == k].max() for k in range(1, partition.num_groups + 1)]
-    return np.concatenate([worst, pf.flows - tree.rating])
+    worst = [excess[..., group == k].max(axis=-1) for k in range(1, partition.num_groups + 1)]
+    return np.concatenate([np.stack(worst, axis=-1), pf.flows - tree.rating], axis=-1)
 
 
 def violation_map(stress: np.ndarray, bus, cfg: ViolationConfig) -> np.ndarray:

@@ -25,6 +25,7 @@ from gridcrit.adoption import (
 from gridcrit.feeder import Feeder
 from gridcrit.pareto import CriticalFronts, critical_fronts, dominated, front_indices
 from gridcrit.powerflow import (
+    PowerFlowResult,
     ViolationConfig,
     compute_stress,
     solve_power_flow,
@@ -230,21 +231,26 @@ def evaluate_scenarios(
     """Stress of each scenario, in input order; None where the sweep did not converge.
 
     Stresses are taken over the bus groups the feeder carries. A stress is a
-    function of the bits alone, so each distinct bit vector is solved once
-    and its duplicates share that one read-only array.
+    function of the bits alone, so the distinct bit vectors, in order of first
+    appearance, are solved in one batched power flow, and duplicates share
+    their vector's one read-only row.
     """
-    partition = feeder.partition()
-    by_bits: dict[tuple[int, ...], np.ndarray | None] = {}
+    row_of: dict[tuple[int, ...], int] = {}
     for s in scenarios:
-        if s.bits not in by_bits:
-            pf = solve_power_flow(
-                feeder, s, tol=pf_tol, max_iter=pf_max_iter, pv_derate=pv_derate
-            )
-            stress = compute_stress(feeder, partition, pf) if pf.converged else None
-            if stress is not None:
-                stress.flags.writeable = False
-            by_bits[s.bits] = stress
-    return [by_bits[s.bits] for s in scenarios]
+        row_of.setdefault(s.bits, len(row_of))
+    bits = (np.array(list(row_of), dtype=np.uint8) if row_of
+            else np.zeros((0, feeder.num_adopters), dtype=np.uint8))
+    pf = solve_power_flow(feeder, bits, tol=pf_tol, max_iter=pf_max_iter, pv_derate=pv_derate)
+    ok = pf.converged
+    stress = compute_stress(feeder, feeder.partition(), PowerFlowResult(
+        voltages=pf.voltages[ok], flows=pf.flows[ok], converged=ok[ok],
+        iterations=pf.iterations[ok],
+    ))
+    stress.flags.writeable = False
+    by_row: list[np.ndarray | None] = [None] * len(row_of)
+    for row, vec in zip(np.flatnonzero(ok), stress):
+        by_row[row] = vec
+    return [by_row[row_of[s.bits]] for s in scenarios]
 
 
 _DEFAULT_NOISE = 1e-4

@@ -2,11 +2,15 @@
 
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gridcrit.cli import main
+from gridcrit import cli
+from gridcrit.cli import _json_chunks, main
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -413,3 +417,138 @@ class TestBruteForceAndReport:
         assert res.exit_code == 3, res.output
         assert "budget" in res.output
         assert not (tmp_path / "out").exists()
+
+
+class TestOutputPaths:
+    """An output path that cannot be written exits 2 before any work, writing nothing."""
+
+    @pytest.fixture
+    def inputs(self, runner, tmp_path, monkeypatch):
+        feeder = write_feeder(runner, tmp_path / "f.json")
+        config = write_config(tmp_path / "cfg.json", feeder)
+        scen = tmp_path / "scen.txt"
+        res = runner.invoke(main, ["simulate", "--config", str(config), "--count", "5",
+                                   "-o", str(scen)])
+        assert res.exit_code == 0, res.output
+        (tmp_path / "a_file").write_text("keep")
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before the output path was checked")
+
+        for name in ("generate_synthetic_feeder", "simulate_batch", "evaluate_scenarios",
+                     "run_search", "brute_force_oracle"):
+            monkeypatch.setattr(cli, name, no_work)
+        return {"feeder": str(feeder), "config": str(config), "scen": str(scen)}
+
+    def check_refused(self, runner, tmp_path, args):
+        before = sorted(tmp_path.rglob("*"))
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert res.output.startswith("Error: ") and res.output.count("\n") == 1, res.output
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "a_file").read_text() == "keep"
+
+    @pytest.mark.parametrize("target", ["missing/out", "a_file/out", "."])
+    @pytest.mark.parametrize("command", ["make-feeder", "simulate", "evaluate"])
+    def test_unwritable_output_file_exit_2(self, runner, tmp_path, inputs, command, target):
+        args = {
+            "make-feeder": ["make-feeder", "--buses", "10", "--adopters", "6"],
+            "simulate": ["simulate", "--config", inputs["config"], "--count", "5"],
+            "evaluate": ["evaluate", "--config", inputs["config"],
+                         "--scenarios", inputs["scen"]],
+        }[command]
+        self.check_refused(runner, tmp_path, args + ["-o", str(tmp_path / target)])
+
+    @pytest.mark.parametrize("target", ["a_file", "a_file/out"])
+    @pytest.mark.parametrize("command", ["search", "brute-force", "brute-force-scenarios",
+                                         "report"])
+    def test_unwritable_output_dir_exit_2(self, runner, tmp_path, inputs, command, target):
+        args = {
+            "search": ["search", "--config", inputs["config"]],
+            "brute-force": ["brute-force", "--config", inputs["config"], "--count", "20"],
+            "brute-force-scenarios": ["brute-force", "--config", inputs["config"],
+                                      "--scenarios", inputs["scen"]],
+            "report": ["report", "--feeder", inputs["feeder"],
+                       "--search-dir", str(tmp_path / "no_result")],
+        }[command]
+        self.check_refused(runner, tmp_path, args + ["-o", str(tmp_path / target)])
+
+
+class TestEmptyScenarioFile:
+    """A header-only scenario file is a batch of zero scenarios."""
+
+    @pytest.fixture
+    def empty(self, runner, tmp_path):
+        from gridcrit.adoption import save_scenarios
+        from gridcrit.feeder import load_feeder
+
+        feeder_path = write_feeder(runner, tmp_path / "f.json")
+        feeder = load_feeder(feeder_path)
+        scen = tmp_path / "empty.txt"
+        save_scenarios(scen, [], feeder)
+        assert not [ln for ln in scen.read_text().splitlines() if not ln.startswith("#")]
+        return feeder, write_config(tmp_path / "cfg.json", feeder_path), scen
+
+    def test_evaluate_writes_header_only_csv(self, runner, tmp_path, empty):
+        feeder, config, scen = empty
+        out = tmp_path / "eval.csv"
+        res = runner.invoke(main, ["evaluate", "--config", str(config),
+                                   "--scenarios", str(scen), "-o", str(out)])
+        assert res.exit_code == 0, res.output
+        dim = feeder.num_groups + feeder.num_lines
+        header = (["id"] + [f"stress_{k}" for k in range(dim)]
+                  + [f"violation_{k}" for k in range(dim)] + ["converged"])
+        assert out.read_bytes() == (",".join(header) + "\r\n").encode()
+
+    def test_brute_force_writes_zero_evaluations(self, runner, tmp_path, empty):
+        feeder, config, scen = empty
+        out = tmp_path / "oracle"
+        res = runner.invoke(main, ["brute-force", "--config", str(config),
+                                   "--scenarios", str(scen), "-o", str(out)])
+        assert res.exit_code == 0, res.output
+        assert res.output == f"oracle: 0 evaluations, 0 bus-critical, 0 line-critical -> {out}\n"
+        expected = {
+            "critical_objectives": {"bus": [], "line": []},
+            "critical_scenarios": {"bus": [], "line": []},
+            "evaluations": [],
+            "feeder_hash": feeder.content_hash(),
+            "invalid_ids": [],
+            "num_bus_objectives": feeder.num_groups,
+            "num_evaluations": 0,
+            "num_line_objectives": feeder.num_lines,
+            "per_objective_max_violation": [0.0] * (feeder.num_groups + feeder.num_lines),
+            "schema": 1,
+            "search_space_size": 0,
+            "stop_reason": "oracle",
+        }
+        assert (out / "result.json").read_text() == json.dumps(
+            expected, indent=2, sort_keys=True) + "\n"
+
+
+_json_scalars = (
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text()
+)
+_json_docs = st.recursive(
+    _json_scalars,
+    lambda children: (
+        st.lists(children, max_size=5)
+        | st.lists(st.floats(allow_nan=True, allow_infinity=True) | st.integers(), max_size=5)
+        | st.dictionaries(st.text(), children, max_size=5)
+    ),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    @given(doc=_json_docs, block=st.sampled_from([1, 2, 3, 256]))
+    @settings(max_examples=500, deadline=None)
+    def test_same_text_as_the_indenting_encoder(self, doc, block):
+        # block: leaves per C-encoder call, so that blocks end at any leaf.
+        with mock.patch.object(cli, "_JSON_LEAF_BLOCK", block):
+            assert "".join(_json_chunks(doc)) == json.dumps(doc, indent=2, sort_keys=True)
+
+    def test_escapes_and_special_floats(self):
+        doc = {"\u00e9\n\"\\": [float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 3],
+               "b": [[], {}, [True, False, None], ["a, b", "x], [y"]], "a": {}}
+        assert "".join(_json_chunks(doc)) == json.dumps(doc, indent=2, sort_keys=True)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.optimize import fsolve
 
 from conftest import build_chain_feeder
+from gridcrit import powerflow
 from gridcrit.adoption import Scenario
 from gridcrit.feeder import generate_synthetic_feeder
 from gridcrit.powerflow import (
@@ -279,6 +280,65 @@ class TestSolvePowerFlow:
         assert np.array_equal(got.voltages, ref.voltages, equal_nan=True)
         assert np.array_equal(got.flows, ref.flows, equal_nan=True)
 
+    @given(
+        num_buses=st.integers(min_value=4, max_value=40),
+        feeder_seed=st.integers(min_value=0, max_value=2**16),
+        bits_seed=st.integers(min_value=0, max_value=2**16),
+        distinct=st.integers(min_value=1, max_value=6),
+        rows=st.integers(min_value=1, max_value=12),
+        pv_derate=st.floats(min_value=0.0, max_value=1.5),
+        max_iter=st.integers(min_value=1, max_value=50),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_batch_rows_bit_identical_to_numpy_scalar_sweep(
+        self, num_buses, feeder_seed, bits_seed, distinct, rows, pv_derate, max_iter
+    ):
+        # Duplicate rows, rows that converge at different sweeps, rows that
+        # diverge and max_iter cut-offs, all in one batch.
+        feeder = generate_synthetic_feeder(num_buses, max(1, num_buses // 3), seed=feeder_seed)
+        rng = np.random.default_rng(bits_seed)
+        pool = rng.integers(0, 2, (distinct, feeder.num_adopters))
+        bits = pool[rng.integers(0, distinct, rows)].astype(np.uint8)
+        got = solve_power_flow(feeder, bits, max_iter=max_iter, pv_derate=pv_derate)
+        assert got.voltages.shape == (rows, feeder.num_buses)
+        assert got.flows.shape == (rows, feeder.num_lines)
+        for r, row in enumerate(bits):
+            ref = numpy_scalar_sweep(feeder, Scenario(bits=tuple(int(b) for b in row)),
+                                     max_iter=max_iter, pv_derate=pv_derate)
+            assert got.converged[r] == ref.converged
+            assert got.iterations[r] == ref.iterations
+            assert np.array_equal(got.voltages[r], ref.voltages, equal_nan=True)
+            assert np.array_equal(got.flows[r], ref.flows, equal_nan=True)
+
+    def test_block_boundaries_do_not_change_rows(self, standard_feeder, monkeypatch):
+        rng = np.random.default_rng(3)
+        bits = rng.integers(0, 2, (7, standard_feeder.num_adopters)).astype(np.uint8)
+        bits[4] = bits[1]
+        # Rows converge at sweeps 8 and 9; the rest are cut off at 9.
+        whole = solve_power_flow(standard_feeder, bits, max_iter=9)
+        assert not whole.converged.all() and whole.converged.any()
+        n, s = standard_feeder.num_buses, len(bits)
+        for rows_per_block in (1, s - 1, s, s + 1):
+            monkeypatch.setattr(powerflow, "_PF_BLOCK_ELEMENTS", rows_per_block * n)
+            got = solve_power_flow(standard_feeder, bits, max_iter=9)
+            for field in ("voltages", "flows", "converged", "iterations"):
+                assert np.array_equal(getattr(got, field), getattr(whole, field)), field
+        for r, row in enumerate(bits):
+            one = solve_power_flow(standard_feeder, Scenario(bits=tuple(int(b) for b in row)),
+                                   max_iter=9)
+            assert type(one.converged) is bool and type(one.iterations) is int
+            assert (one.converged, one.iterations) == (whole.converged[r], whole.iterations[r])
+            assert np.array_equal(one.voltages, whole.voltages[r])
+            assert np.array_equal(one.flows, whole.flows[r])
+
+    def test_empty_batch(self, standard_feeder):
+        pf = solve_power_flow(standard_feeder, np.zeros((0, standard_feeder.num_adopters)))
+        assert pf.voltages.shape == (0, standard_feeder.num_buses)
+        assert pf.flows.shape == (0, standard_feeder.num_lines)
+        assert pf.converged.shape == pf.iterations.shape == (0,)
+        stress = compute_stress(standard_feeder, standard_feeder.partition(), pf)
+        assert stress.shape == (0, standard_feeder.num_groups + standard_feeder.num_lines)
+
     def test_flow_beyond_the_float_range_reads_inf(self):
         # One sweep leaves a current whose finite parts have a magnitude
         # above the largest float: the flow is inf, as in the reference.
@@ -300,6 +360,8 @@ class TestSolvePowerFlow:
     def test_scenario_length_mismatch(self, standard_feeder):
         with pytest.raises(ValueError, match="length"):
             solve_power_flow(standard_feeder, Scenario(bits=(1, 0)))
+        with pytest.raises(ValueError, match="length"):
+            solve_power_flow(standard_feeder, np.zeros((3, 2)))
 
 
 class TestComputeStress:
@@ -330,6 +392,24 @@ class TestComputeStress:
         )
         stress = compute_stress(feeder, feeder.partition(), pf)
         assert stress[0] == pytest.approx(0.02)  # 0.95 - 0.93
+
+    def test_batch_rows_match_single_scenarios(self, standard_feeder):
+        part = standard_feeder.partition()
+        rng = np.random.default_rng(5)
+        bits = rng.integers(0, 2, (6, standard_feeder.num_adopters)).astype(np.uint8)
+        batch = compute_stress(standard_feeder, part, solve_power_flow(standard_feeder, bits))
+        for row, got in zip(bits, batch):
+            pf = solve_power_flow(standard_feeder, Scenario(bits=tuple(int(b) for b in row)))
+            assert np.array_equal(got, compute_stress(standard_feeder, part, pf))
+
+    def test_batch_with_an_unconverged_row_rejected(self):
+        feeder = build_chain_feeder([0.0, 1.0], pv_kw=[0, 5])
+        pf = PowerFlowResult(
+            voltages=np.ones((2, 2)), flows=np.zeros((2, 1)),
+            converged=np.array([True, False]), iterations=np.array([3, 50]),
+        )
+        with pytest.raises(UnconvergedError):
+            compute_stress(feeder, feeder.partition(), pf)
 
     def test_unconverged_rejected(self):
         feeder = build_chain_feeder([0.0, 1.0], pv_kw=[0, 5])
