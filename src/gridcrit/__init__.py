@@ -42,7 +42,6 @@ from gridcrit.surrogate import (
     KernelParams,
     adopter_relevance,
     fit_hyperparameters,
-    kernel_eval,
     sample_joint,
 )
 from gridcrit.search import (

@@ -71,11 +71,20 @@ def critical_indices(points) -> np.ndarray:
     """Sorted indices of rows with a positive entry that no row dominates.
 
     A row without a positive entry cannot dominate one with a positive entry,
-    so the front is built over the positive rows alone.
+    so the front is built over the positive rows alone. Equal rows never
+    dominate each other, so it is built over one copy of each distinct row
+    and a row is on it iff its copy is.
     """
     pts = np.asarray(points)
     positive = np.flatnonzero(np.any(pts > 0, axis=-1))
-    return positive[front_indices(pts[positive])]
+    rows = np.ascontiguousarray(pts[positive])
+    # Rows compared as byte strings: equal bytes mean equal values, and the
+    # few equal values with other bytes (-0.0, NaN payloads) just stay apart.
+    keys = rows.view(np.dtype((np.void, rows.strides[0]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    on_front = np.zeros(len(first), dtype=bool)
+    on_front[front_indices(rows[first])] = True
+    return positive[on_front[inverse]]
 
 
 def pareto_set(points) -> list[int]:

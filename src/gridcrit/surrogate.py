@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.blas import dsyr
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 from scipy.optimize import minimize
 
 JITTER_START = 1e-8
@@ -51,16 +52,6 @@ class JointPosterior:
     mean: np.ndarray
     covariance: np.ndarray
     chol: np.ndarray
-
-
-def kernel_eval(params: KernelParams, x1, x2) -> float:
-    """Kernel value between two binary scenarios."""
-    a1 = np.asarray(x1, dtype=float)
-    a2 = np.asarray(x2, dtype=float)
-    if a1.shape != a2.shape or a1.shape != params.theta.shape:
-        raise ValueError("scenario lengths do not match")
-    mismatch = a1 != a2
-    return float(params.eta * np.exp(-params.theta[mismatch].sum() / len(a1)))
 
 
 def gram_matrix(params: KernelParams, x1: np.ndarray, x2: np.ndarray | None = None) -> np.ndarray:
@@ -137,47 +128,73 @@ def _chol_with_jitter(mat: np.ndarray) -> tuple[np.ndarray, float]:
     raise NumericalError(f"covariance not factorizable after jitter {JITTER_MAX:g}")
 
 
+def _mismatch_factors(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``u = [x, 1 - x]`` and ``v = [1 - x, x]`` for binary rows ``x`` (n x A).
+
+    Bit j of rows i and k differs iff ``u[i, j] * v[k, j] + u[i, j + A] *
+    v[k, j + A]`` is 1, so ``(u * [theta, theta]) @ v.T`` is the weighted
+    Hamming distance of every pair, with an exact zero diagonal. The factors
+    depend on ``x`` alone; a fit builds them once for all its restarts.
+    """
+    return np.hstack([x, 1.0 - x]), np.hstack([1.0 - x, x])
+
+
 def _log_marginal_likelihood_and_grad(
-    phi: np.ndarray, x: np.ndarray, y: np.ndarray
+    phi: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    factors: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, np.ndarray]:
     """Negative LML and its gradient in (log eta, rho, log noise) coordinates.
 
     theta = softplus(rho) keeps the ARD weights non-negative while leaving the
-    optimizer unconstrained in sign.
+    optimizer unconstrained in sign. ``factors`` is ``_mismatch_factors(x)``,
+    built here when not given.
+
+    Each gradient entry is tr(G dK) / 2 with G = alpha alpha' - K_y^-1
+    (Rasmussen & Williams 2006, eq. 5.9). Only G's lower triangle is formed:
+    ``dpotri`` inverts in place from the factor, and a rank-1 update
+    subtracts alpha alpha'. Every dK is symmetric, so a sum over all of G
+    counts the strict lower triangle twice and the diagonal once.
     """
     n, a = x.shape
-    log_eta, rho, log_noise = phi[0], phi[1:-1], phi[-1]
+    u, v = _mismatch_factors(x) if factors is None else factors
+    rho = phi[1:-1]
     theta = np.logaddexp(0.0, rho)  # softplus
-    eta = np.exp(log_eta)
-    noise = np.exp(log_noise)
-    # gram_matrix(x, x) inline, in the same order, without KernelParams checks.
-    xt = x @ theta
-    k = eta * np.exp(-(xt[:, None] + xt[None, :] - 2.0 * (x * theta) @ x.T) / a)
-    ky = k.copy()
+    eta = np.exp(phi[0])
+    noise = np.exp(phi[-1])
+    weights = np.concatenate([theta, theta])
+    weights *= -1.0 / a
+    # E = exp(-W / A) for the weighted mismatch W, in Fortran order like
+    # LAPACK's factor; E_ii = 1 exactly. K = eta * E.
+    e = ((v * weights) @ u.T).T
+    np.exp(e, out=e)
+    ky = np.multiply(e, eta, order="F")
     ky.flat[:: n + 1] += noise
     if not np.isfinite(ky).all():
         raise ValueError("covariance must be finite")
-    low, info = dpotrf(ky, lower=1)
+    low, info = dpotrf(ky, lower=1, overwrite_a=1)
     if info > 0:
         return 1e12, np.zeros_like(phi)
     alpha, _ = dpotrs(low, y, lower=1)
     lml = (
         -0.5 * float(y @ alpha)
-        - float(np.log(np.diag(low)).sum())
+        - float(np.log(low.diagonal()).sum())
         - 0.5 * n * np.log(2.0 * np.pi)
     )
-    ky_inv, _ = dpotrs(low, np.eye(n, order="F"), lower=1, overwrite_b=1)
-    g = np.outer(alpha, alpha) - ky_inv
-    h = g * k
+    # K_y^-1 on the lower triangle; dpotrf left zeros above it.
+    neg_g, _ = dpotri(low, lower=1, overwrite_c=1)
+    trace_g = float(alpha @ alpha) - float(np.trace(neg_g))
+    neg_g = dsyr(-1.0, alpha, a=neg_g, lower=1, overwrite_a=1)
+    neg_g *= e  # -G o E on the lower triangle, zeros above
     grad = np.empty_like(phi)
-    grad[0] = 0.5 * h.sum()  # d/d log eta: dK = K
-    # d/d theta_j: dK = -(1/A) K o M_j with M_j from binary mismatch identity.
-    row = h.sum(axis=1)
-    quad = np.sum(x * (h @ x), axis=0)
-    t_j = 2.0 * (x.T @ row) - 2.0 * quad
-    sig = 1.0 / (1.0 + np.exp(-rho))  # softplus derivative
-    grad[1:-1] = 0.5 * (-1.0 / a) * t_j * sig
-    grad[-1] = 0.5 * noise * np.trace(g)
+    # d/d log eta: dK = K = eta * E. G o E sums to twice its lower-triangle
+    # sum minus tr(G), as E_ii = 1.
+    grad[0] = -eta * (float(neg_g.sum()) + 0.5 * trace_g)
+    # d/d theta_j: dK = -(eta / A) E o M_j with M_j = u_j v_j' + u_j+A v_j+A'.
+    t = np.sum(u * (neg_g @ v), axis=0)
+    grad[1:-1] = (eta / a) * (t[:a] + t[a:]) / (1.0 + np.exp(-rho))
+    grad[-1] = 0.5 * noise * trace_g  # d/d log noise: dK = noise * I
     return -lml, -grad
 
 
@@ -185,18 +202,6 @@ def _inv_softplus(x) -> np.ndarray:
     """Stable inverse of softplus; identity in the linear regime."""
     x = np.asarray(x, dtype=float)
     return np.where(x > 30.0, x, np.log(np.expm1(np.clip(x, 1e-12, 30.0))))
-
-
-def log_marginal_likelihood(
-    params: KernelParams, x: np.ndarray, y: np.ndarray
-) -> float:
-    """LML of standardized outputs under the given hyperparameters."""
-    rho = _inv_softplus(params.theta)
-    phi = np.concatenate(
-        [[np.log(params.eta)], rho, [np.log(params.noise)]]
-    )
-    neg, _ = _log_marginal_likelihood_and_grad(phi, x, y)
-    return -neg
 
 
 def fit_hyperparameters(
@@ -212,6 +217,10 @@ def fit_hyperparameters(
     on the standardized scale (the scale :class:`GPSurrogate` fits on).
     Degenerate (constant) outputs short-circuit to the init with a variance
     floor on eta. Deterministic for a fixed seed.
+
+    The restarts run with BLAS capped at one thread: OpenBLAS inverts with
+    another summation order when it has more threads (its ``dpotri`` does at
+    every size), so the cap keeps the fit independent of the core count.
     """
     x = np.asarray(train_inputs, dtype=float)
     y = np.asarray(train_outputs, dtype=float)
@@ -246,19 +255,21 @@ def fit_hyperparameters(
             )
         )
 
+    factors = _mismatch_factors(x)
     best_phi, best_val = starts[0], np.inf
-    for phi0 in starts:
-        phi0 = np.clip(phi0, [b[0] for b in bounds], [b[1] for b in bounds])
-        res = minimize(
-            _log_marginal_likelihood_and_grad,
-            phi0,
-            args=(x, y),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-        )
-        if res.fun < best_val:
-            best_val, best_phi = res.fun, res.x
+    with _single_thread_blas():
+        for phi0 in starts:
+            phi0 = np.clip(phi0, [b[0] for b in bounds], [b[1] for b in bounds])
+            res = minimize(
+                _log_marginal_likelihood_and_grad,
+                phi0,
+                args=(x, y, factors),
+                jac=True,
+                method="L-BFGS-B",
+                bounds=bounds,
+            )
+            if res.fun < best_val:
+                best_val, best_phi = res.fun, res.x
     return KernelParams(
         eta=float(np.exp(best_phi[0])),
         theta=np.logaddexp(0.0, best_phi[1:-1]),

@@ -54,6 +54,19 @@ tied_points = st.integers(1, 6).flatmap(
     )
 )
 
+# A few distinct rows, each repeated many times in any order; -0.0 and 0.0
+# are equal values with different bytes.
+duplicated_points = st.integers(1, 5).flatmap(
+    lambda k: st.tuples(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 8), st.just(k)),
+            elements=st.sampled_from([-0.0, 0.0, 0.5, 1.0, 2.0]),
+        ),
+        st.lists(st.integers(0, 7), min_size=1, max_size=120),
+    )
+).map(lambda drawn: drawn[0][np.array(drawn[1]) % len(drawn[0])])
+
 
 class TestDominates:
     def test_componentwise_greater(self):
@@ -191,6 +204,14 @@ class TestParetoArchive:
     def test_length_check(self):
         with pytest.raises(ValueError):
             dominated(np.zeros((1, 2)), np.zeros((1, 3)))
+
+    @given(duplicated_points, st.integers(1, 7))
+    @settings(max_examples=200, deadline=None)
+    def test_duplicated_rows_match_oracle(self, points, block):
+        # The front is built over distinct rows and mapped back to every copy.
+        expected = [i for i in oracle_pareto_set(points) if np.any(points[i] > 0)]
+        with mock.patch.object(pareto, "_FRONT_BLOCK", block):
+            assert critical_indices(points).tolist() == expected
 
     def test_archive_members_are_mutually_nondominated(self):
         # 600 rows span three blocks of the running front.
