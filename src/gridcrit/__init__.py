@@ -9,46 +9,14 @@ Library layout:
 - ``surrogate``: Gaussian processes with an ARD categorical (Hamming) kernel
 - ``search``: the Bayesian-optimization search loop and brute-force oracle
 - ``cli``: command-line entry point and run artifacts
+
+The package root exports only what a caller needs to set up a run; everything
+else is imported from its module.
 """
 
-from gridcrit.feeder import (
-    Bus,
-    BusPartition,
-    Feeder,
-    Line,
-    fallback_partition,
-    generate_synthetic_feeder,
-    load_feeder,
-    save_feeder,
-)
-from gridcrit.adoption import (
-    DiffusionParams,
-    Scenario,
-    adoption_probability,
-    simulate_batch,
-    simulate_scenario,
-)
-from gridcrit.powerflow import (
-    PowerFlowResult,
-    ViolationConfig,
-    compute_stress,
-    solve_power_flow,
-    violation_map,
-)
-from gridcrit.pareto import dominates, is_critical, pareto_set
-from gridcrit.surrogate import (
-    GPSurrogate,
-    JointPosterior,
-    KernelParams,
-    adopter_relevance,
-    fit_hyperparameters,
-    sample_joint,
-)
-from gridcrit.search import (
-    SearchConfig,
-    SearchResult,
-    brute_force_oracle,
-    run_search,
-)
+from gridcrit.adoption import DiffusionParams
+from gridcrit.feeder import load_feeder
+from gridcrit.powerflow import ViolationConfig
+from gridcrit.search import SearchConfig
 
 __version__ = "0.1.0"

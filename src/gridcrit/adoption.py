@@ -70,18 +70,6 @@ class Scenario:
         return "".join(str(b) for b in self.bits)
 
 
-def adoption_probability(
-    params: DiffusionParams, adopted_count: int, total_agents: int
-) -> float:
-    """One-step probability that a non-adopter flips, clamped to [0, 1]."""
-    if total_agents < 1:
-        raise ValueError("total_agents must be >= 1")
-    if not 0 <= adopted_count <= total_agents:
-        raise ValueError("adopted_count out of range")
-    prob = params.p + params.q * adopted_count / total_agents
-    return min(max(prob, 0.0), 1.0)
-
-
 # Cap on the uniform draws held at once (2 MB of doubles), so memory stays
 # bounded at the oracle's scenario budget and at long horizons.
 _DRAW_BLOCK_ELEMENTS = 1 << 18
@@ -120,11 +108,6 @@ def _simulate(feeder: Feeder, params: DiffusionParams, seeds: list) -> list[Scen
     return scenarios
 
 
-def simulate_scenario(feeder: Feeder, params: DiffusionParams, rng_seed) -> Scenario:
-    """Run one diffusion trajectory; adoption is absorbing; seed-deterministic."""
-    return _simulate(feeder, params, [rng_seed])[0]
-
-
 def simulate_batch(
     feeder: Feeder,
     params: DiffusionParams,
@@ -155,9 +138,13 @@ def save_scenarios(path, scenarios: list[Scenario], feeder: Feeder) -> None:
 
 def load_scenarios(path, feeder: Feeder | None = None) -> list[Scenario]:
     """Read a scenario file; verifies the feeder hash when a feeder is given."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read scenario file: {exc}") from exc
     header: dict[str, str] = {}
     scenarios: list[Scenario] = []
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.strip()
         if not line:
             continue
@@ -170,6 +157,8 @@ def load_scenarios(path, feeder: Feeder | None = None) -> list[Scenario]:
         scenarios.append(Scenario(bits=tuple(int(c) for c in line)))
     if int(header.get("schema", -1)) != SCENARIO_SCHEMA_VERSION:
         raise ValueError("unsupported or missing scenario file schema")
+    if "adopters" not in header:
+        raise ValueError("scenario file has no adopters header")
     num_adopters = int(header["adopters"])
     if any(len(s.bits) != num_adopters for s in scenarios):
         raise ValueError("scenario length does not match header adopter count")

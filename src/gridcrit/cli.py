@@ -101,9 +101,9 @@ def _load_config(path: str) -> dict:
     """Read a run config (or a manifest wrapping one) and apply defaults."""
     try:
         doc = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}")
+    except ValueError as exc:  # invalid JSON or text that is not UTF-8
         raise ConfigError(f"config is not valid JSON: {exc}")
     if isinstance(doc, dict) and "command" in doc and "config" in doc:
         doc = doc["config"]  # manifest re-run
@@ -152,17 +152,14 @@ def _load_config(path: str) -> dict:
 
 def _build_parts(config: dict):
     """Instantiate library objects from a resolved config."""
-    feeder_path = config["feeder"]
-    if not Path(feeder_path).exists():
-        raise ConfigError(f"feeder file not found: {feeder_path}")
     try:
-        feeder = load_feeder(feeder_path)
+        feeder = load_feeder(config["feeder"])
         diffusion = DiffusionParams(**config["diffusion"])
         viol_cfg = ViolationConfig(line_bins=tuple(config["violation"]["line_bins"]))
         search_cfg = SearchConfig(**config["search"])
         _check_powerflow(config["powerflow"])
     except (FeederError, ValueError, TypeError) as exc:
-        raise ConfigError(str(exc))
+        raise ConfigError(f"invalid config: {exc}")
     return feeder, diffusion, viol_cfg, search_cfg
 
 
@@ -544,7 +541,25 @@ def _read_result(path: Path, feeder) -> dict:
         raise ConfigError(f"{path} lacks {', '.join(missing)}")
     if doc["feeder_hash"] != feeder.content_hash():
         raise ConfigError(f"{path} was written for another feeder")
+    dim = feeder.num_groups + feeder.num_lines
+    if (doc["num_bus_objectives"] != feeder.num_groups
+            or doc["num_line_objectives"] != feeder.num_lines
+            or not _is_numbers(doc["per_objective_max_violation"], dim)):
+        raise ConfigError(f"{path} does not match the feeder's {dim} objectives")
+    if not isinstance(doc["evaluations"], list) or not all(
+        isinstance(e, dict) and type(e.get("id")) is int
+        and isinstance(e.get("bits"), str) and len(e["bits"]) == feeder.num_adopters
+        and set(e["bits"]) <= {"0", "1"} and _is_numbers(e.get("violations"), dim)
+        for e in doc["evaluations"]
+    ):
+        raise ConfigError(f"{path} has an evaluation that does not fit the feeder")
     return doc
+
+
+def _is_numbers(value, length: int) -> bool:
+    """True iff ``value`` is a list of ``length`` JSON numbers."""
+    return isinstance(value, list) and len(value) == length and all(
+        type(v) in _NUMBER_TYPES for v in value)
 
 
 @main.command("report")
@@ -560,7 +575,7 @@ def cmd_report(feeder_path, search_dir, oracle_dir, top_n, output_dir) -> None:
     _check_output_dir(output_dir)
     try:
         feeder = load_feeder(feeder_path)
-    except FeederError as exc:
+    except (FeederError, ValueError, TypeError) as exc:
         raise ConfigError(str(exc))
     search_doc = _read_result(Path(search_dir) / "result.json", feeder)
     oracle_doc = (

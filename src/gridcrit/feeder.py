@@ -105,12 +105,6 @@ class Feeder:
     def num_adopters(self) -> int:
         return len(self.adopters)
 
-    def bus(self, bus_id: int) -> Bus:
-        return self._bus_map()[bus_id]
-
-    def _bus_map(self) -> dict[int, Bus]:
-        return {b.id: b for b in self.buses}
-
     def partition(self) -> BusPartition:
         """The partition carried by the bus records."""
         return BusPartition(tuple((b.id, b.group) for b in self.buses))
@@ -236,9 +230,10 @@ def feeder_to_document(feeder: Feeder) -> dict:
 
 
 def feeder_from_document(doc: dict) -> Feeder:
+    """Build and validate a feeder from its JSON document form."""
+    if doc.get("schema") != SCHEMA_VERSION:
+        raise ParseError(f"unsupported or missing schema version: {doc.get('schema')!r}")
     try:
-        if doc.get("schema") != SCHEMA_VERSION:
-            raise ParseError(f"unsupported or missing schema version: {doc.get('schema')!r}")
         buses = [
             Bus(
                 id=int(b["id"]),
@@ -263,23 +258,22 @@ def feeder_from_document(doc: dict) -> Feeder:
             )
             for ln in doc["lines"]
         ]
-        return make_feeder(
-            buses,
-            lines,
-            slack_bus=int(doc["slack_bus"]),
-            base_voltage=float(doc["base_voltage_kv"]),
-            base_power=float(doc["base_power_mva"]),
-            num_groups=int(doc["num_groups"]),
-        )
-    except (KeyError, TypeError) as exc:
+        slack_bus = int(doc["slack_bus"])
+        base_voltage = float(doc["base_voltage_kv"])
+        base_power = float(doc["base_power_mva"])
+        num_groups = int(doc["num_groups"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed feeder document: {exc}") from exc
+    return make_feeder(buses, lines, slack_bus, base_voltage, base_power, num_groups)
 
 
 def load_feeder(path) -> Feeder:
     """Load and validate a feeder JSON file."""
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ParseError(f"cannot read feeder file: {exc}") from exc
+    except ValueError as exc:  # invalid JSON or text that is not UTF-8
         raise ParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("feeder document must be a JSON object")

@@ -41,15 +41,6 @@ def dominated(points, against) -> np.ndarray:
     return ge.any(axis=-1)
 
 
-def dominates(a, b) -> bool:
-    """True iff a >= b componentwise with strict inequality somewhere."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("violation vectors have mismatched lengths")
-    return bool(dominated(b[None], a[None])[0])
-
-
 def front_indices(points) -> np.ndarray:
     """Sorted indices of the rows of an (N, K) array that no row dominates.
 
@@ -85,23 +76,6 @@ def critical_indices(points) -> np.ndarray:
     on_front = np.zeros(len(first), dtype=bool)
     on_front[front_indices(rows[first])] = True
     return positive[on_front[inverse]]
-
-
-def pareto_set(points) -> list[int]:
-    """Indices of non-dominated points; duplicates of front members retained."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ValueError("points must be a non-empty 2-D collection")
-    return front_indices(pts).tolist()
-
-
-def is_critical(point, points) -> bool:
-    """Non-dominated within ``points`` and has at least one positive entry."""
-    point = np.asarray(point, dtype=float)
-    if not np.any(point > 0):
-        return False
-    others = np.asarray(points, dtype=float)
-    return others.size == 0 or not dominated(point[None], others)[0]
 
 
 @dataclass(frozen=True)

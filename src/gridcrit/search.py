@@ -81,10 +81,11 @@ class SearchConfig:
 
 @dataclass
 class SearchResult:
-    """Everything the search learned, plus traces for reporting."""
+    """Everything the search learned, plus traces for reporting.
+
+    ``stresses`` is keyed by the evaluated ids in ``evaluation_log`` order."""
 
     scenarios: list[Scenario]
-    evaluated_ids: list[int]
     invalid_ids: list[int]
     stresses: dict[int, np.ndarray]
     violations: dict[int, np.ndarray]
@@ -100,22 +101,17 @@ class SearchResult:
 
     @property
     def num_evaluations(self) -> int:
-        return len(self.evaluated_ids)
-
-    def found_bits(self) -> set[str]:
-        return {self.scenarios[i].bitstring() for i in self.evaluated_ids}
+        return len(self.stresses)
 
 
 def detect_active_objectives(
     stresses: np.ndarray, family: range, stress_threshold: float
-) -> tuple[list[int], list[int], list[int]]:
-    """Critical, stressed and active objective indices within one family."""
+) -> list[int]:
+    """Objectives of ``family`` whose largest stress exceeds the threshold,
+    which is negative, so every objective with a positive stress is active."""
     if stresses.shape[0] < 1:
         raise ValueError("need at least one evaluation")
-    critical = [k for k in family if np.any(stresses[:, k] > 0)]
-    stressed = [k for k in family if np.max(stresses[:, k]) > stress_threshold]
-    active = sorted(set(critical) | set(stressed))
-    return critical, stressed, active
+    return [k for k in family if np.max(stresses[:, k]) > stress_threshold]
 
 
 def sample_candidates(
@@ -204,11 +200,6 @@ def _seed_entropy(seed) -> int:
     if isinstance(seed, (int, np.integer)):
         return int(seed)
     return int(np.random.SeedSequence(seed).generate_state(1)[0])
-
-
-def stopping_criterion(alpha: np.ndarray) -> float:
-    """Sum of acquisition values over a stopping subsample."""
-    return float(np.sum(alpha))
 
 
 def select_batch(
@@ -352,7 +343,7 @@ def run_search(
             family = range(num_bus) if phase == "bus" else range(num_bus, dim)
             eval_ids = sorted(stresses)
             stress_mat = np.array([stresses[i] for i in eval_ids])
-            _, _, active = detect_active_objectives(stress_mat, family, cfg.stress_threshold)
+            active = detect_active_objectives(stress_mat, family, cfg.stress_threshold)
 
             if not active or not unevaluated:
                 # No objective is active, or nothing is left to evaluate: no
@@ -418,10 +409,10 @@ def run_search(
                         cfg.num_mc_samples,
                         seed=(cfg.seed, 6, step),
                     )
-                    tau_val += stopping_criterion(sub_alpha)
+                    tau_val += float(np.sum(sub_alpha))
                 if take < m_cand:
                     reuse = sorted(range(len(cand_ids)), key=lambda j: (-alpha[j], cand_ids[j]))
-                    tau_val += stopping_criterion(alpha[reuse[:m_cand - take]])
+                    tau_val += float(np.sum(alpha[reuse[:m_cand - take]]))
                 tau[phase] = tau_val
                 if log.isEnabledFor(logging.DEBUG):
                     nz = alpha[alpha > 0]
@@ -446,7 +437,6 @@ def run_search(
     critical = set(fronts.critical_objectives_bus) | set(fronts.critical_objectives_line)
     return SearchResult(
         scenarios=scenarios,
-        evaluated_ids=[sid for _, sid in eval_log],
         invalid_ids=sorted(invalid),
         stresses=stresses,
         violations=violations,
@@ -486,10 +476,6 @@ class OracleResult:
     num_line_objectives: int
     fronts: CriticalFronts
 
-    def critical_bits(self, family: str) -> set[str]:
-        ids = self.fronts.bus_ids if family == "bus" else self.fronts.line_ids
-        return {self.scenarios[i].bitstring() for i in ids}
-
 
 def brute_force_oracle(
     feeder: Feeder,
@@ -525,12 +511,3 @@ def brute_force_oracle(
         num_line_objectives=num_line,
         fronts=fronts,
     )
-
-
-def recovery_fraction(oracle: OracleResult, result: SearchResult, family: str) -> float:
-    """Fraction of oracle-critical scenarios (by bitstring) the search evaluated."""
-    crit = oracle.critical_bits(family)
-    if not crit:
-        return 1.0
-    found = result.found_bits()
-    return len(crit & found) / len(crit)

@@ -283,9 +283,8 @@ class GPSurrogate:
 
     params: KernelParams
     train_inputs: np.ndarray
-    train_outputs: np.ndarray   # standardized
     factor: np.ndarray          # lower Cholesky of K + noise*I (+ jitter)
-    alpha: np.ndarray           # (K + noise*I)^-1 train_outputs
+    alpha: np.ndarray           # (K + noise*I)^-1 y, y the standardized outputs
     output_mean: float
     output_scale: float
 
@@ -305,7 +304,6 @@ class GPSurrogate:
         return cls(
             params=params,
             train_inputs=x,
-            train_outputs=y,
             factor=low,
             alpha=alpha,
             output_mean=mean,

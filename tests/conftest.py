@@ -1,11 +1,14 @@
-"""Shared fixtures: committed test feeders and common parameter sets."""
+"""Shared fixtures: committed test feeders, common parameter sets, and
+scalar references and recovery metrics over the library's results."""
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gridcrit.adoption import DiffusionParams
 from gridcrit.feeder import Bus, Line, Feeder, load_feeder, make_feeder
+from gridcrit.pareto import dominated
 from gridcrit.powerflow import ViolationConfig
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -81,3 +84,42 @@ def build_chain_feeder(
         buses, lines, slack_bus=0, base_voltage=base_voltage,
         base_power=base_power, num_groups=num_groups,
     )
+
+
+def dominates(a, b) -> bool:
+    """True iff a >= b componentwise with strict inequality somewhere."""
+    return bool(dominated(np.asarray([b], dtype=float), np.asarray([a], dtype=float))[0])
+
+
+def adoption_probability(
+    params: DiffusionParams, adopted_count: int, total_agents: int
+) -> float:
+    """One-step probability that a non-adopter flips, clamped to [0, 1].
+
+    The scalar reference for the simulator's vectorised update.
+    """
+    if total_agents < 1:
+        raise ValueError("total_agents must be >= 1")
+    if not 0 <= adopted_count <= total_agents:
+        raise ValueError("adopted_count out of range")
+    prob = params.p + params.q * adopted_count / total_agents
+    return min(max(prob, 0.0), 1.0)
+
+
+def found_bits(result) -> set[str]:
+    """Bitstrings of the scenarios a search evaluated."""
+    return {result.scenarios[i].bitstring() for i in result.stresses}
+
+
+def critical_bits(oracle, family: str) -> set[str]:
+    """Bitstrings of an oracle's critical scenarios in one objective family."""
+    ids = oracle.fronts.bus_ids if family == "bus" else oracle.fronts.line_ids
+    return {oracle.scenarios[i].bitstring() for i in ids}
+
+
+def recovery_fraction(oracle, result, family: str) -> float:
+    """Fraction of oracle-critical scenarios (by bitstring) the search evaluated."""
+    crit = critical_bits(oracle, family)
+    if not crit:
+        return 1.0
+    return len(crit & found_bits(result)) / len(crit)

@@ -14,15 +14,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from conftest import critical_bits, found_bits, recovery_fraction
 from gridcrit.adoption import DiffusionParams, Scenario
 from gridcrit.cli import main as cli_main
 from gridcrit.powerflow import ViolationConfig
-from gridcrit.search import (
-    SearchConfig,
-    brute_force_oracle,
-    recovery_fraction,
-    run_search,
-)
+from gridcrit.search import SearchConfig, brute_force_oracle, run_search
 
 SPACE_CAP = 4096
 NUM_SEEDS_RECOVERY = 10
@@ -117,11 +113,11 @@ def test_criterion_3_efficiency(standard_runs):
 def test_criterion_4_statistical_guarantee(standard_runs):
     missed = []
     for result, oracle, _ in standard_runs:
-        crit = oracle.critical_bits("bus") | oracle.critical_bits("line")
+        crit = critical_bits(oracle, "bus") | critical_bits(oracle, "line")
         if not crit:
             missed.append(0.0)
             continue
-        found = result.found_bits()
+        found = found_bits(result)
         missed.append(len(crit - found) / len(crit))
     ok = np.mean(missed) <= 0.2
     _report(
@@ -139,7 +135,7 @@ def test_criterion_5_naive_comparator_gap(adversarial_feeder):
         for bits in itertools.product((0, 1), repeat=feeder.num_adopters)
     ]
     oracle = brute_force_oracle(feeder, viol, scen)
-    crit = oracle.critical_bits("bus") | oracle.critical_bits("line")
+    crit = critical_bits(oracle, "bus") | critical_bits(oracle, "line")
     assert crit, "adversarial feeder must have critical scenarios"
 
     pv = np.array([b.pv_capacity for b in feeder.buses if b.is_adopter])
@@ -156,7 +152,7 @@ def test_criterion_5_naive_comparator_gap(adversarial_feeder):
             feeder, diffusion, viol,
             SearchConfig(seed=seed, max_search_space=SPACE_CAP),
         )
-        recov.append(len(crit & result.found_bits()) / len(crit))
+        recov.append(len(crit & found_bits(result)) / len(crit))
     ok = comparator_missed >= 0.5 and np.mean(recov) >= 0.8
     _report(
         5, ok,
@@ -194,10 +190,10 @@ def test_criterion_7_numerical_property_suites():
     from test_pareto import oracle_pareto_set
     from test_powerflow import newton_oracle_voltages
 
-    from conftest import build_chain_feeder
-    from gridcrit.adoption import adoption_probability, simulate_batch
+    from conftest import adoption_probability, build_chain_feeder, dominates
+    from gridcrit.adoption import simulate_batch
     from gridcrit.feeder import generate_synthetic_feeder
-    from gridcrit.pareto import dominates, pareto_set
+    from gridcrit.pareto import front_indices
     from gridcrit.powerflow import solve_power_flow
     from gridcrit.search import acquisition_alpha_nd
     from gridcrit.surrogate import (
@@ -279,12 +275,12 @@ def test_criterion_7_numerical_property_suites():
     checks["power flow vs Newton"] = pf_ok
     checks["nodal balance"] = bal_ok
 
-    # pareto_set vs O(n^2) oracle on 200 random instances.
+    # front_indices vs O(n^2) oracle on 200 random instances.
     pareto_ok = True
     for _ in range(200):
         n, d = int(rng.integers(1, 30)), int(rng.integers(1, 5))
         pts = rng.integers(0, 4, size=(n, d)).astype(float)
-        pareto_ok &= pareto_set(pts) == oracle_pareto_set(pts)
+        pareto_ok &= front_indices(pts).tolist() == oracle_pareto_set(pts)
     checks["pareto vs oracle"] = pareto_ok
 
     # Dominance axioms on 1e4 random triples.

@@ -7,16 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_chain_feeder
+from conftest import adoption_probability, build_chain_feeder
 from gridcrit import adoption
 from gridcrit.adoption import (
     DiffusionParams,
     Scenario,
-    adoption_probability,
     load_scenarios,
     save_scenarios,
     simulate_batch,
-    simulate_scenario,
 )
 
 
@@ -81,17 +79,17 @@ class TestParamValidation:
 class TestSimulate:
     def test_no_drivers_stays_all_zero(self, standard_feeder):
         params = DiffusionParams(p=0.0, q=0.0, initial_rate=0.0)
-        scenario = simulate_scenario(standard_feeder, params, rng_seed=3)
+        scenario = simulate_batch(standard_feeder, params, 1, seed=3)[0]
         assert scenario.bits == (0,) * standard_feeder.num_adopters
 
     def test_full_initial_rate_is_absorbing(self, standard_feeder):
         params = DiffusionParams(p=0.0, q=0.0, initial_rate=1.0)
-        scenario = simulate_scenario(standard_feeder, params, rng_seed=3)
+        scenario = simulate_batch(standard_feeder, params, 1, seed=3)[0]
         assert scenario.bits == (1,) * standard_feeder.num_adopters
 
     def test_deterministic(self, standard_feeder, std_diffusion):
-        a = simulate_scenario(standard_feeder, std_diffusion, rng_seed=11)
-        b = simulate_scenario(standard_feeder, std_diffusion, rng_seed=11)
+        a = simulate_batch(standard_feeder, std_diffusion, 1, seed=11)[0]
+        b = simulate_batch(standard_feeder, std_diffusion, 1, seed=11)[0]
         assert a.bits == b.bits
 
     def test_one_step_expected_count(self):
@@ -187,7 +185,7 @@ class TestBatchMatchesPerScenarioLoop:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(adoption, "_DRAW_BLOCK_ELEMENTS", block)
             got = simulate_batch(feeder, params, count, seed)
-            one = simulate_scenario(feeder, params, np.random.SeedSequence(seed).spawn(1)[0])
+            one = simulate_batch(feeder, params, 1, seed)[0]
         assert [s.bits for s in got] == ref
         assert one.bits == ref[0]
         assert all(type(b) is int for s in got for b in s.bits)
@@ -229,6 +227,19 @@ class TestScenarioFiles:
         path.write_text(path.read_text() + line + "\n")
         with pytest.raises(ValueError, match="must be 0 or 1"):
             load_scenarios(path, standard_feeder)
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "no-adopters-header"])
+    def test_unreadable_file_rejected(self, tmp_path, standard_feeder, case):
+        path = tmp_path / "scen.txt"
+        if case == "directory":
+            path.mkdir()
+        elif case == "no-adopters-header":
+            save_scenarios(path, [], standard_feeder)
+            lines = [ln for ln in path.read_text().splitlines() if "adopters" not in ln]
+            path.write_text("\n".join(lines + ["0" * standard_feeder.num_adopters]) + "\n")
+        message = "adopters header" if case == "no-adopters-header" else "cannot read"
+        with pytest.raises(ValueError, match=message):
+            load_scenarios(path)
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "scen.txt"

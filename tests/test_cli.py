@@ -125,22 +125,28 @@ class TestSimulateEvaluate:
             assert res.exit_code == 0, res.output
         assert a.read_bytes() == b.read_bytes()
 
-    def test_scenario_feeder_mismatch_exit_3(self, runner, tmp_path):
+    @pytest.mark.parametrize("case", ["other-feeder", "missing-file", "no-adopters-header"])
+    @pytest.mark.parametrize("command", ["evaluate", "brute-force"])
+    def test_scenario_feeder_mismatch_exit_3(self, runner, tmp_path, command, case):
         feeder_a = write_feeder(runner, tmp_path / "a.json", seed=3)
         feeder_b = write_feeder(runner, tmp_path / "b.json", seed=4)
         cfg_a = write_config(tmp_path / "cfg_a.json", feeder_a)
         cfg_b = write_config(tmp_path / "cfg_b.json", feeder_b)
         scen = tmp_path / "scen.txt"
+        if case != "missing-file":
+            res = runner.invoke(
+                main, ["simulate", "--config", str(cfg_a), "--count", "5",
+                       "-o", str(scen)],
+            )
+            assert res.exit_code == 0, res.output
+        if case == "no-adopters-header":
+            lines = scen.read_text().splitlines()
+            scen.write_text("".join(f"{ln}\n" for ln in lines if "adopters" not in ln))
         res = runner.invoke(
-            main, ["simulate", "--config", str(cfg_a), "--count", "5",
-                   "-o", str(scen)],
+            main, [command, "--config", str(cfg_a if case != "other-feeder" else cfg_b),
+                   "--scenarios", str(scen), "-o", str(tmp_path / "x")],
         )
-        assert res.exit_code == 0, res.output
-        res = runner.invoke(
-            main, ["evaluate", "--config", str(cfg_b), "--scenarios", str(scen),
-                   "-o", str(tmp_path / "x.csv")],
-        )
-        assert res.exit_code == 3
+        assert res.exit_code == 3, res.output
 
 
 class TestConfigHandling:
@@ -150,6 +156,20 @@ class TestConfigHandling:
                    "--count", "1", "-o", str(tmp_path / "s.txt")],
         )
         assert res.exit_code == 3
+
+    @pytest.mark.parametrize("case", ["directory", "not-utf8"])
+    def test_unreadable_config_exit_3(self, runner, tmp_path, case):
+        config = tmp_path / "cfg.json"
+        if case == "directory":
+            config.mkdir()
+        else:
+            config.write_bytes(b'{"schema": 1, "feeder": "\xff"}')
+        res = runner.invoke(
+            main, ["simulate", "--config", str(config), "--count", "1",
+                   "-o", str(tmp_path / "s.txt")],
+        )
+        assert res.exit_code == 3, res.output
+        assert "config" in res.output
 
     def test_bad_schema_exit_3(self, runner, tmp_path):
         feeder = write_feeder(runner, tmp_path / "f.json")
@@ -186,8 +206,9 @@ class TestConfigHandling:
         {"feeder": 5},
         [1, 2],
         {"command": "search", "config": "x"},
+        {"feeder": "."},
     ], ids=["seed-text", "seed-inf", "seed-float", "seed-bool", "seed-negative",
-            "feeder-number", "array", "manifest-config-text"])
+            "feeder-number", "array", "manifest-config-text", "feeder-directory"])
     def test_malformed_document_exit_3(self, runner, tmp_path, document):
         feeder = write_feeder(runner, tmp_path / "f.json")
         config = write_config(tmp_path / "cfg.json", feeder)
@@ -371,6 +392,8 @@ class TestBruteForceAndReport:
 
     @pytest.mark.parametrize("case", [
         "missing", "not-json", "no-num-bus-objectives", "other-feeder",
+        "feeder-missing", "feeder-directory", "feeder-text-load",
+        "no-bits", "evaluations-not-a-list", "no-violations", "short-bits",
     ])
     def test_report_missing_search_dir_exit_3(self, runner, tmp_path, case):
         feeder = write_feeder(runner, tmp_path / "f.json")
@@ -387,12 +410,27 @@ class TestBruteForceAndReport:
             )
             assert res.exit_code == 0, res.output
             path = result_dir / "result.json"
+            edits = {
+                "no-num-bus-objectives": lambda doc: doc.pop("num_bus_objectives"),
+                "no-bits": lambda doc: doc["evaluations"][0].pop("bits"),
+                "evaluations-not-a-list": lambda doc: doc.update(evaluations=5),
+                "no-violations": lambda doc: doc["evaluations"][0].update(violations=[]),
+                "short-bits": lambda doc: doc["evaluations"][0].update(bits="01"),
+            }
             if case == "not-json":
                 path.write_text(path.read_text()[:-10])
-            elif case == "no-num-bus-objectives":
+            elif case in edits:
                 doc = json.loads(path.read_text())
-                del doc["num_bus_objectives"]
+                edits[case](doc)
                 path.write_text(json.dumps(doc))
+        if case == "feeder-missing":
+            feeder = tmp_path / "missing.json"
+        elif case == "feeder-directory":
+            feeder = tmp_path
+        elif case == "feeder-text-load":
+            doc = json.loads(feeder.read_text())
+            doc["buses"][0]["load_p"] = "abc"
+            feeder.write_text(json.dumps(doc))
         res = runner.invoke(
             main, ["report", "--feeder", str(feeder),
                    "--search-dir", str(result_dir),

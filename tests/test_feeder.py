@@ -95,6 +95,21 @@ class TestLoadFeeder:
         with pytest.raises(ParseError):
             load_feeder(path)
 
+    @pytest.mark.parametrize("case", ["missing", "directory", "text-load", "infinite-slack"])
+    def test_unreadable_or_unconvertible_file_is_parse_error(self, tmp_path, case):
+        path = tmp_path / "f.json"
+        doc = two_bus_document()
+        if case == "directory":
+            path.mkdir()
+        elif case == "text-load":
+            doc["buses"][1]["load_p"] = "abc"
+        elif case == "infinite-slack":
+            doc["slack_bus"] = float("inf")
+        if case in ("text-load", "infinite-slack"):
+            path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError):
+            load_feeder(path)
+
     def test_wrong_schema_version(self):
         doc = two_bus_document()
         doc["schema"] = 99

@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import dominates
 from gridcrit import pareto
 from gridcrit.pareto import (
     critical_fronts,
     critical_indices,
     dominated,
-    dominates,
-    is_critical,
-    pareto_set,
+    front_indices,
 )
 from gridcrit.powerflow import ViolationConfig, violation_map
 
@@ -96,23 +95,19 @@ class TestDominates:
 
 class TestParetoSet:
     def test_single_dominating_point(self):
-        assert pareto_set([(1, 0), (0, 1), (1, 1)]) == [2]
+        assert front_indices([(1, 0), (0, 1), (1, 1)]).tolist() == [2]
 
     def test_incomparable_pair(self):
-        assert pareto_set([(1, 0), (0, 1)]) == [0, 1]
+        assert front_indices([(1, 0), (0, 1)]).tolist() == [0, 1]
 
     def test_duplicate_front_members_all_retained(self):
-        assert pareto_set([(2, 2), (1, 1), (2, 2)]) == [0, 2]
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            pareto_set([])
+        assert front_indices([(2, 2), (1, 1), (2, 2)]).tolist() == [0, 2]
 
     def test_float_rounding_does_not_hide_a_dominator(self):
         # Both pairs have coordinate sums that round to the same value, so
         # an order by sum cannot tell which point comes first.
-        assert pareto_set([(0.1, 0.2, 0.3), (0.1, 0.2, 0.3 + 5e-17)]) == [1]
-        assert pareto_set([(1e16, 0.0), (1e16, 1.0)]) == [1]
+        assert front_indices([(0.1, 0.2, 0.3), (0.1, 0.2, 0.3 + 5e-17)]).tolist() == [1]
+        assert front_indices([(1e16, 0.0), (1e16, 1.0)]).tolist() == [1]
 
     def test_matches_oracle_on_random_instances(self):
         rng = np.random.default_rng(11)
@@ -123,7 +118,7 @@ class TestParetoSet:
                 pts = rng.integers(0, 4, size=(n, dim)).astype(float)
             else:
                 pts = rng.random((n, dim))
-            assert pareto_set(pts) == oracle_pareto_set(pts)
+            assert front_indices(pts).tolist() == oracle_pareto_set(pts)
 
     @given(
         st.lists(
@@ -133,14 +128,14 @@ class TestParetoSet:
     )
     @settings(max_examples=100, deadline=None)
     def test_matches_oracle_property(self, points):
-        assert pareto_set(points) == oracle_pareto_set(points)
+        assert front_indices(points).tolist() == oracle_pareto_set(points)
 
     @given(tied_points.filter(len), st.integers(1, 7))
     @settings(max_examples=150, deadline=None)
     def test_matches_oracle_across_blocks(self, points, block):
         # Blocks of 1-7 rows: most inputs span several blocks.
         with mock.patch.object(pareto, "_FRONT_BLOCK", block):
-            assert pareto_set(points) == oracle_pareto_set(points)
+            assert front_indices(points).tolist() == oracle_pareto_set(points)
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(3)
@@ -148,7 +143,7 @@ class TestParetoSet:
         transformed = np.stack(
             [np.exp(pts[:, 0]), pts[:, 1] ** 3, 2.0 * pts[:, 2] + 1.0], axis=1
         )
-        assert pareto_set(pts) == pareto_set(transformed)
+        assert front_indices(pts).tolist() == front_indices(transformed).tolist()
 
     def test_bin_refinement_grows_front(self):
         # Refining the line severity bins can only add Pareto members.
@@ -158,24 +153,25 @@ class TestParetoSet:
         fine = ViolationConfig(line_bins=(0.0, 0.1, 0.25, 0.4, 0.5))
         v_coarse = np.array([violation_map(s, 0, coarse) for s in stresses])
         v_fine = np.array([violation_map(s, 0, fine) for s in stresses])
-        assert set(pareto_set(v_coarse)) <= set(pareto_set(v_fine))
+        assert set(front_indices(v_coarse).tolist()) <= set(front_indices(v_fine).tolist())
 
 
 class TestIsCritical:
     def test_all_zero_never_critical(self):
         zeros = [(0.0, 0.0)] * 3
-        assert not is_critical((0.0, 0.0), zeros)
+        assert critical_indices(zeros).tolist() == []
 
     def test_unique_maximum_is_critical(self):
         pts = [(1.0, 1.0), (0.5, 0.2), (0.0, 0.0)]
-        assert is_critical((1.0, 1.0), pts)
+        assert critical_indices(pts).tolist() == [0]
 
     def test_dominated_positive_point(self):
         pts = [(1.0, 1.0), (0.5, 0.2)]
-        assert not is_critical((0.5, 0.2), pts)
+        assert 1 not in critical_indices(pts)
 
     def test_empty_population(self):
-        assert is_critical((0.5, 0.0), [])
+        # A positive point with no other point to dominate it.
+        assert critical_indices([(0.5, 0.0)]).tolist() == [0]
 
 
 class TestParetoArchive:
