@@ -553,6 +553,13 @@ def _read_result(path: Path, feeder) -> dict:
         for e in doc["evaluations"]
     ):
         raise ConfigError(f"{path} has an evaluation that does not fit the feeder")
+    relevance = doc.get("relevance", {})
+    objectives = {str(k) for k in range(dim)}
+    if not isinstance(relevance, dict) or not all(
+        key in objectives and _is_numbers(vec, feeder.num_adopters)
+        for key, vec in relevance.items()
+    ):
+        raise ConfigError(f"{path} has a relevance entry that does not fit the feeder")
     return doc
 
 

@@ -135,9 +135,10 @@ def sample_candidates(
     return sorted(int(i) for i in chosen)
 
 
-# Cap on the elements of each boolean comparison array in one block of Monte
-# Carlo samples: 256 KB per array, about 1 MB for a block's arrays together.
-_MC_BLOCK_ELEMENTS = 1 << 18
+# Cap on the violation elements gathered for one block of screen survivors
+# (survivors x M candidates x K objectives): 512 KB of float64 per block; the
+# block's boolean comparison arrays hold survivors x M elements.
+_MC_BLOCK_ELEMENTS = 1 << 16
 
 
 def _candidate_nondominated_freq(
@@ -150,21 +151,33 @@ def _candidate_nondominated_freq(
 
     sampled_stress has shape (N, M, K) over active objectives; evaluated
     violations (already mapped) enter each simulated front as fixed points.
-    A point dominated by an evaluated one is dominated by a member of their
-    front, so only the distinct front members are compared against.
+    A candidate is critical in a sample iff it has a positive violation and
+    neither an evaluated point nor another candidate of that sample dominates
+    it. A point dominated by an evaluated one is dominated by a member of
+    their front, so only the distinct front members are compared against.
+
+    Each sample's candidates are first screened against K + 1 pivots of the
+    same sample: the largest row of each objective and the row of largest
+    sum. A pivot is one of the sample's rows, so the screen only removes
+    candidates that really are dominated; the survivors, usually few, are
+    then tested against the evaluated front and all M rows of their sample
+    in blocks of at most _MC_BLOCK_ELEMENTS gathered violations.
     """
-    n_samples, m, _ = sampled_stress.shape
+    n_samples, m, k = sampled_stress.shape
     viol = violation_map(sampled_stress, bus_mask, cfg)
     fixed = np.unique(evaluated_violations, axis=0)
     fixed = fixed[front_indices(fixed)]
-    per_block = max(1, _MC_BLOCK_ELEMENTS // max(1, m * (len(fixed) + m)))
-    hits = np.zeros(m, dtype=int)
-    for start in range(0, n_samples, per_block):
-        cand = viol[start:start + per_block]
-        critical = ~(dominated(cand, fixed) | dominated(cand, cand))
-        critical &= np.any(cand > 0, axis=-1)
-        hits += critical.sum(axis=0)
-    return hits / n_samples
+    rows = np.concatenate([viol.argmax(axis=1), viol.sum(axis=-1).argmax(axis=1)[:, None]],
+                          axis=1)
+    pivots = np.take_along_axis(viol, rows[..., None], axis=1)
+    alive = np.any(viol > 0, axis=-1) & ~dominated(viol, pivots)
+    sample, cand = np.nonzero(alive)
+    per_block = max(1, _MC_BLOCK_ELEMENTS // (m * k))
+    for start in range(0, len(sample), per_block):
+        s, c = sample[start:start + per_block], cand[start:start + per_block]
+        points = viol[s, c]
+        alive[s, c] = ~(dominated(points, fixed) | dominated(points[:, None], viol[s])[:, 0])
+    return alive.sum(axis=0) / n_samples
 
 
 def acquisition_alpha_nd(
@@ -202,13 +215,18 @@ def _seed_entropy(seed) -> int:
     return int(np.random.SeedSequence(seed).generate_state(1)[0])
 
 
+def _rank_by_alpha(alpha: np.ndarray, candidate_ids: list[int]) -> list[int]:
+    """Candidate positions by decreasing alpha; ties go to lower ids."""
+    return sorted(range(len(candidate_ids)), key=lambda i: (-alpha[i], candidate_ids[i]))
+
+
 def select_batch(
     alpha: np.ndarray, candidate_ids: list[int], batch_size: int
 ) -> list[int]:
     """Top-B candidates by alpha; alpha = 0 skipped; ties go to lower ids."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    order = sorted(range(len(candidate_ids)), key=lambda i: (-alpha[i], candidate_ids[i]))
+    order = _rank_by_alpha(alpha, candidate_ids)
     return [candidate_ids[i] for i in order[:batch_size] if alpha[i] > 0]
 
 
@@ -411,8 +429,8 @@ def run_search(
                     )
                     tau_val += float(np.sum(sub_alpha))
                 if take < m_cand:
-                    reuse = sorted(range(len(cand_ids)), key=lambda j: (-alpha[j], cand_ids[j]))
-                    tau_val += float(np.sum(alpha[reuse[:m_cand - take]]))
+                    reuse = _rank_by_alpha(alpha, cand_ids)[:m_cand - take]
+                    tau_val += float(np.sum(alpha[reuse]))
                 tau[phase] = tau_val
                 if log.isEnabledFor(logging.DEBUG):
                     nz = alpha[alpha > 0]

@@ -394,6 +394,9 @@ class TestBruteForceAndReport:
         "missing", "not-json", "no-num-bus-objectives", "other-feeder",
         "feeder-missing", "feeder-directory", "feeder-text-load",
         "no-bits", "evaluations-not-a-list", "no-violations", "short-bits",
+        "relevance-key-not-integer", "relevance-key-out-of-range",
+        "relevance-not-a-list", "relevance-wrong-length", "relevance-not-numbers",
+        "relevance-not-a-dict",
     ])
     def test_report_missing_search_dir_exit_3(self, runner, tmp_path, case):
         feeder = write_feeder(runner, tmp_path / "f.json")
@@ -410,12 +413,28 @@ class TestBruteForceAndReport:
             )
             assert res.exit_code == 0, res.output
             path = result_dir / "result.json"
+
+            def adopters(doc):
+                return len(doc["evaluations"][0]["bits"])
+
             edits = {
                 "no-num-bus-objectives": lambda doc: doc.pop("num_bus_objectives"),
                 "no-bits": lambda doc: doc["evaluations"][0].pop("bits"),
                 "evaluations-not-a-list": lambda doc: doc.update(evaluations=5),
                 "no-violations": lambda doc: doc["evaluations"][0].update(violations=[]),
                 "short-bits": lambda doc: doc["evaluations"][0].update(bits="01"),
+                "relevance-key-not-integer": lambda doc: doc.update(
+                    relevance={"x": [0.1] * adopters(doc)}),
+                "relevance-key-out-of-range": lambda doc: doc.update(
+                    relevance={str(len(doc["per_objective_max_violation"])):
+                               [0.1] * adopters(doc)}),
+                "relevance-not-a-list": lambda doc: doc.update(relevance={"0": 0.1}),
+                "relevance-wrong-length": lambda doc: doc.update(
+                    relevance={"0": [0.1] * (adopters(doc) + 1)}),
+                "relevance-not-numbers": lambda doc: doc.update(
+                    relevance={"0": ["0.1"] * adopters(doc)}),
+                "relevance-not-a-dict": lambda doc: doc.update(
+                    relevance=[[0.1] * adopters(doc)]),
             }
             if case == "not-json":
                 path.write_text(path.read_text()[:-10])

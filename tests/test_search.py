@@ -157,6 +157,28 @@ def acquisition_inputs(draw):
     return stress, evaluated, bus_mask
 
 
+@st.composite
+def wide_acquisition_inputs(draw):
+    """Up to 300 candidates with continuous or few-level stresses, evaluated
+    points from the same law, and a block cap of one to four survivors."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 300))
+    bus_mask = draw(hnp.arrays(bool, k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        def values(shape):
+            return rng.uniform(-0.2, 0.6, size=shape)
+    else:
+        def values(shape):
+            return rng.choice([-0.1, 0.0, 0.05, 0.2, 0.3], size=shape)
+    stress = values((n, m, k))
+    evaluated = violation_map(values((draw(st.integers(0, 20)), k)), bus_mask,
+                              ViolationConfig())
+    block_elements = draw(st.integers(1, 4)) * m * k
+    return stress, evaluated, bus_mask, block_elements
+
+
 class TestAcquisition:
     @given(acquisition_inputs(), st.integers(1, 400))
     @settings(max_examples=300, deadline=None)
@@ -169,6 +191,33 @@ class TestAcquisition:
             got = _candidate_nondominated_freq(stress, evaluated, bus_mask, cfg)
         want = per_sample_nondominated_freq(stress, evaluated, bus_mask, cfg)
         np.testing.assert_array_equal(got, want)
+
+    @given(wide_acquisition_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_screen_matches_per_sample_loop_over_many_candidates(self, inputs):
+        # The pivot screen leaves survivors that span several gathered blocks.
+        stress, evaluated, bus_mask, block_elements = inputs
+        cfg = ViolationConfig()
+        with mock.patch.object(search, "_MC_BLOCK_ELEMENTS", block_elements):
+            got = _candidate_nondominated_freq(stress, evaluated, bus_mask, cfg)
+        want = per_sample_nondominated_freq(stress, evaluated, bus_mask, cfg)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("rows, want", [
+        # 1e16 + 1 rounds to 1e16, so the first row, which the second
+        # dominates, is the pivot of largest sum and of the first objective.
+        ([(1e16, 0.0), (1e16, 1.0)], [0.0, 1.0]),
+        # (1, 1) survives every pivot; only (2, 2) dominates it.
+        ([(10.0, 0.0), (0.0, 10.0), (1.0, 1.0), (2.0, 2.0)], [1.0, 1.0, 0.0, 1.0]),
+    ])
+    def test_dominated_pivot_and_survivor(self, rows, want):
+        stress = np.array([rows])
+        bus_mask = np.ones(2, dtype=bool)
+        cfg = ViolationConfig()
+        got = _candidate_nondominated_freq(stress, np.empty((0, 2)), bus_mask, cfg)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(
+            got, per_sample_nondominated_freq(stress, np.empty((0, 2)), bus_mask, cfg))
 
     def test_matches_gaussian_tail_oracle(self):
         # One active objective, one candidate far from all training data:
