@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import logging
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,6 +23,9 @@ from scipy.optimize import minimize
 JITTER_START = 1e-8
 JITTER_MAX = 1e-4
 THETA_SCALE_CAP = 1e3  # theta upper bound is THETA_SCALE_CAP * A
+NUM_DESCENTS = 2  # L-BFGS descents per fit, from the best-scored starts
+
+log = logging.getLogger(__name__)
 
 
 class NumericalError(RuntimeError):
@@ -134,7 +138,8 @@ def _mismatch_factors(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Bit j of rows i and k differs iff ``u[i, j] * v[k, j] + u[i, j + A] *
     v[k, j + A]`` is 1, so ``(u * [theta, theta]) @ v.T`` is the weighted
     Hamming distance of every pair, with an exact zero diagonal. The factors
-    depend on ``x`` alone; a fit builds them once for all its restarts.
+    depend on ``x`` alone; a fit builds them once and shares them across
+    every likelihood call, the scoring of its starts and its descents alike.
     """
     return np.hstack([x, 1.0 - x]), np.hstack([1.0 - x, x])
 
@@ -211,14 +216,21 @@ def fit_hyperparameters(
     num_restarts: int = 5,
     seed: int = 0,
 ) -> KernelParams:
-    """Maximize the log marginal likelihood by multi-start L-BFGS.
+    """Maximize the log marginal likelihood from the best of several starts.
+
+    The starts are ``init`` and ``num_restarts - 1`` random draws, each
+    clipped to the bounds. Every start is scored with one likelihood call,
+    and L-BFGS-B descends only from the ``NUM_DESCENTS`` of lowest negative
+    LML (ties go to the earlier start, so the warm start wins one); the
+    better of those descents is returned. A descent costs tens of likelihood
+    calls, so scoring a start costs a small share of descending from it.
 
     Outputs are standardized internally, so the returned hyperparameters live
     on the standardized scale (the scale :class:`GPSurrogate` fits on).
     Degenerate (constant) outputs short-circuit to the init with a variance
     floor on eta. Deterministic for a fixed seed.
 
-    The restarts run with BLAS capped at one thread: OpenBLAS inverts with
+    The fit runs with BLAS capped at one thread: OpenBLAS inverts with
     another summation order when it has more threads (its ``dpotri`` does at
     every size), so the cap keeps the fit independent of the core count.
     """
@@ -255,21 +267,29 @@ def fit_hyperparameters(
             )
         )
 
+    lower, upper = np.array(bounds).T
+    starts = [np.clip(phi0, lower, upper) for phi0 in starts]
     factors = _mismatch_factors(x)
-    best_phi, best_val = starts[0], np.inf
+    best_phi, best_val, best_start = starts[0], np.inf, 0
     with _single_thread_blas():
-        for phi0 in starts:
-            phi0 = np.clip(phi0, [b[0] for b in bounds], [b[1] for b in bounds])
+        scores = [_log_marginal_likelihood_and_grad(phi0, x, y, factors)[0] for phi0 in starts]
+        descended = sorted(range(len(starts)), key=lambda i: (scores[i], i))[:NUM_DESCENTS]
+        for i in descended:
             res = minimize(
                 _log_marginal_likelihood_and_grad,
-                phi0,
+                starts[i],
                 args=(x, y, factors),
                 jac=True,
                 method="L-BFGS-B",
                 bounds=bounds,
             )
             if res.fun < best_val:
-                best_val, best_phi = res.fun, res.x
+                best_val, best_phi, best_start = res.fun, res.x, i
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "fit n=%d: start nll %s, descended %s, best from start %d",
+            n, " ".join(f"{v:.6g}" for v in scores), descended, best_start,
+        )
     return KernelParams(
         eta=float(np.exp(best_phi[0])),
         theta=np.logaddexp(0.0, best_phi[1:-1]),

@@ -5,7 +5,9 @@ differences and against the likelihood's previous arithmetic; the posterior
 is checked against closed-form small cases.
 """
 
+import logging
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +18,9 @@ from scipy.linalg import LinAlgWarning, cho_solve, cholesky, inv
 from scipy.linalg.blas import dsyr
 from scipy.linalg.lapack import dpotrf, dpotrs
 
+from gridcrit import surrogate
 from gridcrit.surrogate import (
+    NUM_DESCENTS,
     THETA_SCALE_CAP,
     GPSurrogate,
     KernelParams,
@@ -162,6 +166,33 @@ def likelihood_problems(draw):
         + [draw(st.floats(np.log(1e-7), np.log(10.0)))]
     )
     return phi, x, y
+
+
+def traced_fit(x, y, init, seed=0, likelihood=_log_marginal_likelihood_and_grad):
+    """Fit through pass-through mocks on the likelihood and ``minimize``.
+
+    Returns the fit, the (phi, negative LML) of each likelihood call made
+    before the first descent (the scored starts, in order) and the (x0,
+    result) of each descent, in order.
+    """
+    real_minimize = surrogate.minimize
+    calls, descents = [], []
+
+    def score(phi, *args):
+        value = likelihood(phi, *args)
+        calls.append((phi.copy(), value[0]))
+        return value
+
+    def descend(fun, x0, **kwargs):
+        num_scored, start = len(calls), np.array(x0, copy=True)
+        res = real_minimize(fun, x0, **kwargs)
+        descents.append((num_scored, start, res))
+        return res
+
+    with mock.patch.object(surrogate, "_log_marginal_likelihood_and_grad", side_effect=score), \
+            mock.patch.object(surrogate, "minimize", side_effect=descend):
+        fitted = fit_hyperparameters(x, y, init, seed=seed)
+    return fitted, calls[: descents[0][0]], [(x0, res) for _, x0, res in descents]
 
 
 def blas_thread_counts() -> list[int]:
@@ -356,6 +387,60 @@ class TestFit:
         assert log_marginal_likelihood(fitted, x, y_std) >= log_marginal_likelihood(
             init, x, y_std
         ) - 1e-8
+
+    @staticmethod
+    def linear_problem(rng, n, a):
+        x = random_bits(rng, n, a)
+        y = x @ rng.normal(size=a) + 0.1 * rng.normal(size=n)
+        return x, y, KernelParams(eta=1.0, theta=np.ones(a), noise=1e-3)
+
+    def test_descends_only_from_the_two_best_scored_starts(self):
+        x, y, init = self.linear_problem(np.random.default_rng(31), 30, 6)
+        _, scored, descents = traced_fit(x, y, init, seed=2)
+        assert len(scored) == 5 and len(descents) == NUM_DESCENTS == 2
+        best_two = sorted(range(5), key=lambda i: (scored[i][1], i))[:2]
+        assert best_two == [3, 2]  # neither is the warm start on this seed
+        for (x0, _), i in zip(descents, best_two):
+            np.testing.assert_array_equal(x0, scored[i][0])
+
+    @pytest.mark.parametrize("seed, n, a", [(0, 8, 2), (1, 20, 4), (2, 30, 6), (3, 50, 12), (4, 80, 12)])
+    def test_fit_is_no_worse_than_the_best_scored_start(self, seed, n, a):
+        x, y, init = self.linear_problem(np.random.default_rng(40 + seed), n, a)
+        y_std = (y - y.mean()) / y.std()
+        fitted, scored, descents = traced_fit(x, y, init, seed=seed)
+        best_start = min(nll for _, nll in scored)
+        assert min(res.fun for _, res in descents) <= best_start
+        assert -log_marginal_likelihood(fitted, x, y_std) <= best_start + 1e-8
+
+    @pytest.mark.parametrize(
+        "start_nll, best_two",
+        [([1.0] * 5, [0, 1]), ([1.0, 2.0, 0.0, 1.0, 3.0], [2, 0])],
+    )
+    def test_a_tie_puts_the_warm_start_first(self, start_nll, best_two):
+        # The starts score as listed and every later call scores 1, so a
+        # descent stops where it starts.
+        x, y, init = self.linear_problem(np.random.default_rng(32), 12, 3)
+        values = iter(start_nll)
+
+        def likelihood(phi, *args):
+            return next(values, 1.0), np.zeros_like(phi)
+
+        _, scored, descents = traced_fit(x, y, init, likelihood=likelihood)
+        warm = np.concatenate([[np.log(init.eta)], _inv_softplus(init.theta), [np.log(init.noise)]])
+        np.testing.assert_array_equal(scored[0][0], warm)
+        assert len(descents) == 2
+        for (x0, _), i in zip(descents, best_two):
+            np.testing.assert_array_equal(x0, scored[i][0])
+
+    def test_debug_line_names_starts_and_winner(self, caplog):
+        x, y, init = self.linear_problem(np.random.default_rng(31), 30, 6)
+        with caplog.at_level(logging.DEBUG, logger="gridcrit.surrogate"):
+            _, scored, descents = traced_fit(x, y, init, seed=3)
+        (record,) = caplog.records
+        nll = " ".join(f"{v:.6g}" for _, v in scored)
+        # Start 0 descends second and wins on this seed.
+        assert record.getMessage() == f"fit n=30: start nll {nll}, descended [4, 0], best from start 0"
+        assert descents[1][1].fun < descents[0][1].fun
 
 
 class TestSingleThreadBlas:
