@@ -15,15 +15,21 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
-from scipy.linalg.blas import dsyr
+from scipy.linalg.blas import dsyr, dsyrk, dtrsm
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
-from scipy.optimize import minimize
+from scipy.optimize._lbfgsb import setulb
 
 JITTER_START = 1e-8
 JITTER_MAX = 1e-4
 THETA_SCALE_CAP = 1e3  # theta upper bound is THETA_SCALE_CAP * A
 NUM_DESCENTS = 2  # L-BFGS descents per fit, from the best-scored starts
+
+# L-BFGS-B settings: scipy's minimize(method="L-BFGS-B") defaults.
+LBFGS_MEMORY = 10  # maxcor
+LBFGS_FACTR = 2.2204460492503131e-09 / np.finfo(float).eps  # from ftol
+LBFGS_PGTOL = 1e-5
+LBFGS_MAXLS = 20
+LBFGS_MAX_STEPS = 15000  # both maxiter and maxfun
 
 log = logging.getLogger(__name__)
 
@@ -51,22 +57,16 @@ class KernelParams:
 
 @dataclass(frozen=True)
 class JointPosterior:
-    """Joint predictive normal over a candidate set, with a cached factor."""
+    """Joint predictive normal over a candidate set, held as its lower
+    Cholesky factor (stabilizing jitter included)."""
 
     mean: np.ndarray
-    covariance: np.ndarray
     chol: np.ndarray
 
-
-def gram_matrix(params: KernelParams, x1: np.ndarray, x2: np.ndarray | None = None) -> np.ndarray:
-    """Kernel matrix between two scenario sets (rows are scenarios)."""
-    x1 = np.asarray(x1, dtype=float)
-    x2 = x1 if x2 is None else np.asarray(x2, dtype=float)
-    a = x1.shape[1]
-    # Weighted mismatch: m_j = u + v - 2uv for binary coordinates.
-    t = params.theta
-    w = (x1 @ t)[:, None] + (x2 @ t)[None, :] - 2.0 * (x1 * t) @ x2.T
-    return params.eta * np.exp(-w / a)
+    @property
+    def covariance(self) -> np.ndarray:
+        """``chol @ chol.T``, built on demand; the search reads only ``chol``."""
+        return self.chol @ self.chol.T
 
 
 @functools.cache
@@ -118,17 +118,28 @@ def _single_thread_blas():
             set_local(count)
 
 
-def _chol_with_jitter(mat: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor with escalating diagonal jitter."""
-    if np.isfinite(mat).all():
-        work, diag = mat.copy(), mat.diagonal()
-        jitter = 0.0
-        while jitter <= JITTER_MAX:
-            low, info = dpotrf(work, lower=1)
-            if info == 0:
-                return low, jitter
-            jitter = JITTER_START if jitter == 0.0 else jitter * 10.0
-            np.fill_diagonal(work, diag + jitter)
+def _chol_with_jitter(build) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of the lower triangle of ``build()``, with
+    escalating diagonal jitter; returns the factor and the jitter it took.
+
+    Each attempt factors a fresh ``build()`` in place, its diagonal raised
+    by the jitter: none first, then JITTER_START, ten times more each time
+    up to JITTER_MAX. Only a failed attempt builds the matrix again. The
+    triangle above the factor is zeroed. A lower triangle with a non-finite
+    entry raises after the first attempt, as no jitter can mend it: a failed
+    ``dpotrf`` leaves such an entry non-finite wherever it stopped.
+    """
+    jitter = 0.0
+    while jitter <= JITTER_MAX:
+        mat = build()
+        if jitter:
+            mat.flat[:: len(mat) + 1] += jitter
+        low, info = dpotrf(mat, lower=1, overwrite_a=1)
+        if info == 0 and np.isfinite(low.diagonal()).all():
+            return low, jitter
+        if not np.isfinite(low).all():
+            break
+        jitter = JITTER_START if jitter == 0.0 else jitter * 10.0
     raise NumericalError(f"covariance not factorizable after jitter {JITTER_MAX:g}")
 
 
@@ -138,10 +149,26 @@ def _mismatch_factors(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Bit j of rows i and k differs iff ``u[i, j] * v[k, j] + u[i, j + A] *
     v[k, j + A]`` is 1, so ``(u * [theta, theta]) @ v.T`` is the weighted
     Hamming distance of every pair, with an exact zero diagonal. The factors
-    depend on ``x`` alone; a fit builds them once and shares them across
-    every likelihood call, the scoring of its starts and its descents alike.
+    depend on ``x`` alone: a fit builds them once for all its likelihood
+    calls, and a :class:`GPSurrogate` keeps its training inputs' factors for
+    its posteriors.
     """
     return np.hstack([x, 1.0 - x]), np.hstack([1.0 - x, x])
+
+
+def _correlation(theta: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``exp(-W / A)`` in Fortran order, like LAPACK's factors.
+
+    ``u`` is the first :func:`_mismatch_factors` factor of the row scenarios,
+    ``v`` the second of the column scenarios, and W their weighted Hamming
+    distances. Where both are of one scenario set the diagonal is exactly 1.
+    The kernel is ``eta`` times this.
+    """
+    weights = np.concatenate([theta, theta])
+    weights *= -1.0 / len(theta)
+    e = ((v * weights) @ u.T).T
+    np.exp(e, out=e)
+    return e
 
 
 def _log_marginal_likelihood_and_grad(
@@ -168,12 +195,7 @@ def _log_marginal_likelihood_and_grad(
     theta = np.logaddexp(0.0, rho)  # softplus
     eta = np.exp(phi[0])
     noise = np.exp(phi[-1])
-    weights = np.concatenate([theta, theta])
-    weights *= -1.0 / a
-    # E = exp(-W / A) for the weighted mismatch W, in Fortran order like
-    # LAPACK's factor; E_ii = 1 exactly. K = eta * E.
-    e = ((v * weights) @ u.T).T
-    np.exp(e, out=e)
+    e = _correlation(theta, u, v)  # E_ii = 1 exactly; K = eta * E
     ky = np.multiply(e, eta, order="F")
     ky.flat[:: n + 1] += noise
     if not np.isfinite(ky).all():
@@ -209,6 +231,48 @@ def _inv_softplus(x) -> np.ndarray:
     return np.where(x > 30.0, x, np.log(np.expm1(np.clip(x, 1e-12, 30.0))))
 
 
+def _lbfgsb(fun, x0, f0, g0, lower, upper, args) -> tuple[np.ndarray, float, int]:
+    """Minimize ``fun`` from ``x0`` within the box ``[lower, upper]``.
+
+    ``fun(x, *args)`` returns a value and its gradient, and ``f0``, ``g0``
+    are those at ``x0``. The loop of scipy's ``minimize(method="L-BFGS-B",
+    jac=True)`` at its defaults, iterate for iterate, without its per-call
+    wrappers: like scipy it evaluates at a copy of x, answers a request at
+    the point last evaluated (``x0`` first) from memory, counts ``x0`` as
+    the first evaluation and stops after LBFGS_MAX_STEPS iterations or
+    evaluations. Returns scipy's ``res.x`` and ``res.fun`` and the number
+    of calls of ``fun``.
+    """
+    n, m = len(x0), LBFGS_MEMORY
+    x = np.array(x0, dtype=float)
+    nbd = np.full(n, 2, dtype=np.int32)  # every parameter bounded on both sides
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task = np.zeros(2, dtype=np.int32)
+    ln_task = np.zeros(2, dtype=np.int32)
+    lsave = np.zeros(4, dtype=np.int32)
+    isave = np.zeros(44, dtype=np.int32)
+    dsave = np.zeros(29)
+    x_eval, f, g = x.copy(), f0, g0
+    evals, iterations = 1, 0
+    while True:
+        setulb(m, x, lower, upper, nbd, f, g, LBFGS_FACTR, LBFGS_PGTOL, wa, iwa,
+               task, lsave, isave, dsave, LBFGS_MAXLS, ln_task)
+        if task[0] == 3:  # FG: wants the value and gradient at x
+            if not np.array_equal(x, x_eval):
+                x_eval = x.copy()
+                f, g = fun(x_eval, *args)
+                evals += 1
+        elif task[0] == 1:  # NEW_X: an iteration ended
+            iterations += 1
+            if iterations >= LBFGS_MAX_STEPS:
+                task[:] = 5, 504  # STOP: iteration limit
+            elif evals > LBFGS_MAX_STEPS:
+                task[:] = 5, 502  # STOP: evaluation limit
+        else:
+            return x, f, evals - 1
+
+
 def fit_hyperparameters(
     train_inputs,
     train_outputs,
@@ -223,7 +287,8 @@ def fit_hyperparameters(
     and L-BFGS-B descends only from the ``NUM_DESCENTS`` of lowest negative
     LML (ties go to the earlier start, so the warm start wins one); the
     better of those descents is returned. A descent costs tens of likelihood
-    calls, so scoring a start costs a small share of descending from it.
+    calls, so scoring a start costs a small share of descending from it, and
+    the descent reuses its start's score rather than evaluating it again.
 
     Outputs are standardized internally, so the returned hyperparameters live
     on the standardized scale (the scale :class:`GPSurrogate` fits on).
@@ -245,11 +310,8 @@ def fit_hyperparameters(
     y = (y - float(np.mean(y))) / y_std
 
     rho_cap = float(_inv_softplus(THETA_SCALE_CAP * a))
-    bounds = (
-        [(np.log(1e-4), np.log(1e4))]
-        + [(-20.0, rho_cap)] * a
-        + [(np.log(1e-7), np.log(10.0))]
-    )
+    lower = np.array([np.log(1e-4)] + [-20.0] * a + [np.log(1e-7)])
+    upper = np.array([np.log(1e4)] + [rho_cap] * a + [np.log(10.0)])
 
     rng = np.random.default_rng(seed)
     init_rho = _inv_softplus(init.theta)
@@ -267,28 +329,26 @@ def fit_hyperparameters(
             )
         )
 
-    lower, upper = np.array(bounds).T
     starts = [np.clip(phi0, lower, upper) for phi0 in starts]
-    factors = _mismatch_factors(x)
+    args = (x, y, _mismatch_factors(x))
     best_phi, best_val, best_start = starts[0], np.inf, 0
     with _single_thread_blas():
-        scores = [_log_marginal_likelihood_and_grad(phi0, x, y, factors)[0] for phi0 in starts]
+        scored = [_log_marginal_likelihood_and_grad(phi0, *args) for phi0 in starts]
+        scores = [value for value, _ in scored]
         descended = sorted(range(len(starts)), key=lambda i: (scores[i], i))[:NUM_DESCENTS]
+        calls = []
         for i in descended:
-            res = minimize(
-                _log_marginal_likelihood_and_grad,
-                starts[i],
-                args=(x, y, factors),
-                jac=True,
-                method="L-BFGS-B",
-                bounds=bounds,
+            phi, value, num_calls = _lbfgsb(
+                _log_marginal_likelihood_and_grad, starts[i], *scored[i], lower, upper, args
             )
-            if res.fun < best_val:
-                best_val, best_phi, best_start = res.fun, res.x, i
+            calls.append(num_calls)
+            if value < best_val:
+                best_val, best_phi, best_start = value, phi, i
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
-            "fit n=%d: start nll %s, descended %s, best from start %d",
-            n, " ".join(f"{v:.6g}" for v in scores), descended, best_start,
+            "fit n=%d: start nll %s, descended %s (%s calls), best from start %d",
+            n, " ".join(f"{v:.6g}" for v in scores), descended,
+            ", ".join(map(str, calls)), best_start,
         )
     return KernelParams(
         eta=float(np.exp(best_phi[0])),
@@ -302,7 +362,7 @@ class GPSurrogate:
     """A fitted zero-mean GP over standardized outputs (immutable)."""
 
     params: KernelParams
-    train_inputs: np.ndarray
+    train_factors: tuple[np.ndarray, np.ndarray]  # _mismatch_factors of the inputs
     factor: np.ndarray          # lower Cholesky of K + noise*I (+ jitter)
     alpha: np.ndarray           # (K + noise*I)^-1 y, y the standardized outputs
     output_mean: float
@@ -310,7 +370,8 @@ class GPSurrogate:
 
     @classmethod
     def build(cls, train_inputs, train_outputs, params: KernelParams) -> "GPSurrogate":
-        """Factorize the training covariance for the given hyperparameters."""
+        """Factorize the training covariance for the given hyperparameters,
+        built as the likelihood builds it."""
         x = np.asarray(train_inputs, dtype=float)
         y_raw = np.asarray(train_outputs, dtype=float)
         mean = float(np.mean(y_raw))
@@ -318,12 +379,19 @@ class GPSurrogate:
         if scale < 1e-12:
             scale = 1.0
         y = (y_raw - mean) / scale
-        ky = gram_matrix(params, x) + params.noise * np.eye(len(x))
-        low, _ = _chol_with_jitter(ky)
-        alpha = cho_solve((low, True), y)
+        u, v = _mismatch_factors(x)
+
+        def covariance():
+            ky = _correlation(params.theta, u, v)
+            ky *= params.eta
+            ky.flat[:: len(x) + 1] += params.noise
+            return ky
+
+        low, _ = _chol_with_jitter(covariance)
+        alpha, _ = dpotrs(low, y, lower=1)
         return cls(
             params=params,
-            train_inputs=x,
+            train_factors=(u, v),
             factor=low,
             alpha=alpha,
             output_mean=mean,
@@ -332,21 +400,32 @@ class GPSurrogate:
 
 
 def posterior(gp: GPSurrogate, candidates) -> JointPosterior:
-    """Joint predictive distribution over candidates, on the original scale."""
+    """Joint predictive distribution over candidates, on the original scale.
+
+    With K_* the kernel between candidates and training inputs and L the
+    training factor, the covariance K_cc - W W' (W = K_* L^-T) is formed on
+    its lower triangle only and factored in place on the standardized scale,
+    so the stabilizing jitter stays small relative to the data spread; the
+    factor is then scaled in place.
+    """
     xc = np.asarray(candidates, dtype=float)
     if xc.ndim != 2 or xc.shape[0] < 1:
         raise ValueError("need at least one candidate")
-    k_star = gram_matrix(gp.params, xc, gp.train_inputs)
+    p = gp.params
+    uc, vc = _mismatch_factors(xc)
+    k_star = _correlation(p.theta, uc, gp.train_factors[1])
+    k_star *= p.eta
     mean = k_star @ gp.alpha
-    v = solve_triangular(gp.factor, k_star.T, lower=True)
-    cov = gram_matrix(gp.params, xc) - v.T @ v
-    cov = 0.5 * (cov + cov.T)
-    # Factorize on the standardized scale so the stabilizing jitter stays
-    # small relative to the data spread after de-standardization.
-    low, _ = _chol_with_jitter(cov)
-    mean = gp.output_mean + gp.output_scale * mean
-    cov = gp.output_scale**2 * cov
-    return JointPosterior(mean=mean, covariance=cov, chol=gp.output_scale * low)
+    w = dtrsm(1.0, gp.factor, k_star, side=1, lower=1, trans_a=1, overwrite_b=1)
+
+    def covariance():
+        k_cc = _correlation(p.theta, uc, vc)
+        k_cc *= p.eta
+        return dsyrk(-1.0, w, beta=1.0, c=k_cc, lower=1, overwrite_c=1)
+
+    low, _ = _chol_with_jitter(covariance)
+    low *= gp.output_scale
+    return JointPosterior(mean=gp.output_mean + gp.output_scale * mean, chol=low)
 
 
 def sample_joint(post: JointPosterior, num_samples: int, seed) -> np.ndarray:

@@ -189,6 +189,7 @@ def test_criterion_7_numerical_property_suites():
     # must hold for the criterion to pass.
     from test_pareto import oracle_pareto_set
     from test_powerflow import newton_oracle_voltages
+    from test_surrogate import gram_matrix
 
     from conftest import adoption_probability, build_chain_feeder, dominates
     from gridcrit.adoption import simulate_batch
@@ -200,7 +201,6 @@ def test_criterion_7_numerical_property_suites():
         GPSurrogate,
         KernelParams,
         _log_marginal_likelihood_and_grad,
-        gram_matrix,
         posterior,
     )
     from scipy.stats import norm
