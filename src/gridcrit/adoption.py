@@ -59,15 +59,17 @@ class DiffusionParams:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Binary adoption vector over the feeder's adopters.
-
-    A scenario's id is its position in the list that holds it.
-    """
+    """One scenario as a bit tuple. Kept only for perfbench/gates.py and
+    ``SearchResult.scenarios``; goes once ROADMAP item 2 moves their readers."""
 
     bits: tuple[int, ...]
 
-    def bitstring(self) -> str:
-        return "".join(str(b) for b in self.bits)
+
+def bitstrings(bits: np.ndarray) -> list[str]:
+    """One '0'/'1' string per row of a 0/1 matrix."""
+    width = bits.shape[1]
+    text = (bits + ord("0")).astype(np.uint8).tobytes().decode("ascii")
+    return [text[i * width:(i + 1) * width] for i in range(len(bits))]
 
 
 # Cap on the uniform draws held at once (2 MB of doubles), so memory stays
@@ -75,8 +77,9 @@ class Scenario:
 _DRAW_BLOCK_ELEMENTS = 1 << 18
 
 
-def _simulate(feeder: Feeder, params: DiffusionParams, seeds: list) -> list[Scenario]:
-    """One diffusion trajectory per seed, all through one vectorised kernel.
+def _simulate(feeder: Feeder, params: DiffusionParams, seeds: list) -> np.ndarray:
+    """One diffusion trajectory per seed, all through one vectorised kernel;
+    the final states, one uint8 row per seed.
 
     Each trajectory draws from its own ``default_rng(seed)``: ``num_agents``
     uniforms for the initial state, then as many for every step. Drawing t
@@ -88,7 +91,7 @@ def _simulate(feeder: Feeder, params: DiffusionParams, seeds: list) -> list[Scen
         raise ValueError("feeder has no adopters")
     steps = params.horizon_steps + 1
     per_block = max(1, _DRAW_BLOCK_ELEMENTS // (steps * num_agents))
-    scenarios: list[Scenario] = []
+    bits = np.empty((len(seeds), num_agents), dtype=np.uint8)
     for start in range(0, len(seeds), per_block):
         rngs = [np.random.default_rng(s) for s in seeds[start:start + per_block]]
         span = max(1, _DRAW_BLOCK_ELEMENTS // (len(rngs) * num_agents))  # steps per draw
@@ -104,8 +107,8 @@ def _simulate(feeder: Feeder, params: DiffusionParams, seeds: list) -> list[Scen
                 # Synchronous update: probability from the state at step start.
                 prob = params.p + params.q * state.sum(axis=1) / num_agents
                 state |= step_draws < np.minimum(np.maximum(prob, 0.0), 1.0)[:, None]
-        scenarios += [Scenario(bits=tuple(row)) for row in state.astype(int).tolist()]
-    return scenarios
+        bits[start:start + len(rngs)] = state
+    return bits
 
 
 def simulate_batch(
@@ -113,37 +116,39 @@ def simulate_batch(
     params: DiffusionParams,
     count: int,
     seed,
-) -> list[Scenario]:
+) -> np.ndarray:
     """Simulate ``count`` independent scenarios with distinct derived sub-seeds.
 
-    Duplicates are allowed (Monte Carlo semantics). Sub-seeds come from
-    spawning a ``numpy`` SeedSequence, so batches are reproducible and
-    individual trajectories are independent streams.
+    Returns a uint8 (count x A) matrix; row i is scenario i. Duplicates are
+    allowed (Monte Carlo semantics). Sub-seeds come from spawning a ``numpy``
+    SeedSequence, so batches are reproducible and individual trajectories
+    are independent streams.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     return _simulate(feeder, params, np.random.SeedSequence(seed).spawn(count))
 
 
-def save_scenarios(path, scenarios: list[Scenario], feeder: Feeder) -> None:
-    """Write one bitstring per line with a header tying the file to its feeder."""
+def save_scenarios(path, bits: np.ndarray, feeder: Feeder) -> None:
+    """Write one bitstring per row with a header tying the file to its feeder."""
     lines = [
         f"# schema: {SCENARIO_SCHEMA_VERSION}",
         f"# feeder: {feeder.content_hash()}",
         f"# adopters: {feeder.num_adopters}",
     ]
-    lines += [s.bitstring() for s in scenarios]
+    lines += bitstrings(bits)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_scenarios(path, feeder: Feeder | None = None) -> list[Scenario]:
-    """Read a scenario file; verifies the feeder hash when a feeder is given."""
+def load_scenarios(path, feeder: Feeder | None = None) -> np.ndarray:
+    """Read a scenario file as a uint8 (S x A) matrix; verifies the feeder
+    hash when a feeder is given."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ValueError(f"cannot read scenario file: {exc}") from exc
     header: dict[str, str] = {}
-    scenarios: list[Scenario] = []
+    rows: list[str] = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
@@ -154,17 +159,18 @@ def load_scenarios(path, feeder: Feeder | None = None) -> list[Scenario]:
             continue
         if not set(line) <= {"0", "1"}:
             raise ValueError(f"scenario bits must be 0 or 1: {line!r}")
-        scenarios.append(Scenario(bits=tuple(int(c) for c in line)))
+        rows.append(line)
     if int(header.get("schema", -1)) != SCENARIO_SCHEMA_VERSION:
         raise ValueError("unsupported or missing scenario file schema")
     if "adopters" not in header:
         raise ValueError("scenario file has no adopters header")
     num_adopters = int(header["adopters"])
-    if any(len(s.bits) != num_adopters for s in scenarios):
+    if any(len(row) != num_adopters for row in rows):
         raise ValueError("scenario length does not match header adopter count")
     if feeder is not None:
         if feeder.num_adopters != num_adopters:
             raise ValueError("scenario file does not match feeder adopter count")
         if header.get("feeder") != feeder.content_hash():
             raise ValueError("scenario file was generated for a different feeder")
-    return scenarios
+    text = "".join(rows).encode("ascii")
+    return np.frombuffer(text, dtype=np.uint8).reshape(len(rows), num_adopters) - ord("0")

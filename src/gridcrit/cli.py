@@ -24,9 +24,9 @@ import numpy as np
 
 from gridcrit.adoption import (
     DiffusionParams,
-    Scenario,
     _check_int,
     _check_real,
+    bitstrings,
     load_scenarios,
     save_scenarios,
     simulate_batch,
@@ -41,6 +41,7 @@ from gridcrit.feeder import (
 )
 from gridcrit.powerflow import ViolationConfig, violation_map
 from gridcrit.search import (
+    ORACLE_BUDGET,
     SearchAbort,
     SearchConfig,
     brute_force_oracle,
@@ -243,6 +244,7 @@ def _json_chunks(doc) -> Iterator[str]:
             pieces.append(None)
 
     emit(doc, "")
+    del emit  # it holds itself through its closure; free the leaves without the cyclic GC
 
     def leaf_texts() -> Iterator[str]:
         for start in range(0, len(leaves), _JSON_LEAF_BLOCK):
@@ -268,11 +270,14 @@ def _result_document(feeder, result, stop_reason: str, extra=None) -> dict:
     num_bus = result.num_bus_objectives
     num_line = result.num_line_objectives
     fronts = result.fronts
+    # Every critical scenario is an evaluated one.
+    ids = sorted(result.stresses)
+    bits = dict(zip(ids, bitstrings(result.bits[ids])))
 
     def scen_entry(sid: int, lo: int, hi: int) -> dict:
         return {
             "id": sid,
-            "bits": result.scenarios[sid].bitstring(),
+            "bits": bits[sid],
             "violations": result.violations[sid][lo:hi].tolist(),
         }
 
@@ -281,7 +286,7 @@ def _result_document(feeder, result, stop_reason: str, extra=None) -> dict:
         "feeder_hash": feeder.content_hash(),
         "stop_reason": stop_reason,
         "num_evaluations": len(result.stresses),
-        "search_space_size": len(result.scenarios),
+        "search_space_size": len(result.bits),
         "num_bus_objectives": num_bus,
         "num_line_objectives": num_line,
         "critical_objectives": {
@@ -301,11 +306,11 @@ def _result_document(feeder, result, stop_reason: str, extra=None) -> dict:
         "evaluations": [
             {
                 "id": sid,
-                "bits": result.scenarios[sid].bitstring(),
+                "bits": bits[sid],
                 "stress": result.stresses[sid].tolist(),
                 "violations": result.violations[sid].tolist(),
             }
-            for sid in sorted(result.stresses)
+            for sid in ids
         ],
     }
     if extra:
@@ -336,8 +341,9 @@ def cmd_make_feeder(buses, adopters, groups, seed, output) -> None:
         feeder = apply_partition(feeder, fallback_partition(feeder, groups))
     except (FeederError, ValueError) as exc:
         raise ConfigError(str(exc))
-    extremes = [Scenario(bits=(b,) * feeder.num_adopters) for b in (0, 1)]
-    if any(stress is None for stress in evaluate_scenarios(feeder, extremes)):
+    extremes = np.array([[0], [1]], dtype=np.uint8).repeat(feeder.num_adopters, axis=1)
+    _, converged = evaluate_scenarios(feeder, extremes)
+    if not converged.all():
         raise ConfigError(
             "the generated feeder's power flow does not converge at zero and full adoption"
         )
@@ -356,8 +362,8 @@ def cmd_simulate(config_path, count, output) -> None:
     _check_output_file(output)
     config = _load_config(config_path)
     feeder, diffusion, _, _ = _build_parts(config)
-    scenarios = simulate_batch(feeder, diffusion, count, seed=config["seed"])
-    save_scenarios(output, scenarios, feeder)
+    bits = simulate_batch(feeder, diffusion, count, seed=config["seed"])
+    save_scenarios(output, bits, feeder)
     click.echo(f"wrote {output} ({count} scenarios)")
 
 
@@ -371,15 +377,15 @@ def cmd_evaluate(config_path, scenario_path, output) -> None:
     config = _load_config(config_path)
     feeder, _, viol_cfg, _ = _build_parts(config)
     try:
-        scenarios = load_scenarios(scenario_path, feeder)
+        bits = load_scenarios(scenario_path, feeder)
     except (FeederError, ValueError) as exc:
         raise ConfigError(str(exc))
     pf_cfg = config["powerflow"]
-    stresses = evaluate_scenarios(
-        feeder, scenarios, pf_cfg["tol"], pf_cfg["max_iter"], pf_cfg["pv_derate"]
+    stresses, converged = evaluate_scenarios(
+        feeder, bits, pf_cfg["tol"], pf_cfg["max_iter"], pf_cfg["pv_derate"]
     )
-    num_bus = feeder.num_groups
-    dim = num_bus + feeder.num_lines
+    violations = violation_map(stresses, feeder.num_groups, viol_cfg)
+    dim = feeder.num_groups + feeder.num_lines
     with open(output, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -388,11 +394,10 @@ def cmd_evaluate(config_path, scenario_path, output) -> None:
             + [f"violation_{k}" for k in range(dim)]
             + ["converged"]
         )
-        for sid, stress in enumerate(stresses):
-            if stress is None:
+        for sid, (stress, viol, ok) in enumerate(zip(stresses, violations, converged)):
+            if not ok:
                 writer.writerow([sid] + [""] * (2 * dim) + [False])
             else:
-                viol = violation_map(stress, num_bus, viol_cfg)
                 writer.writerow(
                     [sid] + [_fmt(v) for v in stress] + [_fmt(v) for v in viol]
                     + [True]
@@ -427,11 +432,9 @@ def _write_search_artifacts(outdir: Path, feeder, result) -> None:
         writer = csv.writer(fh)
         dim = num_bus + result.num_line_objectives
         writer.writerow(["step", "id", "bits"] + [f"stress_{k}" for k in range(dim)])
-        for step, sid in result.evaluation_log:
-            writer.writerow(
-                [step, sid, result.scenarios[sid].bitstring()]
-                + [_fmt(v) for v in result.stresses[sid]]
-            )
+        ids = [sid for _, sid in result.evaluation_log]
+        for (step, sid), bits in zip(result.evaluation_log, bitstrings(result.bits[ids])):
+            writer.writerow([step, sid, bits] + [_fmt(v) for v in result.stresses[sid]])
 
     adopters = feeder.adopters
     for k, vec in sorted(result.relevance.items()):
@@ -487,17 +490,19 @@ def cmd_brute_force(config_path, scenario_path, count, output_dir) -> None:
     feeder, diffusion, viol_cfg, _ = _build_parts(config)
     if scenario_path is not None:
         try:
-            scenarios = load_scenarios(scenario_path, feeder)
+            bits = load_scenarios(scenario_path, feeder)
         except (FeederError, ValueError) as exc:
             raise ConfigError(str(exc))
     else:
         if count < 1:
             raise click.UsageError("count must be >= 1")
-        scenarios = simulate_batch(feeder, diffusion, count, seed=config["seed"])
+        if count > ORACLE_BUDGET:
+            raise ConfigError(f"{count} scenarios exceed the oracle budget of {ORACLE_BUDGET}")
+        bits = simulate_batch(feeder, diffusion, count, seed=config["seed"])
     pf_cfg = config["powerflow"]
     try:
         oracle = brute_force_oracle(
-            feeder, viol_cfg, scenarios,
+            feeder, viol_cfg, bits,
             pf_tol=pf_cfg["tol"], pf_max_iter=pf_cfg["max_iter"],
             pv_derate=pf_cfg["pv_derate"],
         )

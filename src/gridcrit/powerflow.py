@@ -39,10 +39,6 @@ class ViolationConfig:
             raise ValueError("line_bins must be strictly increasing")
 
 
-class UnconvergedError(RuntimeError):
-    """Raised when a downstream computation requires a converged power flow."""
-
-
 @dataclass(frozen=True)
 class _Tree:
     """Per-feeder constants of the sweep and the stress (cached per feeder).
@@ -135,11 +131,11 @@ def solve_power_flow(
 ) -> PowerFlowResult:
     """Solve the radial network by backward/forward sweep.
 
-    ``scenarios`` is one ``Scenario`` or a 0/1 matrix with one scenario per
-    row (S x A). For a matrix, the result holds voltages (S x n), flows
-    (S x L), ``converged`` (S,) and ``iterations`` (S,); for a ``Scenario``, a
-    bool, an int and the one row of each. A row stops at the sweep where it
-    converges, so its result does not depend on the other rows.
+    ``scenarios`` is a 0/1 matrix with one scenario per row (S x A); the
+    result holds voltages (S x n), flows (S x L), ``converged`` (S,) and
+    ``iterations`` (S,). A row stops at the sweep where it converges, so its
+    result does not depend on the other rows. One ``Scenario`` (kept only for
+    perfbench/gates.py until ROADMAP item 2) gives a bool, an int and a row.
 
     Net injection at an adopter bus is load minus PV at ``pv_derate`` of
     nameplate, unity power factor. The slack bus is held at 1.0 p.u.; flows
@@ -228,9 +224,9 @@ def compute_stress(
     """Signed distances from limits: P bus-group entries then L line entries.
 
     Works on the last axis, so a batched result gives one row per scenario.
+    The stress of a row whose power flow did not converge is meaningless;
+    callers mask it by ``pf.converged``.
     """
-    if not np.all(pf.converged):
-        raise UnconvergedError("stress requires a converged power flow")
     tree = _build_tree(feeder)
     vm = pf.voltages
     excess = np.maximum(vm - tree.v_upper, tree.v_lower - vm)

@@ -25,7 +25,6 @@ from gridcrit.adoption import (
 from gridcrit.feeder import Feeder
 from gridcrit.pareto import CriticalFronts, critical_fronts, dominated, front_indices
 from gridcrit.powerflow import (
-    PowerFlowResult,
     ViolationConfig,
     compute_stress,
     solve_power_flow,
@@ -83,9 +82,10 @@ class SearchConfig:
 class SearchResult:
     """Everything the search learned, plus traces for reporting.
 
-    ``stresses`` is keyed by the evaluated ids in ``evaluation_log`` order."""
+    ``bits`` is the pool, a uint8 (S x A) matrix whose row index is the scenario
+    id; ``stresses`` is keyed by the evaluated ids in ``evaluation_log`` order."""
 
-    scenarios: list[Scenario]
+    bits: np.ndarray
     invalid_ids: list[int]
     stresses: dict[int, np.ndarray]
     violations: dict[int, np.ndarray]
@@ -102,6 +102,12 @@ class SearchResult:
     @property
     def num_evaluations(self) -> int:
         return len(self.stresses)
+
+    @property
+    def scenarios(self) -> list[Scenario]:
+        # Read only by perfbench/run.py and perfbench/tracing.py; goes once
+        # ROADMAP item 2 moves them to ``bits``.
+        return [Scenario(bits=tuple(row)) for row in self.bits.tolist()]
 
 
 def detect_active_objectives(
@@ -232,34 +238,22 @@ def select_batch(
 
 def evaluate_scenarios(
     feeder: Feeder,
-    scenarios: list[Scenario],
+    bits: np.ndarray,
     pf_tol: float = 1e-8,
     pf_max_iter: int = 50,
     pv_derate: float = 1.0,
-) -> list[np.ndarray | None]:
-    """Stress of each scenario, in input order; None where the sweep did not converge.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stress (S x D) and power-flow convergence (S,) of each row of ``bits``.
 
-    Stresses are taken over the bus groups the feeder carries. A stress is a
-    function of the bits alone, so the distinct bit vectors, in order of first
-    appearance, are solved in one batched power flow, and duplicates share
-    their vector's one read-only row.
+    Stresses are taken over the bus groups the feeder carries; a row whose
+    sweep did not converge has a meaningless stress. A stress is a function
+    of the bits alone, so the sorted distinct rows are solved in one batched
+    power flow and duplicates copy their row's result.
     """
-    row_of: dict[tuple[int, ...], int] = {}
-    for s in scenarios:
-        row_of.setdefault(s.bits, len(row_of))
-    bits = (np.array(list(row_of), dtype=np.uint8) if row_of
-            else np.zeros((0, feeder.num_adopters), dtype=np.uint8))
-    pf = solve_power_flow(feeder, bits, tol=pf_tol, max_iter=pf_max_iter, pv_derate=pv_derate)
-    ok = pf.converged
-    stress = compute_stress(feeder, feeder.partition(), PowerFlowResult(
-        voltages=pf.voltages[ok], flows=pf.flows[ok], converged=ok[ok],
-        iterations=pf.iterations[ok],
-    ))
-    stress.flags.writeable = False
-    by_row: list[np.ndarray | None] = [None] * len(row_of)
-    for row, vec in zip(np.flatnonzero(ok), stress):
-        by_row[row] = vec
-    return [by_row[row_of[s.bits]] for s in scenarios]
+    distinct, inverse = np.unique(bits, axis=0, return_inverse=True)
+    pf = solve_power_flow(feeder, distinct, tol=pf_tol, max_iter=pf_max_iter, pv_derate=pv_derate)
+    stress = compute_stress(feeder, feeder.partition(), pf)
+    return stress[inverse], pf.converged[inverse]
 
 
 _DEFAULT_NOISE = 1e-4
@@ -280,7 +274,7 @@ def run_search(
     dim = num_bus + num_line
     num_agents = feeder.num_adopters
 
-    scenarios: list[Scenario] = []
+    pool = np.empty((0, num_agents), dtype=np.uint8)  # row index = scenario id
     counts: dict[int, int] = {}
     stresses: dict[int, np.ndarray] = {}
     invalid: list[int] = []
@@ -289,26 +283,24 @@ def run_search(
     # Stress is a function of the bits alone, so only the lowest id carrying
     # each bit vector is ever evaluated; Monte Carlo duplicates of an
     # evaluated (or invalid) scenario carry no information.
-    representative: dict[tuple[int, ...], int] = {}
+    representative: dict[bytes, int] = {}  # row bytes -> lowest id
     unevaluated: set[int] = set()
 
-    def add_scenarios(batch: list[Scenario]) -> None:
-        for sid, s in enumerate(batch, start=len(scenarios)):
-            if s.bits not in representative:
-                representative[s.bits] = sid
+    def add_scenarios(batch: np.ndarray) -> None:
+        nonlocal pool
+        for sid, row in enumerate(batch, start=len(pool)):
+            if representative.setdefault(row.tobytes(), sid) == sid:
                 unevaluated.add(sid)
-        scenarios.extend(batch)
+        pool = np.concatenate([pool, batch])
 
     def evaluate_batch(sids: list[int], step: int) -> None:
         """Evaluate a batch, then commit its results one at a time in batch order."""
         nonlocal attempts
-        batch = evaluate_scenarios(
-            feeder, [scenarios[sid] for sid in sids], pf_tol, pf_max_iter, pv_derate
-        )
-        for sid, stress in zip(sids, batch):
+        stress, converged = evaluate_scenarios(feeder, pool[sids], pf_tol, pf_max_iter, pv_derate)
+        for sid, row, ok in zip(sids, stress, converged):
             attempts += 1
-            unevaluated.discard(representative[scenarios[sid].bits])
-            if stress is None:
+            unevaluated.discard(representative[pool[sid].tobytes()])
+            if not ok:
                 invalid.append(sid)
                 log.warning("power flow did not converge for scenario %d; excluded", sid)
                 if attempts >= 10 and len(invalid) > 0.1 * attempts:
@@ -317,7 +309,7 @@ def run_search(
                         "check feeder data and solver settings"
                     )
                 continue
-            stresses[sid] = stress
+            stresses[sid] = row
             eval_log.append((step, sid))
 
     # Initialization: n0 evaluated scenarios, then grow to |S_1|.
@@ -343,7 +335,7 @@ def run_search(
 
     def expansion_size() -> int:
         cap = cfg.max_search_space
-        room = (cap - len(scenarios)) if cap is not None else cfg.n_expand
+        room = (cap - len(pool)) if cap is not None else cfg.n_expand
         return min(cfg.n_expand, max(room, 0))
 
     # The GP matrices are too small to gain from a second BLAS thread.
@@ -368,7 +360,7 @@ def run_search(
                 # scenario in the pool can be a missed critical one.
                 tau[phase] = 0.0
             else:
-                x_eval = np.array([scenarios[i].bits for i in eval_ids], dtype=float)
+                x_eval = pool[eval_ids].astype(float)
                 gps: dict[int, GPSurrogate] = {}
                 for k in active:
                     need_refit = (
@@ -397,7 +389,7 @@ def run_search(
                 cand_ids = sample_candidates(unevaluated, counts, m_cand, cand_rng)
                 for cid in cand_ids:
                     counts[cid] = counts.get(cid, 0) + 1
-                cand_bits = np.array([scenarios[i].bits for i in cand_ids], dtype=float)
+                cand_bits = pool[cand_ids].astype(float)
                 alpha = acquisition_alpha_nd(
                     gps,
                     cand_bits,
@@ -410,14 +402,14 @@ def run_search(
 
                 # Stopping subsample: prefer unevaluated scenarios disjoint from the
                 # acquisition candidates; top up by reusing candidate alphas.
-                pool = sorted(unevaluated - set(cand_ids))
+                rest = sorted(unevaluated - set(cand_ids))
                 tau_val = 0.0
-                take = min(m_cand, len(pool))
+                take = min(m_cand, len(rest))
                 if take > 0:
                     sub = sorted(
-                        int(i) for i in stop_rng.choice(np.asarray(pool), size=take, replace=False)
+                        int(i) for i in stop_rng.choice(np.asarray(rest), size=take, replace=False)
                     )
-                    sub_bits = np.array([scenarios[i].bits for i in sub], dtype=float)
+                    sub_bits = pool[sub].astype(float)
                     sub_alpha = acquisition_alpha_nd(
                         gps,
                         sub_bits,
@@ -454,7 +446,7 @@ def run_search(
     violations, fronts = _violations_and_fronts(stresses, num_bus, num_line, viol_cfg)
     critical = set(fronts.critical_objectives_bus) | set(fronts.critical_objectives_line)
     return SearchResult(
-        scenarios=scenarios,
+        bits=pool,
         invalid_ids=sorted(invalid),
         stresses=stresses,
         violations=violations,
@@ -484,9 +476,9 @@ def _violations_and_fronts(
 
 @dataclass
 class OracleResult:
-    """Exact evaluation of every scenario in a set."""
+    """Exact evaluation of every scenario in a set; ``bits`` as in ``SearchResult``."""
 
-    scenarios: list[Scenario]
+    bits: np.ndarray
     stresses: dict[int, np.ndarray]
     violations: dict[int, np.ndarray]
     invalid_ids: list[int]
@@ -495,36 +487,34 @@ class OracleResult:
     fronts: CriticalFronts
 
 
+ORACLE_BUDGET = 100_000  # scenarios the brute-force oracle evaluates at most
+
+
 def brute_force_oracle(
     feeder: Feeder,
     viol_cfg: ViolationConfig,
-    scenarios: list[Scenario],
+    bits: np.ndarray,
     pf_tol: float = 1e-8,
     pf_max_iter: int = 50,
     pv_derate: float = 1.0,
-    max_scenarios: int = 100_000,
+    max_scenarios: int = ORACLE_BUDGET,
 ) -> OracleResult:
-    """Evaluate every scenario; exact critical sets per objective family."""
-    if len(scenarios) > max_scenarios:
+    """Evaluate every row of ``bits``; exact critical sets per objective family."""
+    if len(bits) > max_scenarios:
         raise ValueError(
-            f"{len(scenarios)} scenarios exceed the oracle budget of {max_scenarios}"
+            f"{len(bits)} scenarios exceed the oracle budget of {max_scenarios}"
         )
     num_bus = feeder.num_groups
     num_line = feeder.num_lines
-    stresses: dict[int, np.ndarray] = {}
-    invalid: list[int] = []
-    batch = evaluate_scenarios(feeder, scenarios, pf_tol, pf_max_iter, pv_derate)
-    for sid, stress in enumerate(batch):
-        if stress is None:
-            invalid.append(sid)
-        else:
-            stresses[sid] = stress
+    stress, converged = evaluate_scenarios(feeder, bits, pf_tol, pf_max_iter, pv_derate)
+    valid = np.flatnonzero(converged).tolist()
+    stresses = dict(zip(valid, stress[valid]))
     violations, fronts = _violations_and_fronts(stresses, num_bus, num_line, viol_cfg)
     return OracleResult(
-        scenarios=scenarios,
+        bits=bits,
         stresses=stresses,
         violations=violations,
-        invalid_ids=invalid,
+        invalid_ids=np.flatnonzero(~converged).tolist(),
         num_bus_objectives=num_bus,
         num_line_objectives=num_line,
         fronts=fronts,

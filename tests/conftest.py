@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gridcrit.adoption import DiffusionParams
+from gridcrit.adoption import DiffusionParams, bitstrings
 from gridcrit.feeder import Bus, Line, Feeder, load_feeder, make_feeder
 from gridcrit.pareto import dominated
 from gridcrit.powerflow import ViolationConfig
@@ -108,13 +108,13 @@ def adoption_probability(
 
 def found_bits(result) -> set[str]:
     """Bitstrings of the scenarios a search evaluated."""
-    return {result.scenarios[i].bitstring() for i in result.stresses}
+    return set(bitstrings(result.bits[list(result.stresses)]))
 
 
 def critical_bits(oracle, family: str) -> set[str]:
     """Bitstrings of an oracle's critical scenarios in one objective family."""
     ids = oracle.fronts.bus_ids if family == "bus" else oracle.fronts.line_ids
-    return {oracle.scenarios[i].bitstring() for i in ids}
+    return set(bitstrings(oracle.bits[list(ids)]))
 
 
 def recovery_fraction(oracle, result, family: str) -> float:

@@ -15,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import critical_bits, found_bits, recovery_fraction
-from gridcrit.adoption import DiffusionParams, Scenario
+from gridcrit.adoption import DiffusionParams, Scenario, bitstrings
 from gridcrit.cli import main as cli_main
 from gridcrit.powerflow import ViolationConfig
 from gridcrit.search import SearchConfig, brute_force_oracle, run_search
@@ -36,7 +36,7 @@ def _run_one(feeder, diffusion, seed):
     t0 = time.perf_counter()
     result = run_search(feeder, diffusion, viol, cfg)
     elapsed = time.perf_counter() - t0
-    oracle = brute_force_oracle(feeder, viol, result.scenarios)
+    oracle = brute_force_oracle(feeder, viol, result.bits)
     return result, oracle, elapsed
 
 
@@ -101,7 +101,7 @@ def test_criterion_2_max_violation_fidelity(standard_runs):
 
 def test_criterion_3_efficiency(standard_runs):
     runs = standard_runs[:NUM_SEEDS_RECOVERY]
-    fracs = [r.num_evaluations / len(r.scenarios) for r, _, _ in runs]
+    fracs = [r.num_evaluations / len(r.bits) for r, _, _ in runs]
     ok = all(f <= 0.25 for f in fracs)
     _report(
         3, ok,
@@ -130,19 +130,17 @@ def test_criterion_4_statistical_guarantee(standard_runs):
 def test_criterion_5_naive_comparator_gap(adversarial_feeder):
     feeder = adversarial_feeder
     viol = ViolationConfig()
-    scen = [
-        Scenario(bits=bits)
-        for bits in itertools.product((0, 1), repeat=feeder.num_adopters)
-    ]
+    scen = np.array(list(itertools.product((0, 1), repeat=feeder.num_adopters)),
+                    dtype=np.uint8)
     oracle = brute_force_oracle(feeder, viol, scen)
     crit = critical_bits(oracle, "bus") | critical_bits(oracle, "line")
     assert crit, "adversarial feeder must have critical scenarios"
 
     pv = np.array([b.pv_capacity for b in feeder.buses if b.is_adopter])
     top25 = sorted(
-        range(len(scen)), key=lambda i: (-float(np.dot(scen[i].bits, pv)), i)
+        range(len(scen)), key=lambda i: (-float(np.dot(scen[i], pv)), i)
     )[:25]
-    top_bits = {scen[i].bitstring() for i in top25}
+    top_bits = set(bitstrings(scen[top25]))
     comparator_missed = len(crit - top_bits) / len(crit)
 
     diffusion = DiffusionParams(p=0.02, q=0.25, horizon_steps=10, initial_rate=0.0)
@@ -171,7 +169,7 @@ def test_criterion_6_sensitivity_direction(standard_feeder, std_diffusion):
 
     def simulated(n_expand):
         cfg = SearchConfig(seed=0, n_expand=n_expand, max_search_space=SPACE_CAP)
-        return len(run_search(standard_feeder, std_diffusion, viol, cfg).scenarios)
+        return len(run_search(standard_feeder, std_diffusion, viol, cfg).bits)
 
     e_tight, e_loose = evals(0.05), evals(0.5)
     s_big, s_small = simulated(400), simulated(50)
@@ -298,9 +296,7 @@ def test_criterion_7_numerical_property_suites():
     feeder3 = build_chain_feeder([0.0, 1.0, 1.0], pv_kw=[0, 5, 5])
     params = DiffusionParams(p=0.23, q=0.0, horizon_steps=1, initial_rate=0.0)
     trials = 100_000
-    flips = np.array(
-        [s.bits for s in simulate_batch(feeder3, params, trials, seed=7)], dtype=float
-    )
+    flips = simulate_batch(feeder3, params, trials, seed=7).astype(float)
     prob = adoption_probability(params, 0, 2)
     sigma = np.sqrt(prob * (1 - prob) / trials)
     checks["diffusion marginal"] = bool(

@@ -11,7 +11,7 @@ from conftest import adoption_probability, build_chain_feeder
 from gridcrit import adoption
 from gridcrit.adoption import (
     DiffusionParams,
-    Scenario,
+    bitstrings,
     load_scenarios,
     save_scenarios,
     simulate_batch,
@@ -80,17 +80,17 @@ class TestSimulate:
     def test_no_drivers_stays_all_zero(self, standard_feeder):
         params = DiffusionParams(p=0.0, q=0.0, initial_rate=0.0)
         scenario = simulate_batch(standard_feeder, params, 1, seed=3)[0]
-        assert scenario.bits == (0,) * standard_feeder.num_adopters
+        assert scenario.tolist() == [0] * standard_feeder.num_adopters
 
     def test_full_initial_rate_is_absorbing(self, standard_feeder):
         params = DiffusionParams(p=0.0, q=0.0, initial_rate=1.0)
         scenario = simulate_batch(standard_feeder, params, 1, seed=3)[0]
-        assert scenario.bits == (1,) * standard_feeder.num_adopters
+        assert scenario.tolist() == [1] * standard_feeder.num_adopters
 
     def test_deterministic(self, standard_feeder, std_diffusion):
         a = simulate_batch(standard_feeder, std_diffusion, 1, seed=11)[0]
         b = simulate_batch(standard_feeder, std_diffusion, 1, seed=11)[0]
-        assert a.bits == b.bits
+        assert np.array_equal(a, b)
 
     def test_one_step_expected_count(self):
         # With q=0 and one step, adoption is Binomial(A, p): check the
@@ -101,7 +101,7 @@ class TestSimulate:
         params = DiffusionParams(p=0.5, q=0.0, horizon_steps=1, initial_rate=0.0)
         trials = 100_000
         scenarios = simulate_batch(feeder, params, trials, seed=123)
-        counts = np.array([sum(s.bits) for s in scenarios])
+        counts = scenarios.sum(axis=1)
         expected = 3 * 0.5
         sigma = np.sqrt(3 * 0.5 * 0.5 / trials)
         assert abs(counts.mean() - expected) < 3 * sigma
@@ -114,7 +114,7 @@ class TestSimulate:
         params = DiffusionParams(p=0.23, q=0.0, horizon_steps=1, initial_rate=0.0)
         trials = 100_000
         scenarios = simulate_batch(feeder, params, trials, seed=7)
-        flips = np.array([s.bits for s in scenarios], dtype=float)
+        flips = scenarios.astype(float)
         prob = adoption_probability(params, 0, 2)
         sigma = np.sqrt(prob * (1 - prob) / trials)
         for j in range(2):
@@ -124,16 +124,17 @@ class TestSimulate:
 class TestBatch:
     def test_count_and_ids(self, standard_feeder, std_diffusion):
         batch = simulate_batch(standard_feeder, std_diffusion, 25, seed=1)
-        assert len(batch) == 25
+        assert batch.shape == (25, standard_feeder.num_adopters)
+        assert batch.dtype == np.uint8
 
     def test_same_seed_identical(self, standard_feeder, std_diffusion):
         a = simulate_batch(standard_feeder, std_diffusion, 40, seed=9)
         b = simulate_batch(standard_feeder, std_diffusion, 40, seed=9)
-        assert [s.bits for s in a] == [s.bits for s in b]
+        assert np.array_equal(a, b)
 
     def test_scenarios_vary_across_subseeds(self, standard_feeder, std_diffusion):
         batch = simulate_batch(standard_feeder, std_diffusion, 200, seed=2)
-        assert len({s.bits for s in batch}) > 1
+        assert len(np.unique(batch, axis=0)) > 1
 
     def test_bad_count(self, standard_feeder, std_diffusion):
         with pytest.raises(ValueError):
@@ -150,7 +151,7 @@ def per_scenario_reference(num_agents, params, count, seed):
             prob = adoption_probability(params, int(state.sum()), num_agents)
             flips = rng.random(num_agents) < prob
             state = np.where(state == 1, 1, flips.astype(np.int8))
-        out.append(tuple(int(b) for b in state))
+        out.append([int(b) for b in state])
     return out
 
 
@@ -186,9 +187,9 @@ class TestBatchMatchesPerScenarioLoop:
             mp.setattr(adoption, "_DRAW_BLOCK_ELEMENTS", block)
             got = simulate_batch(feeder, params, count, seed)
             one = simulate_batch(feeder, params, 1, seed)[0]
-        assert [s.bits for s in got] == ref
-        assert one.bits == ref[0]
-        assert all(type(b) is int for s in got for b in s.bits)
+        assert got.tolist() == ref
+        assert one.tolist() == ref[0]
+        assert got.dtype == np.uint8 and got.shape == (count, num_agents)
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_counts_straddling_the_block(self, standard_feeder, std_diffusion, extra):
@@ -197,7 +198,7 @@ class TestBatchMatchesPerScenarioLoop:
         count = rows + extra
         got = simulate_batch(standard_feeder, std_diffusion, count, seed=(3, 1))
         ref = per_scenario_reference(standard_feeder.num_adopters, std_diffusion, count, (3, 1))
-        assert [s.bits for s in got] == ref
+        assert got.tolist() == ref
 
 
 class TestScenarioFiles:
@@ -206,7 +207,8 @@ class TestScenarioFiles:
         path = tmp_path / "scen.txt"
         save_scenarios(path, batch, standard_feeder)
         loaded = load_scenarios(path, standard_feeder)
-        assert [s.bits for s in loaded] == [s.bits for s in batch]
+        assert loaded.dtype == np.uint8
+        assert np.array_equal(loaded, batch)
 
     def test_feeder_hash_mismatch(self, tmp_path, standard_feeder, std_diffusion):
         from gridcrit.feeder import feeder_from_document, feeder_to_document
@@ -223,7 +225,8 @@ class TestScenarioFiles:
     @pytest.mark.parametrize("line", ["222222222222", "900000000000"])
     def test_bits_other_than_zero_and_one_rejected(self, tmp_path, standard_feeder, line):
         path = tmp_path / "scen.txt"
-        save_scenarios(path, [], standard_feeder)
+        save_scenarios(path, np.zeros((0, standard_feeder.num_adopters), np.uint8),
+                       standard_feeder)
         path.write_text(path.read_text() + line + "\n")
         with pytest.raises(ValueError, match="must be 0 or 1"):
             load_scenarios(path, standard_feeder)
@@ -234,7 +237,8 @@ class TestScenarioFiles:
         if case == "directory":
             path.mkdir()
         elif case == "no-adopters-header":
-            save_scenarios(path, [], standard_feeder)
+            save_scenarios(path, np.zeros((0, standard_feeder.num_adopters), np.uint8),
+                           standard_feeder)
             lines = [ln for ln in path.read_text().splitlines() if "adopters" not in ln]
             path.write_text("\n".join(lines + ["0" * standard_feeder.num_adopters]) + "\n")
         message = "adopters header" if case == "no-adopters-header" else "cannot read"
@@ -249,6 +253,9 @@ class TestScenarioFiles:
 
 
 class TestScenario:
+    # A scenario is a row of a uint8 matrix; files and results show it as a bitstring.
     def test_bitstring_and_count(self):
-        s = Scenario(bits=(1, 0, 1, 1))
-        assert s.bitstring() == "1011"
+        rows = np.array([[1, 0, 1, 1], [0, 0, 0, 0], [1, 0, 1, 1]], dtype=np.uint8)
+        assert bitstrings(rows) == ["1011", "0000", "1011"]
+        assert bitstrings(rows[:0]) == []
+        assert bitstrings(np.zeros((2, 0), np.uint8)) == ["", ""]

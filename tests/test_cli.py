@@ -1,9 +1,12 @@
 """End-to-end CLI tests: artifacts, determinism, manifests and exit codes."""
 
+import gc
 import json
+import sys
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -459,20 +462,37 @@ class TestBruteForceAndReport:
         assert not (tmp_path / "rep").exists()
 
     def test_brute_force_over_the_oracle_budget_exit_3(self, runner, tmp_path):
-        from gridcrit.adoption import Scenario, save_scenarios
+        from gridcrit.adoption import save_scenarios
         from gridcrit.feeder import load_feeder
 
         feeder_path = write_feeder(runner, tmp_path / "f.json")
         feeder = load_feeder(feeder_path)
         scen = tmp_path / "scen.txt"
-        save_scenarios(scen, [Scenario(bits=(0,) * feeder.num_adopters)] * 100_001, feeder)
+        save_scenarios(scen, np.zeros((100_001, feeder.num_adopters), np.uint8), feeder)
         config = write_config(tmp_path / "cfg.json", feeder_path)
         res = runner.invoke(
             main, ["brute-force", "--config", str(config), "--scenarios", str(scen),
                    "-o", str(tmp_path / "out")],
         )
         assert res.exit_code == 3, res.output
-        assert "budget" in res.output
+        assert "100001 scenarios exceed the oracle budget of 100000" in res.output
+        assert not (tmp_path / "out").exists()
+
+    def test_brute_force_count_over_the_oracle_budget_exit_3(
+        self, runner, tmp_path, monkeypatch
+    ):
+        # --count is checked before any scenario is simulated.
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the budget was checked")
+
+        monkeypatch.setattr(cli, "simulate_batch", no_simulation)
+        config = write_config(tmp_path / "cfg.json", write_feeder(runner, tmp_path / "f.json"))
+        res = runner.invoke(
+            main, ["brute-force", "--config", str(config), "--count", "100001",
+                   "-o", str(tmp_path / "out")],
+        )
+        assert res.exit_code == 3, res.output
+        assert "100001 scenarios exceed the oracle budget of 100000" in res.output
         assert not (tmp_path / "out").exists()
 
 
@@ -542,7 +562,7 @@ class TestEmptyScenarioFile:
         feeder_path = write_feeder(runner, tmp_path / "f.json")
         feeder = load_feeder(feeder_path)
         scen = tmp_path / "empty.txt"
-        save_scenarios(scen, [], feeder)
+        save_scenarios(scen, np.zeros((0, feeder.num_adopters), np.uint8), feeder)
         assert not [ln for ln in scen.read_text().splitlines() if not ln.startswith("#")]
         return feeder, write_config(tmp_path / "cfg.json", feeder_path), scen
 
@@ -604,6 +624,18 @@ class TestJsonWriter:
         # block: leaves per C-encoder call, so that blocks end at any leaf.
         with mock.patch.object(cli, "_JSON_LEAF_BLOCK", block):
             assert "".join(_json_chunks(doc)) == json.dumps(doc, indent=2, sort_keys=True)
+
+    def test_leaves_are_freed_without_the_cyclic_gc(self):
+        # A written document's leaves must not wait for a garbage collection:
+        # they hold every stress and violation list of a result.
+        leaf = [1.0, 2.0]
+        before = sys.getrefcount(leaf)
+        gc.disable()
+        try:
+            "".join(_json_chunks({"a": leaf}))
+            assert sys.getrefcount(leaf) == before
+        finally:
+            gc.enable()
 
     def test_escapes_and_special_floats(self):
         doc = {"\u00e9\n\"\\": [float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 3],

@@ -17,7 +17,6 @@ from gridcrit.adoption import Scenario
 from gridcrit.feeder import generate_synthetic_feeder
 from gridcrit.powerflow import (
     PowerFlowResult,
-    UnconvergedError,
     ViolationConfig,
     compute_stress,
     solve_power_flow,
@@ -402,23 +401,23 @@ class TestComputeStress:
             pf = solve_power_flow(standard_feeder, Scenario(bits=tuple(int(b) for b in row)))
             assert np.array_equal(got, compute_stress(standard_feeder, part, pf))
 
-    def test_batch_with_an_unconverged_row_rejected(self):
+    def test_unconverged_rows_leave_the_others_alone(self):
+        # Diverged rows' NaN and inf give meaningless stress rows, without a
+        # warning; callers mask them by ``converged``.
         feeder = build_chain_feeder([0.0, 1.0], pv_kw=[0, 5])
-        pf = PowerFlowResult(
-            voltages=np.ones((2, 2)), flows=np.zeros((2, 1)),
-            converged=np.array([True, False]), iterations=np.array([3, 50]),
+        part = feeder.partition()
+        mixed = PowerFlowResult(
+            voltages=np.array([[1.0, np.nan], [1.0, 1.07], [1.0, np.inf]]),
+            flows=np.array([[np.nan], [0.1], [np.inf]]),
+            converged=np.array([False, True, False]), iterations=np.array([50, 3, 50]),
         )
-        with pytest.raises(UnconvergedError):
-            compute_stress(feeder, feeder.partition(), pf)
-
-    def test_unconverged_rejected(self):
-        feeder = build_chain_feeder([0.0, 1.0], pv_kw=[0, 5])
-        pf = PowerFlowResult(
-            voltages=np.array([1.0, 1.0]), flows=np.array([0.0]),
-            converged=False, iterations=50,
+        one = PowerFlowResult(
+            voltages=np.array([1.0, 1.07]), flows=np.array([0.1]),
+            converged=True, iterations=3,
         )
-        with pytest.raises(UnconvergedError):
-            compute_stress(feeder, feeder.partition(), pf)
+        stress = compute_stress(feeder, part, mixed)
+        assert stress.shape == (3, 2)
+        assert np.array_equal(stress[1], compute_stress(feeder, part, one))
 
 
 class TestViolationMap:

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.stats import norm
 
 from conftest import build_chain_feeder, dominates, recovery_fraction
-from gridcrit.adoption import DiffusionParams, Scenario
+from gridcrit.adoption import DiffusionParams
 from gridcrit.powerflow import (
     ViolationConfig,
     compute_stress,
@@ -316,13 +316,22 @@ class TestSearchConfig:
             SearchConfig(**{field: value})
 
 
+def all_bit_vectors(num_adopters: int) -> np.ndarray:
+    """Every 0/1 row of length ``num_adopters``, in lexicographic order."""
+    return np.array(list(itertools.product((0, 1), repeat=num_adopters)), dtype=np.uint8)
+
+
 class TestEvaluateScenarios:
     # Exact stresses in input order are checked through the oracle below.
-    def test_unconverged_sweep_gives_none(self):
+    def test_unconverged_sweep_marked_and_zero_rows(self):
         feeder = small_feeder()
-        scen = [Scenario(bits=(1, 0, 1)), Scenario(bits=(0, 0, 0))]
-        assert evaluate_scenarios(feeder, scen, pf_max_iter=1) == [None, None]
-        assert evaluate_scenarios(feeder, []) == []
+        bits = np.array([[1, 0, 1], [0, 0, 0]], dtype=np.uint8)
+        stress, converged = evaluate_scenarios(feeder, bits, pf_max_iter=1)
+        assert stress.shape == (2, feeder.num_groups + feeder.num_lines)
+        assert converged.tolist() == [False, False]
+        stress, converged = evaluate_scenarios(feeder, bits[:0])
+        assert stress.shape == (0, feeder.num_groups + feeder.num_lines)
+        assert converged.shape == (0,)
 
     @staticmethod
     def count_solves(monkeypatch) -> list:
@@ -340,39 +349,34 @@ class TestEvaluateScenarios:
     def test_each_distinct_vector_solved_once(self, monkeypatch):
         feeder = small_feeder()
         part = feeder.partition()
-        bits = [(1, 0, 1), (0, 0, 0), (1, 0, 1), (1, 1, 1), (0, 0, 0), (1, 0, 1)]
+        bits = np.array([(1, 0, 1), (0, 0, 0), (1, 0, 1), (1, 1, 1), (0, 0, 0), (1, 0, 1)],
+                        dtype=np.uint8)
         solved = self.count_solves(monkeypatch)
-        out = evaluate_scenarios(feeder, [Scenario(bits=b) for b in bits])
-        # One batched call; its rows are the distinct vectors in first-appearance order.
-        assert solved == [[(1, 0, 1), (0, 0, 0), (1, 1, 1)]]
-        assert out[0] is out[2] is out[5] and not out[0].flags.writeable
-        for b, stress in zip(bits, out):
-            direct = compute_stress(feeder, part, solve_power_flow(feeder, Scenario(bits=b)))
-            np.testing.assert_array_equal(stress, direct)
+        stress, converged = evaluate_scenarios(feeder, bits)
+        # One batched call; its rows are the sorted distinct vectors.
+        assert solved == [[(0, 0, 0), (1, 0, 1), (1, 1, 1)]]
+        assert converged.all()
+        for r in range(len(bits)):
+            direct = compute_stress(feeder, part, solve_power_flow(feeder, bits[r:r + 1]))
+            np.testing.assert_array_equal(stress[r], direct[0])
 
-    def test_unconverged_duplicate_is_none_everywhere(self, monkeypatch):
+    def test_unconverged_duplicate_marked_everywhere(self, monkeypatch):
         # Four sweeps solve (0, 1, 0) but not (1, 1, 1).
         feeder = small_feeder()
-        bits = [(1, 1, 1), (0, 1, 0), (1, 1, 1), (0, 1, 0), (1, 1, 1)]
+        bits = np.array([(1, 1, 1), (0, 1, 0), (1, 1, 1), (0, 1, 0), (1, 1, 1)],
+                        dtype=np.uint8)
         solved = self.count_solves(monkeypatch)
-        out = evaluate_scenarios(feeder, [Scenario(bits=b) for b in bits], pf_max_iter=4)
-        assert solved == [[(1, 1, 1), (0, 1, 0)]]
-        assert [stress is None for stress in out] == [True, False, True, False, True]
-        np.testing.assert_array_equal(out[1], out[3])
+        stress, converged = evaluate_scenarios(feeder, bits, pf_max_iter=4)
+        assert solved == [[(0, 1, 0), (1, 1, 1)]]
+        assert converged.tolist() == [False, True, False, True, False]
+        np.testing.assert_array_equal(stress[1], stress[3])
 
 
 class TestBruteForceOracle:
-    def enumerate_scenarios(self, feeder):
-        return [
-            Scenario(bits=bits)
-            for bits in itertools.product((0, 1), repeat=feeder.num_adopters)
-        ]
-
     def test_budget_guard(self):
         feeder = small_feeder()
-        scen = self.enumerate_scenarios(feeder)
         with pytest.raises(ValueError, match="budget"):
-            brute_force_oracle(feeder, ViolationConfig(), scen, max_scenarios=3)
+            brute_force_oracle(feeder, ViolationConfig(), all_bit_vectors(3), max_scenarios=3)
 
     def test_matches_direct_evaluation(self):
         # Cross-module consistency on a full 2^A enumeration: every oracle
@@ -382,14 +386,16 @@ class TestBruteForceOracle:
         feeder = small_feeder()
         part = feeder.partition()
         cfg = ViolationConfig()
-        scen = self.enumerate_scenarios(feeder)
+        scen = all_bit_vectors(feeder.num_adopters)
         oracle = brute_force_oracle(feeder, cfg, scen)
+        assert oracle.bits is scen
         assert not oracle.invalid_ids
         assert sorted(oracle.stresses) == list(range(len(scen)))
 
         direct = {}
-        for sid, s in enumerate(scen):
-            stress = compute_stress(feeder, part, solve_power_flow(feeder, s))
+        for sid in range(len(scen)):
+            pf = solve_power_flow(feeder, scen[sid:sid + 1])
+            stress = compute_stress(feeder, part, pf)[0]
             np.testing.assert_array_equal(oracle.stresses[sid], stress)
             direct[sid] = violation_map(stress, part.num_groups, cfg)
         best = np.max(np.stack(list(direct.values())), axis=0)
@@ -409,8 +415,7 @@ class TestBruteForceOracle:
 
     def test_some_objective_is_critical(self):
         feeder = small_feeder()
-        scen = self.enumerate_scenarios(feeder)
-        oracle = brute_force_oracle(feeder, ViolationConfig(), scen)
+        oracle = brute_force_oracle(feeder, ViolationConfig(), all_bit_vectors(3))
         assert oracle.fronts.critical_objectives_bus or oracle.fronts.critical_objectives_line
 
 
@@ -442,7 +447,7 @@ class TestRunSearch:
         config = {**FAST_CONFIG, "n0": 6, "n_init": 6, "tau_bar": 1e-9, "batch_size": 2}
         cfg = SearchConfig(seed=0, **config)
         result = run_search(feeder, FAST_DIFFUSION, ViolationConfig(), cfg)
-        bits = [s.bits for s in result.scenarios]
+        bits = [tuple(row) for row in result.bits.tolist()]
         lowest: dict[tuple, int] = {}
         for sid, b in enumerate(bits):
             lowest.setdefault(b, sid)
@@ -458,6 +463,34 @@ class TestRunSearch:
         assert not initial & set(later_bits)
         assert initial | set(later_bits) == set(lowest)
 
+    def test_candidates_and_subsample_are_distinct_unevaluated_rows(
+        self, monkeypatch, standard_feeder, std_diffusion
+    ):
+        # Within a step, the acquisition candidates and the stopping
+        # subsample are pairwise distinct bit vectors across both sets, and
+        # none equals an evaluated one (a row the step's GPs train on).
+        trained, steps = [], {}
+        build, alpha_nd = GPSurrogate.build.__func__, search.acquisition_alpha_nd
+
+        def recording_build(cls, train_inputs, *args):
+            trained.append(np.array(train_inputs))
+            return build(cls, train_inputs, *args)
+
+        def recording_alpha(gps, candidate_bits, *args, seed, **kwargs):
+            sets, _ = steps.setdefault(seed[2], ([], trained[-1]))
+            sets.append(np.array(candidate_bits))
+            return alpha_nd(gps, candidate_bits, *args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(GPSurrogate, "build", classmethod(recording_build))
+        monkeypatch.setattr(search, "acquisition_alpha_nd", recording_alpha)
+        cfg = SearchConfig(seed=0, **{**FAST_CONFIG, "num_candidates": 10, "max_steps": 8})
+        run_search(standard_feeder, std_diffusion, ViolationConfig(), cfg)
+        assert sum(len(sets) == 2 for sets, _ in steps.values()) >= 4
+        for step, (sets, evaluated) in steps.items():
+            rows = [tuple(r) for r in np.concatenate(sets).tolist()]
+            assert len(set(rows)) == len(rows), step
+            assert not set(rows) & {tuple(r) for r in evaluated.tolist()}, step
+
     def test_exhausted_only_when_the_pool_cannot_grow(self):
         # Step 0 evaluates every distinct vector of the 8-scenario initial
         # pool, far below its cap of 120: the search must go on expanding
@@ -466,7 +499,7 @@ class TestRunSearch:
         config = {**FAST_CONFIG, "n0": 4, "n_init": 4, "tau_bar": 1e-9, "batch_size": 2}
         cfg = SearchConfig(seed=0, **config)
         result = run_search(feeder, FAST_DIFFUSION, ViolationConfig(), cfg)
-        bits = [s.bits for s in result.scenarios]
+        bits = [tuple(row) for row in result.bits.tolist()]
         initial = {bits[sid] for step, sid in result.evaluation_log if step == 0}
         assert set(bits[:cfg.n0 + cfg.n_init]) == initial
         assert result.stop_reason == "exhausted"
@@ -515,8 +548,7 @@ class TestRunSearch:
         # scenarios whose bitstrings are oracle-critical (the diffusion
         # reaches essentially all bitstrings at A=3 adopters).
         feeder = small_feeder()
-        scen = [Scenario(bits=bits) for bits in itertools.product((0, 1), repeat=3)]
-        oracle = brute_force_oracle(feeder, ViolationConfig(), scen)
+        oracle = brute_force_oracle(feeder, ViolationConfig(), all_bit_vectors(3))
         cfg = SearchConfig(seed=3, **FAST_CONFIG)
         result = run_search(feeder, FAST_DIFFUSION, ViolationConfig(), cfg)
         assert result.stop_reason == "converged"
@@ -546,8 +578,7 @@ class TestRunSearch:
 class TestRecoveryFraction:
     def test_empty_oracle_critical_set_is_full_recovery(self):
         feeder = quiet_feeder()
-        scen = [Scenario(bits=bits) for bits in itertools.product((0, 1), repeat=2)]
-        oracle = brute_force_oracle(feeder, ViolationConfig(), scen)
+        oracle = brute_force_oracle(feeder, ViolationConfig(), all_bit_vectors(2))
         cfg = SearchConfig(seed=0, **FAST_CONFIG)
         result = run_search(feeder, FAST_DIFFUSION, ViolationConfig(), cfg)
         assert recovery_fraction(oracle, result, "bus") == 1.0
