@@ -327,7 +327,7 @@ def main() -> None:
 @click.option("--buses", type=int, required=True)
 @click.option("--adopters", type=int, required=True)
 @click.option("--groups", type=int, default=1, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--output", "-o", type=click.Path(), required=True)
 def cmd_make_feeder(buses, adopters, groups, seed, output) -> None:
     """Generate a synthetic radial feeder with a balanced bus partition."""

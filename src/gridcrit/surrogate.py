@@ -13,11 +13,9 @@ import logging
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg.blas import dsyr, dsyrk, dtrsm
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
-from scipy.optimize._lbfgsb import setulb
 
 JITTER_START = 1e-8
 JITTER_MAX = 1e-4
@@ -70,12 +68,31 @@ class JointPosterior:
 
 
 @functools.cache
+def _scipy() -> SimpleNamespace:
+    """SciPy's BLAS and LAPACK wrappers and its L-BFGS-B step, imported on
+    first use.
+
+    Only the GP routines need SciPy, and importing it takes about half a
+    second, longer than a small ``brute-force`` runs; so the first GP
+    routine to run loads it, not ``import gridcrit``.
+    """
+    from scipy.linalg.blas import dsyr, dsyrk, dtrsm
+    from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
+    from scipy.optimize._lbfgsb import setulb
+
+    return SimpleNamespace(dsyr=dsyr, dsyrk=dsyrk, dtrsm=dtrsm, dpotrf=dpotrf,
+                           dpotri=dpotri, dpotrs=dpotrs, setulb=setulb)
+
+
+@functools.cache
 def _openblas_thread_setters() -> tuple:
     """``openblas_set_num_threads_local`` of every OpenBLAS this process has loaded.
 
-    numpy and scipy each bring their own OpenBLAS. Empty where ``/proc`` or
-    the symbol is missing.
+    numpy and scipy each bring their own OpenBLAS. SciPy is loaded before
+    the scan, which is cached, so that its OpenBLAS is among them. Empty
+    where ``/proc`` or the symbol is missing.
     """
+    _scipy()
     try:
         maps = Path("/proc/self/maps").read_text()
     except OSError:
@@ -129,12 +146,13 @@ def _chol_with_jitter(build) -> tuple[np.ndarray, float]:
     entry raises after the first attempt, as no jitter can mend it: a failed
     ``dpotrf`` leaves such an entry non-finite wherever it stopped.
     """
+    sp = _scipy()
     jitter = 0.0
     while jitter <= JITTER_MAX:
         mat = build()
         if jitter:
             mat.flat[:: len(mat) + 1] += jitter
-        low, info = dpotrf(mat, lower=1, overwrite_a=1)
+        low, info = sp.dpotrf(mat, lower=1, overwrite_a=1)
         if info == 0 and np.isfinite(low.diagonal()).all():
             return low, jitter
         if not np.isfinite(low).all():
@@ -189,6 +207,7 @@ def _log_marginal_likelihood_and_grad(
     subtracts alpha alpha'. Every dK is symmetric, so a sum over all of G
     counts the strict lower triangle twice and the diagonal once.
     """
+    sp = _scipy()
     n, a = x.shape
     u, v = _mismatch_factors(x) if factors is None else factors
     rho = phi[1:-1]
@@ -200,19 +219,19 @@ def _log_marginal_likelihood_and_grad(
     ky.flat[:: n + 1] += noise
     if not np.isfinite(ky).all():
         raise ValueError("covariance must be finite")
-    low, info = dpotrf(ky, lower=1, overwrite_a=1)
+    low, info = sp.dpotrf(ky, lower=1, overwrite_a=1)
     if info > 0:
         return 1e12, np.zeros_like(phi)
-    alpha, _ = dpotrs(low, y, lower=1)
+    alpha, _ = sp.dpotrs(low, y, lower=1)
     lml = (
         -0.5 * float(y @ alpha)
         - float(np.log(low.diagonal()).sum())
         - 0.5 * n * np.log(2.0 * np.pi)
     )
     # K_y^-1 on the lower triangle; dpotrf left zeros above it.
-    neg_g, _ = dpotri(low, lower=1, overwrite_c=1)
+    neg_g, _ = sp.dpotri(low, lower=1, overwrite_c=1)
     trace_g = float(alpha @ alpha) - float(np.trace(neg_g))
-    neg_g = dsyr(-1.0, alpha, a=neg_g, lower=1, overwrite_a=1)
+    neg_g = sp.dsyr(-1.0, alpha, a=neg_g, lower=1, overwrite_a=1)
     neg_g *= e  # -G o E on the lower triangle, zeros above
     grad = np.empty_like(phi)
     # d/d log eta: dK = K = eta * E. G o E sums to twice its lower-triangle
@@ -243,6 +262,7 @@ def _lbfgsb(fun, x0, f0, g0, lower, upper, args) -> tuple[np.ndarray, float, int
     evaluations. Returns scipy's ``res.x`` and ``res.fun`` and the number
     of calls of ``fun``.
     """
+    sp = _scipy()
     n, m = len(x0), LBFGS_MEMORY
     x = np.array(x0, dtype=float)
     nbd = np.full(n, 2, dtype=np.int32)  # every parameter bounded on both sides
@@ -256,8 +276,8 @@ def _lbfgsb(fun, x0, f0, g0, lower, upper, args) -> tuple[np.ndarray, float, int
     x_eval, f, g = x.copy(), f0, g0
     evals, iterations = 1, 0
     while True:
-        setulb(m, x, lower, upper, nbd, f, g, LBFGS_FACTR, LBFGS_PGTOL, wa, iwa,
-               task, lsave, isave, dsave, LBFGS_MAXLS, ln_task)
+        sp.setulb(m, x, lower, upper, nbd, f, g, LBFGS_FACTR, LBFGS_PGTOL, wa, iwa,
+                  task, lsave, isave, dsave, LBFGS_MAXLS, ln_task)
         if task[0] == 3:  # FG: wants the value and gradient at x
             if not np.array_equal(x, x_eval):
                 x_eval = x.copy()
@@ -388,7 +408,7 @@ class GPSurrogate:
             return ky
 
         low, _ = _chol_with_jitter(covariance)
-        alpha, _ = dpotrs(low, y, lower=1)
+        alpha, _ = _scipy().dpotrs(low, y, lower=1)
         return cls(
             params=params,
             train_factors=(u, v),
@@ -416,12 +436,13 @@ def posterior(gp: GPSurrogate, candidates) -> JointPosterior:
     k_star = _correlation(p.theta, uc, gp.train_factors[1])
     k_star *= p.eta
     mean = k_star @ gp.alpha
-    w = dtrsm(1.0, gp.factor, k_star, side=1, lower=1, trans_a=1, overwrite_b=1)
+    sp = _scipy()
+    w = sp.dtrsm(1.0, gp.factor, k_star, side=1, lower=1, trans_a=1, overwrite_b=1)
 
     def covariance():
         k_cc = _correlation(p.theta, uc, vc)
         k_cc *= p.eta
-        return dsyrk(-1.0, w, beta=1.0, c=k_cc, lower=1, overwrite_c=1)
+        return sp.dsyrk(-1.0, w, beta=1.0, c=k_cc, lower=1, overwrite_c=1)
 
     low, _ = _chol_with_jitter(covariance)
     low *= gp.output_scale

@@ -1,6 +1,10 @@
 """Shared fixtures: committed test feeders, common parameter sets, and
 scalar references and recovery metrics over the library's results."""
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +16,7 @@ from gridcrit.pareto import dominated
 from gridcrit.powerflow import ViolationConfig
 
 DATA_DIR = Path(__file__).parent / "data"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="session")
@@ -123,3 +128,15 @@ def recovery_fraction(oracle, result, family: str) -> float:
     if not crit:
         return 1.0
     return len(crit & found_bits(result)) / len(crit)
+
+
+def run_fresh_python(code: str, *args: str):
+    """Run ``code`` in a new interpreter that imports gridcrit from this
+    checkout; returns the JSON document on its last line of output."""
+    path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run_fresh_python
 from gridcrit import cli
 from gridcrit.cli import _json_chunks, main
 
@@ -75,6 +76,17 @@ class TestMakeFeeder:
     def test_missing_option_exit_2(self, runner):
         res = runner.invoke(main, ["make-feeder", "--buses", "5"])
         assert res.exit_code == 2
+
+    def test_negative_seed_exit_2(self, runner, tmp_path):
+        out = tmp_path / "f.json"
+        res = runner.invoke(
+            main,
+            ["make-feeder", "--buses", "10", "--adopters", "6", "--seed", "-1",
+             "-o", str(out)],
+        )
+        assert res.exit_code == 2
+        assert "'--seed'" in res.output
+        assert not out.exists()
 
     @pytest.mark.parametrize("buses,adopters,groups,seed", [(10, 6, 2, 3), (15, 12, 3, 19)])
     def test_documented_sizes_solve(self, runner, tmp_path, buses, adopters, groups, seed):
@@ -494,6 +506,54 @@ class TestBruteForceAndReport:
         assert res.exit_code == 3, res.output
         assert "100001 scenarios exceed the oracle budget of 100000" in res.output
         assert not (tmp_path / "out").exists()
+
+
+SCIPY_PROBE = """
+import json, sys
+from click.testing import CliRunner
+import gridcrit, gridcrit.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+report = {"import": [0, scipy_modules()]}
+runner = CliRunner()
+for name, argv in json.loads(sys.argv[1]):
+    res = runner.invoke(gridcrit.cli.main, argv)
+    report[name] = [res.exit_code, scipy_modules()]
+print(json.dumps(report))
+"""
+
+
+class TestScipyLoading:
+    """SciPy is imported by the GP code alone, at its first use, so the
+    commands that fit no GP never load it."""
+
+    def test_only_search_loads_scipy(self, runner, tmp_path):
+        feeder = write_feeder(runner, tmp_path / "f.json")
+        config = write_config(tmp_path / "cfg.json", feeder)
+        search_dir = tmp_path / "search"
+        res = runner.invoke(main, ["search", "--config", str(config), "-o", str(search_dir)])
+        assert res.exit_code == 0, res.output
+        scen = tmp_path / "scen.txt"
+        commands = [
+            ("make-feeder", ["make-feeder", "--buses", "10", "--adopters", "6",
+                             "--groups", "2", "--seed", "3", "-o", str(tmp_path / "g.json")]),
+            ("simulate", ["simulate", "--config", str(config), "--count", "20",
+                          "-o", str(scen)]),
+            ("evaluate", ["evaluate", "--config", str(config), "--scenarios", str(scen),
+                          "-o", str(tmp_path / "eval.csv")]),
+            ("brute-force", ["brute-force", "--config", str(config), "--count", "50",
+                             "-o", str(tmp_path / "oracle")]),
+            ("report", ["report", "--feeder", str(feeder), "--search-dir", str(search_dir),
+                        "--oracle-dir", str(tmp_path / "oracle"),
+                        "-o", str(tmp_path / "report")]),
+            ("search", ["search", "--config", str(config), "-o", str(tmp_path / "again")]),
+        ]
+        report = run_fresh_python(SCIPY_PROBE, json.dumps(commands))
+        *without, (search_exit, after_search) = report.values()
+        assert without == [[0, []]] * 6, report
+        assert search_exit == 0 and "scipy" in after_search
 
 
 class TestOutputPaths:

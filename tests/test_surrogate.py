@@ -22,6 +22,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import minimize
 from scipy.optimize._lbfgsb import setulb
 
+from conftest import run_fresh_python
 from gridcrit import surrogate
 from gridcrit.surrogate import (
     JITTER_MAX,
@@ -586,6 +587,27 @@ class TestLbfgsbLoop:
         assert value == ref.fun
 
 
+CAP_BEFORE_FIT = """
+import json, sys
+if sys.argv[1] == "scipy-first":
+    import scipy.linalg, scipy.optimize
+import numpy as np
+from gridcrit import surrogate
+
+scipy_loaded = any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+rng = np.random.default_rng(12)
+x = rng.integers(0, 2, size=(80, 12)).astype(float)
+y = x @ rng.normal(size=12) + 0.1 * rng.normal(size=80)
+init = surrogate.KernelParams(eta=1.0, theta=np.ones(12), noise=1e-4)
+with surrogate._single_thread_blas():
+    fit = surrogate.fit_hyperparameters(x, y, init, num_restarts=2, seed=3)
+    cached = len(surrogate._openblas_thread_setters())
+    fresh = len(surrogate._openblas_thread_setters.__wrapped__())
+print(json.dumps({"scipy_loaded": scipy_loaded, "cached": cached, "fresh": fresh,
+                  "fit": [fit.eta.hex(), fit.noise.hex(), [t.hex() for t in fit.theta]]}))
+"""
+
+
 class TestSingleThreadBlas:
     @needs_openblas
     def test_cap_reads_one_inside_and_restores_on_exit(self):
@@ -617,6 +639,18 @@ class TestSingleThreadBlas:
             capped = fit_hyperparameters(x, y, init, num_restarts=2, seed=3)
         assert capped.eta == free.eta and capped.noise == free.noise
         np.testing.assert_array_equal(capped.theta, free.theta)
+
+    def test_cap_entered_before_scipy_covers_its_openblas(self):
+        # A search enters the cap before its first fit, and the scan of the
+        # loaded OpenBLAS libraries is cached: entering the cap must load
+        # SciPy, so that SciPy's OpenBLAS is capped too. Each run is a fresh
+        # interpreter; in the first nothing has imported SciPy yet.
+        lazy = run_fresh_python(CAP_BEFORE_FIT, "lazy")
+        assert not lazy["scipy_loaded"]
+        assert lazy["cached"] == lazy["fresh"]
+        eager = run_fresh_python(CAP_BEFORE_FIT, "scipy-first")
+        assert eager["scipy_loaded"]
+        assert lazy["fit"] == eager["fit"]
 
     def test_posterior_under_the_cap_agrees_to_roundoff(self):
         # A 250-candidate covariance is large enough for OpenBLAS to split
@@ -674,14 +708,15 @@ def traced_posterior(gp, cands):
         jitters.append(jitter)
         return low, jitter
 
-    real_dpotrf = surrogate.dpotrf
+    routines = surrogate._scipy()  # where the factorization is looked up
+    real_dpotrf = routines.dpotrf
 
     def factor(mat, **kwargs):
         attempts[-1] = mat.diagonal() - attempts[-1]  # the jitter added
         return real_dpotrf(mat, **kwargs)
 
     with mock.patch.object(surrogate, "_chol_with_jitter", side_effect=ladder), \
-            mock.patch.object(surrogate, "dpotrf", side_effect=factor):
+            mock.patch.object(routines, "dpotrf", side_effect=factor):
         post = posterior(gp, cands)
     (jitter,) = jitters
     return post, jitter, [float(np.max(added)) for added in attempts]
