@@ -110,7 +110,7 @@ def _load_config(path: str) -> dict:
         doc = doc["config"]  # manifest re-run
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    if doc.get("schema") != CONFIG_SCHEMA_VERSION:
+    if isinstance(doc.get("schema"), bool) or doc.get("schema") != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"config schema must be {CONFIG_SCHEMA_VERSION}")
     if "feeder" not in doc:
         raise ConfigError("config is missing the 'feeder' path")
@@ -266,26 +266,28 @@ def _json_chunks(doc) -> Iterator[str]:
 
 
 def _result_document(feeder, result, stop_reason: str, extra=None) -> dict:
-    """result.json of a search or brute-force result (both carry the same fields)."""
+    """result.json of an ``OracleResult``; a ``SearchResult`` is one too."""
     num_bus = result.num_bus_objectives
     num_line = result.num_line_objectives
     fronts = result.fronts
-    # Every critical scenario is an evaluated one.
-    ids = sorted(result.stresses)
-    bits = dict(zip(ids, bitstrings(result.bits[ids])))
+    order = np.argsort(result.ids)
+    ids = result.ids[order]
+    bits = bitstrings(result.bits[ids])
+    violations = result.violations[order]
 
     def scen_entry(sid: int, lo: int, hi: int) -> dict:
+        row = np.searchsorted(ids, sid)  # every critical scenario is an evaluated one
         return {
             "id": sid,
-            "bits": bits[sid],
-            "violations": result.violations[sid][lo:hi].tolist(),
+            "bits": bits[row],
+            "violations": violations[row, lo:hi].tolist(),
         }
 
     doc = {
         "schema": CONFIG_SCHEMA_VERSION,
         "feeder_hash": feeder.content_hash(),
         "stop_reason": stop_reason,
-        "num_evaluations": len(result.stresses),
+        "num_evaluations": result.num_evaluations,
         "search_space_size": len(result.bits),
         "num_bus_objectives": num_bus,
         "num_line_objectives": num_line,
@@ -302,15 +304,12 @@ def _result_document(feeder, result, stop_reason: str, extra=None) -> dict:
                 scen_entry(i, num_bus, num_bus + num_line) for i in fronts.line_ids
             ],
         },
-        "invalid_ids": sorted(result.invalid_ids),
+        "invalid_ids": result.invalid_ids,
         "evaluations": [
-            {
-                "id": sid,
-                "bits": bits[sid],
-                "stress": result.stresses[sid].tolist(),
-                "violations": result.violations[sid].tolist(),
-            }
-            for sid in ids
+            {"id": sid, "bits": b, "stress": stress, "violations": viol}
+            for sid, b, stress, viol in zip(
+                ids.tolist(), bits, result.stress[order].tolist(), violations.tolist()
+            )
         ],
     }
     if extra:
@@ -432,9 +431,9 @@ def _write_search_artifacts(outdir: Path, feeder, result) -> None:
         writer = csv.writer(fh)
         dim = num_bus + result.num_line_objectives
         writer.writerow(["step", "id", "bits"] + [f"stress_{k}" for k in range(dim)])
-        ids = [sid for _, sid in result.evaluation_log]
-        for (step, sid), bits in zip(result.evaluation_log, bitstrings(result.bits[ids])):
-            writer.writerow([step, sid, bits] + [_fmt(v) for v in result.stresses[sid]])
+        for step, sid, bits, stress in zip(result.steps.tolist(), result.ids.tolist(),
+                                           bitstrings(result.bits[result.ids]), result.stress):
+            writer.writerow([step, sid, bits] + [_fmt(v) for v in stress])
 
     adopters = feeder.adopters
     for k, vec in sorted(result.relevance.items()):
@@ -515,7 +514,7 @@ def cmd_brute_force(config_path, scenario_path, count, output_dir) -> None:
     doc = _result_document(feeder, oracle, "oracle")
     _write_json(outdir / "result.json", doc)
     click.echo(
-        f"oracle: {len(oracle.stresses)} evaluations, "
+        f"oracle: {oracle.num_evaluations} evaluations, "
         f"{len(oracle.fronts.bus_ids)} bus-critical, "
         f"{len(oracle.fronts.line_ids)} line-critical -> {outdir}"
     )

@@ -231,7 +231,7 @@ def feeder_to_document(feeder: Feeder) -> dict:
 
 def feeder_from_document(doc: dict) -> Feeder:
     """Build and validate a feeder from its JSON document form."""
-    if doc.get("schema") != SCHEMA_VERSION:
+    if isinstance(doc.get("schema"), bool) or doc.get("schema") != SCHEMA_VERSION:
         raise ParseError(f"unsupported or missing schema version: {doc.get('schema')!r}")
     try:
         buses = [

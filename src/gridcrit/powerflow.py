@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from gridcrit.adoption import Scenario
+from gridcrit.adoption import Scenario, _check_real
 from gridcrit.feeder import BusPartition, Feeder
 
 
@@ -33,6 +33,8 @@ class ViolationConfig:
 
     def __post_init__(self):
         bins = self.line_bins
+        for b in bins:
+            _check_real("line_bins entry", b)
         if not bins or bins[0] != 0.0:
             raise ValueError("line_bins must start at 0")
         if any(b2 <= b1 for b1, b2 in zip(bins, bins[1:])):

@@ -79,29 +79,41 @@ class SearchConfig:
 
 
 @dataclass
-class SearchResult:
-    """Everything the search learned, plus traces for reporting.
+class OracleResult:
+    """The evaluated scenarios of a pool and their critical fronts.
 
-    ``bits`` is the pool, a uint8 (S x A) matrix whose row index is the scenario
-    id; ``stresses`` is keyed by the evaluated ids in ``evaluation_log`` order."""
+    ``bits`` is the pool, a uint8 (S x A) matrix whose row index is the
+    scenario id. Row i of ``stress`` and ``violations`` (E x D) belongs to
+    scenario ``ids[i]``; ``invalid_ids`` are the scenarios whose power flow
+    did not converge."""
 
     bits: np.ndarray
+    ids: np.ndarray
+    stress: np.ndarray
+    violations: np.ndarray
     invalid_ids: list[int]
-    stresses: dict[int, np.ndarray]
-    violations: dict[int, np.ndarray]
     num_bus_objectives: int
     num_line_objectives: int
     fronts: CriticalFronts
-    tau_steps: list[int]
-    tau_bus_trace: list[float]
-    tau_line_trace: list[float]
-    evaluation_log: list[tuple[int, int]]  # (step, scenario id)
-    relevance: dict[int, np.ndarray]       # objective index -> adopter relevance
-    stop_reason: str
 
     @property
     def num_evaluations(self) -> int:
-        return len(self.stresses)
+        return len(self.ids)
+
+
+@dataclass
+class SearchResult(OracleResult):
+    """Everything the search learned, plus traces for reporting.
+
+    The evaluated rows are in evaluation order; ``steps[i]`` is the step that
+    evaluated ``ids[i]`` (0 for the initial batch)."""
+
+    steps: np.ndarray
+    tau_steps: list[int]
+    tau_bus_trace: list[float]
+    tau_line_trace: list[float]
+    relevance: dict[int, np.ndarray]       # objective index -> adopter relevance
+    stop_reason: str
 
     @property
     def scenarios(self) -> list[Scenario]:
@@ -276,9 +288,11 @@ def run_search(
 
     pool = np.empty((0, num_agents), dtype=np.uint8)  # row index = scenario id
     counts: dict[int, int] = {}
-    stresses: dict[int, np.ndarray] = {}
+    # The evaluated rows, in evaluation order.
+    eval_ids: list[int] = []
+    eval_steps: list[int] = []
+    eval_stress: list[np.ndarray] = []
     invalid: list[int] = []
-    eval_log: list[tuple[int, int]] = []
     attempts = 0
     # Stress is a function of the bits alone, so only the lowest id carrying
     # each bit vector is ever evaluated; Monte Carlo duplicates of an
@@ -309,13 +323,14 @@ def run_search(
                         "check feeder data and solver settings"
                     )
                 continue
-            stresses[sid] = row
-            eval_log.append((step, sid))
+            eval_ids.append(sid)
+            eval_steps.append(step)
+            eval_stress.append(row)
 
     # Initialization: n0 evaluated scenarios, then grow to |S_1|.
     add_scenarios(simulate_batch(feeder, diffusion, cfg.n0, seed=(cfg.seed, 0)))
     evaluate_batch(list(range(cfg.n0)), step=0)
-    if not stresses:
+    if not eval_ids:
         raise SearchAbort("no initial scenario produced a converged power flow")
     add_scenarios(simulate_batch(feeder, diffusion, cfg.n_init, seed=(cfg.seed, 1)))
     m_cand = cfg.num_candidates or (cfg.n0 + cfg.n_init)
@@ -351,8 +366,11 @@ def run_search(
             step += 1
             phase = "bus" if step % 2 == 1 else "line"
             family = range(num_bus) if phase == "bus" else range(num_bus, dim)
-            eval_ids = sorted(stresses)
-            stress_mat = np.array([stresses[i] for i in eval_ids])
+            # The GPs train on the rows in ascending id order: a fit's
+            # roundoff depends on the row order, and seeded results use this one.
+            order = np.argsort(eval_ids)
+            train_ids = np.asarray(eval_ids)[order]
+            stress_mat = np.array(eval_stress)[order]
             active = detect_active_objectives(stress_mat, family, cfg.stress_threshold)
 
             if not active or not unevaluated:
@@ -360,7 +378,7 @@ def run_search(
                 # scenario in the pool can be a missed critical one.
                 tau[phase] = 0.0
             else:
-                x_eval = pool[eval_ids].astype(float)
+                x_eval = pool[train_ids].astype(float)
                 gps: dict[int, GPSurrogate] = {}
                 for k in active:
                     need_refit = (
@@ -443,20 +461,17 @@ def run_search(
             if n_new > 0:
                 add_scenarios(simulate_batch(feeder, diffusion, n_new, seed=(cfg.seed, 7, step)))
 
-    violations, fronts = _violations_and_fronts(stresses, num_bus, num_line, viol_cfg)
+    fields = _result_fields(
+        feeder, viol_cfg, pool, np.asarray(eval_ids), np.array(eval_stress), sorted(invalid)
+    )
+    fronts = fields["fronts"]
     critical = set(fronts.critical_objectives_bus) | set(fronts.critical_objectives_line)
     return SearchResult(
-        bits=pool,
-        invalid_ids=sorted(invalid),
-        stresses=stresses,
-        violations=violations,
-        num_bus_objectives=num_bus,
-        num_line_objectives=num_line,
-        fronts=fronts,
+        **fields,
+        steps=np.asarray(eval_steps),
         tau_steps=tau_steps,
         tau_bus_trace=tau_bus_trace,
         tau_line_trace=tau_line_trace,
-        evaluation_log=eval_log,
         relevance={
             k: adopter_relevance(p) for k, p in params_cache.items() if k in critical
         },
@@ -464,27 +479,14 @@ def run_search(
     )
 
 
-def _violations_and_fronts(
-    stresses: dict[int, np.ndarray], num_bus: int, num_line: int, viol_cfg: ViolationConfig
-) -> tuple[dict[int, np.ndarray], CriticalFronts]:
-    """Violation vector per evaluated scenario, and their critical fronts."""
-    ids = list(stresses)
-    stress_mat = np.array([stresses[i] for i in ids]).reshape(len(ids), num_bus + num_line)
-    viol = violation_map(stress_mat, num_bus, viol_cfg)
-    return dict(zip(ids, viol)), critical_fronts(ids, viol, num_bus)
-
-
-@dataclass
-class OracleResult:
-    """Exact evaluation of every scenario in a set; ``bits`` as in ``SearchResult``."""
-
-    bits: np.ndarray
-    stresses: dict[int, np.ndarray]
-    violations: dict[int, np.ndarray]
-    invalid_ids: list[int]
-    num_bus_objectives: int
-    num_line_objectives: int
-    fronts: CriticalFronts
+def _result_fields(feeder: Feeder, viol_cfg: ViolationConfig, bits: np.ndarray,
+                   ids: np.ndarray, stress: np.ndarray, invalid_ids: list[int]) -> dict:
+    """The ``OracleResult`` fields of the evaluated rows ``ids`` of ``bits``."""
+    num_bus = feeder.num_groups
+    violations = violation_map(stress, num_bus, viol_cfg)
+    return dict(bits=bits, ids=ids, stress=stress, violations=violations, invalid_ids=invalid_ids,
+                num_bus_objectives=num_bus, num_line_objectives=feeder.num_lines,
+                fronts=critical_fronts(ids, violations, num_bus))
 
 
 ORACLE_BUDGET = 100_000  # scenarios the brute-force oracle evaluates at most
@@ -497,25 +499,14 @@ def brute_force_oracle(
     pf_tol: float = 1e-8,
     pf_max_iter: int = 50,
     pv_derate: float = 1.0,
-    max_scenarios: int = ORACLE_BUDGET,
 ) -> OracleResult:
     """Evaluate every row of ``bits``; exact critical sets per objective family."""
-    if len(bits) > max_scenarios:
+    if len(bits) > ORACLE_BUDGET:
         raise ValueError(
-            f"{len(bits)} scenarios exceed the oracle budget of {max_scenarios}"
+            f"{len(bits)} scenarios exceed the oracle budget of {ORACLE_BUDGET}"
         )
-    num_bus = feeder.num_groups
-    num_line = feeder.num_lines
     stress, converged = evaluate_scenarios(feeder, bits, pf_tol, pf_max_iter, pv_derate)
-    valid = np.flatnonzero(converged).tolist()
-    stresses = dict(zip(valid, stress[valid]))
-    violations, fronts = _violations_and_fronts(stresses, num_bus, num_line, viol_cfg)
-    return OracleResult(
-        bits=bits,
-        stresses=stresses,
-        violations=violations,
-        invalid_ids=np.flatnonzero(~converged).tolist(),
-        num_bus_objectives=num_bus,
-        num_line_objectives=num_line,
-        fronts=fronts,
-    )
+    return OracleResult(**_result_fields(
+        feeder, viol_cfg, bits, np.flatnonzero(converged), stress[converged],
+        np.flatnonzero(~converged).tolist(),
+    ))

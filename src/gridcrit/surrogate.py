@@ -20,6 +20,7 @@ import numpy as np
 JITTER_START = 1e-8
 JITTER_MAX = 1e-4
 THETA_SCALE_CAP = 1e3  # theta upper bound is THETA_SCALE_CAP * A
+NUM_STARTS = 5  # likelihood starts per fit: the warm start and random draws
 NUM_DESCENTS = 2  # L-BFGS descents per fit, from the best-scored starts
 
 # L-BFGS-B settings: scipy's minimize(method="L-BFGS-B") defaults.
@@ -297,12 +298,11 @@ def fit_hyperparameters(
     train_inputs,
     train_outputs,
     init: KernelParams,
-    num_restarts: int = 5,
     seed: int = 0,
 ) -> KernelParams:
     """Maximize the log marginal likelihood from the best of several starts.
 
-    The starts are ``init`` and ``num_restarts - 1`` random draws, each
+    The ``NUM_STARTS`` starts are ``init`` and random draws, each
     clipped to the bounds. Every start is scored with one likelihood call,
     and L-BFGS-B descends only from the ``NUM_DESCENTS`` of lowest negative
     LML (ties go to the earlier start, so the warm start wins one); the
@@ -338,7 +338,7 @@ def fit_hyperparameters(
     starts = [
         np.concatenate([[np.log(init.eta)], init_rho, [np.log(init.noise)]])
     ]
-    for _ in range(num_restarts - 1):
+    for _ in range(NUM_STARTS - 1):
         starts.append(
             np.concatenate(
                 [

@@ -113,7 +113,7 @@ def adoption_probability(
 
 def found_bits(result) -> set[str]:
     """Bitstrings of the scenarios a search evaluated."""
-    return set(bitstrings(result.bits[list(result.stresses)]))
+    return set(bitstrings(result.bits[result.ids]))
 
 
 def critical_bits(oracle, family: str) -> set[str]:

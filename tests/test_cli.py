@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import run_fresh_python
 from gridcrit import cli
 from gridcrit.cli import _json_chunks, main
+from gridcrit.powerflow import ViolationConfig, violation_map
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -222,8 +223,10 @@ class TestConfigHandling:
         [1, 2],
         {"command": "search", "config": "x"},
         {"feeder": "."},
+        {"schema": True},
     ], ids=["seed-text", "seed-inf", "seed-float", "seed-bool", "seed-negative",
-            "feeder-number", "array", "manifest-config-text", "feeder-directory"])
+            "feeder-number", "array", "manifest-config-text", "feeder-directory",
+            "schema-bool"])
     def test_malformed_document_exit_3(self, runner, tmp_path, document):
         feeder = write_feeder(runner, tmp_path / "f.json")
         config = write_config(tmp_path / "cfg.json", feeder)
@@ -257,10 +260,14 @@ class TestConfigHandling:
         {"search": {"tau_bar": True}},
         {"search": {"tau_bar": float("nan")}},
         {"search": {"stress_threshold": float("-inf")}},
+        {"violation": {"line_bins": [0.0, float("nan")]}},
+        {"violation": {"line_bins": [0.0, float("inf")]}},
+        {"violation": {"line_bins": [False, True]}},
     ], ids=["n0-zero", "seed-text", "seed-bool", "n0-float", "space-float",
             "horizon-float", "tol-text", "tol-nan", "max-iter-zero", "max-iter-bool",
             "derate-negative", "p-nan", "p-bool", "q-inf", "initial-rate-bool",
-            "tau-bar-bool", "tau-bar-nan", "threshold-inf"])
+            "tau-bar-bool", "tau-bar-nan", "threshold-inf", "bins-nan", "bins-inf",
+            "bins-bool"])
     def test_invalid_search_section_exit_3(self, runner, tmp_path, override):
         feeder = write_feeder(runner, tmp_path / "f.json")
         config = write_config(tmp_path / "cfg.json", feeder, **override)
@@ -337,14 +344,41 @@ class TestSearchCommand:
     def test_evaluation_log_consistent_with_result(self, runner, tmp_path):
         import csv
 
-        res, outdir = self.run_search(runner, tmp_path)
+        # Batches of two: the log is not in id order, and a line-critical
+        # scenario is evaluated at a later step.
+        res, outdir = self.run_search(
+            runner, tmp_path,
+            search={"n0": 10, "n_init": 40, "n_expand": 30, "batch_size": 2,
+                    "max_search_space": 200},
+        )
         assert res.exit_code == 0, res.output
         doc = json.loads((outdir / "result.json").read_text())
         with open(outdir / "evaluation_log.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == doc["num_evaluations"]
-        logged = {int(r["id"]) for r in rows}
-        assert logged == {e["id"] for e in doc["evaluations"]}
+        steps = [int(r["step"]) for r in rows]
+        assert steps == sorted(steps)
+        logged = [int(r["id"]) for r in rows]
+        assert logged != sorted(logged)
+        evaluations = {e["id"]: e for e in doc["evaluations"]}
+        assert set(logged) == set(evaluations)
+
+        # Each log row, and each critical scenario, is its id's evaluation.
+        num_bus = doc["num_bus_objectives"]
+        dim = num_bus + doc["num_line_objectives"]
+        for r in rows:
+            entry = evaluations[int(r["id"])]
+            assert r["bits"] == entry["bits"]
+            assert [float(r[f"stress_{k}"]) for k in range(dim)] == entry["stress"]
+        for entry in doc["evaluations"]:
+            expected = violation_map(np.array(entry["stress"]), num_bus, ViolationConfig())
+            assert entry["violations"] == expected.tolist()
+        for family, sl in (("bus", slice(0, num_bus)), ("line", slice(num_bus, None))):
+            assert doc["critical_scenarios"][family]
+            for crit in doc["critical_scenarios"][family]:
+                entry = evaluations[crit["id"]]
+                assert crit["bits"] == entry["bits"]
+                assert crit["violations"] == entry["violations"][sl]
 
 
 class TestBruteForceAndReport:

@@ -111,10 +111,11 @@ class TestLoadFeeder:
             load_feeder(path)
 
     def test_wrong_schema_version(self):
-        doc = two_bus_document()
-        doc["schema"] = 99
-        with pytest.raises(ParseError, match="schema"):
-            feeder_from_document(doc)
+        for schema in (99, True):
+            doc = two_bus_document()
+            doc["schema"] = schema
+            with pytest.raises(ParseError, match="schema"):
+                feeder_from_document(doc)
 
 
 class TestValidation:

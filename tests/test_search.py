@@ -373,31 +373,47 @@ class TestEvaluateScenarios:
 
 
 class TestBruteForceOracle:
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
         feeder = small_feeder()
-        with pytest.raises(ValueError, match="budget"):
-            brute_force_oracle(feeder, ViolationConfig(), all_bit_vectors(3), max_scenarios=3)
+        monkeypatch.setattr(search, "ORACLE_BUDGET", 3)
+        with pytest.raises(ValueError, match="budget of 3"):
+            brute_force_oracle(feeder, ViolationConfig(), all_bit_vectors(3))
 
     def test_matches_direct_evaluation(self):
         # Cross-module consistency on a full 2^A enumeration: every oracle
         # stress, the per-objective maxima and the critical sets must agree
         # exactly with evaluating each scenario directly through the
-        # power-flow stack.
+        # power-flow stack. Four sweeps leave some scenarios unconverged:
+        # their ids are invalid and have no row.
+        for pf_max_iter in (50, 4):
+            invalid = self.check_against_direct_evaluation(pf_max_iter)
+            assert bool(invalid) == (pf_max_iter == 4)
+
+    @staticmethod
+    def check_against_direct_evaluation(pf_max_iter: int) -> list[int]:
+        """Compare the oracle with a scenario-by-scenario evaluation; returns
+        the unconverged ids."""
         feeder = small_feeder()
         part = feeder.partition()
         cfg = ViolationConfig()
         scen = all_bit_vectors(feeder.num_adopters)
-        oracle = brute_force_oracle(feeder, cfg, scen)
+        oracle = brute_force_oracle(feeder, cfg, scen, pf_max_iter=pf_max_iter)
         assert oracle.bits is scen
-        assert not oracle.invalid_ids
-        assert sorted(oracle.stresses) == list(range(len(scen)))
 
-        direct = {}
+        direct, invalid = {}, []
         for sid in range(len(scen)):
-            pf = solve_power_flow(feeder, scen[sid:sid + 1])
+            pf = solve_power_flow(feeder, scen[sid:sid + 1], max_iter=pf_max_iter)
+            if not pf.converged[0]:
+                invalid.append(sid)
+                continue
             stress = compute_stress(feeder, part, pf)[0]
-            np.testing.assert_array_equal(oracle.stresses[sid], stress)
             direct[sid] = violation_map(stress, part.num_groups, cfg)
+            row = len(direct) - 1
+            assert oracle.ids[row] == sid
+            np.testing.assert_array_equal(oracle.stress[row], stress)
+            np.testing.assert_array_equal(oracle.violations[row], direct[sid])
+        assert oracle.ids.tolist() == list(direct)
+        assert oracle.invalid_ids == invalid
         best = np.max(np.stack(list(direct.values())), axis=0)
         np.testing.assert_array_equal(oracle.fronts.per_objective_max_violation, best)
 
@@ -412,6 +428,7 @@ class TestBruteForceOracle:
                 assert not any(
                     dominates(direct[o][sl], v) for o in direct
                 ), f"{family} critical {cid} is dominated"
+        return invalid
 
     def test_some_objective_is_critical(self):
         feeder = small_feeder()
@@ -426,16 +443,34 @@ class TestRunSearch:
         kwargs = (feeder, FAST_DIFFUSION, ViolationConfig(), cfg)
         a = run_search(*kwargs)
         b = run_search(*kwargs)
-        assert list(a.stresses) == list(b.stresses)
+        np.testing.assert_array_equal(a.ids, b.ids)
+        np.testing.assert_array_equal(a.steps, b.steps)
+        np.testing.assert_array_equal(a.stress, b.stress)
         assert a.stop_reason == b.stop_reason
-        for sid in a.stresses:
-            np.testing.assert_array_equal(a.stresses[sid], b.stresses[sid])
 
-    def test_evaluated_ids_follow_the_evaluation_log(self):
-        feeder = small_feeder()
-        cfg = SearchConfig(seed=2, **FAST_CONFIG)
-        result = run_search(feeder, FAST_DIFFUSION, ViolationConfig(), cfg)
-        assert list(result.stresses) == [sid for _, sid in result.evaluation_log]
+    def test_evaluated_rows_align_with_their_ids(self, standard_feeder, std_diffusion):
+        # Row i of stress and violations belongs to scenario ids[i]; the rows
+        # are in evaluation order, the initial batch first, which is not the
+        # order of the ids.
+        feeder = standard_feeder
+        viol_cfg = ViolationConfig()
+        cfg = SearchConfig(seed=2, **{**FAST_CONFIG, "max_steps": 8})
+        result = run_search(feeder, std_diffusion, viol_cfg, cfg)
+        num_evals = result.num_evaluations
+        dim = feeder.num_groups + feeder.num_lines
+        assert result.ids.shape == result.steps.shape == (num_evals,)
+        assert result.stress.shape == result.violations.shape == (num_evals, dim)
+        assert len(set(result.ids.tolist())) == num_evals
+        for i in range(num_evals):
+            stress, converged = evaluate_scenarios(feeder, result.bits[result.ids[i:i + 1]])
+            assert converged[0]
+            np.testing.assert_array_equal(result.stress[i], stress[0])
+        np.testing.assert_array_equal(
+            result.violations, violation_map(result.stress, feeder.num_groups, viol_cfg))
+        assert np.all(np.diff(result.steps) >= 0)
+        assert result.ids.tolist() != sorted(result.ids.tolist())
+        initial = [sid for sid in range(cfg.n0) if sid not in result.invalid_ids]
+        assert result.ids[result.steps == 0].tolist() == initial
 
     def test_duplicates_are_evaluated_once_at_their_lowest_id(self):
         # The pool repeats bits (8 distinct vectors among 120 scenarios), and
@@ -454,8 +489,8 @@ class TestRunSearch:
         assert len(lowest) < len(bits)
         assert result.stop_reason == "exhausted"
         assert not result.invalid_ids
-        initial = {bits[sid] for step, sid in result.evaluation_log if step == 0}
-        later = [sid for step, sid in result.evaluation_log if step > 0]
+        initial = {bits[sid] for sid in result.ids[result.steps == 0].tolist()}
+        later = result.ids[result.steps > 0].tolist()
         assert any(sid >= cfg.n0 + cfg.n_init for sid in later)
         assert all(lowest[bits[sid]] == sid for sid in later)
         later_bits = [bits[sid] for sid in later]
@@ -500,11 +535,11 @@ class TestRunSearch:
         cfg = SearchConfig(seed=0, **config)
         result = run_search(feeder, FAST_DIFFUSION, ViolationConfig(), cfg)
         bits = [tuple(row) for row in result.bits.tolist()]
-        initial = {bits[sid] for step, sid in result.evaluation_log if step == 0}
+        initial = {bits[sid] for sid in result.ids[result.steps == 0].tolist()}
         assert set(bits[:cfg.n0 + cfg.n_init]) == initial
         assert result.stop_reason == "exhausted"
         assert len(bits) == cfg.max_search_space
-        assert {bits[sid] for sid in result.stresses} == set(bits) != initial
+        assert {bits[sid] for sid in result.ids.tolist()} == set(bits) != initial
 
     def test_aborts_at_the_tenth_failed_attempt(self):
         # One sweep never meets the tolerance, so every power flow fails; the
@@ -531,16 +566,15 @@ class TestRunSearch:
         result = run_search(feeder, FAST_DIFFUSION, ViolationConfig(), cfg)
         assert result.stop_reason in ("converged", "exhausted")
         nb = result.num_bus_objectives
+        row = {sid: i for i, sid in enumerate(result.ids.tolist())}
         for ids, sl in (
             (result.fronts.bus_ids, slice(0, nb)),
             (result.fronts.line_ids, slice(nb, None)),
         ):
             for sid in ids:
-                v = result.violations[sid][sl]
+                v = result.violations[row[sid]][sl]
                 assert np.any(v > 0)
-                assert not any(
-                    dominates(result.violations[o][sl], v) for o in result.violations
-                )
+                assert not any(dominates(o[sl], v) for o in result.violations)
 
     def test_recovers_enumerated_criticals(self):
         # The oracle over the full 2^A space gives ground truth; a converged

@@ -599,8 +599,9 @@ rng = np.random.default_rng(12)
 x = rng.integers(0, 2, size=(80, 12)).astype(float)
 y = x @ rng.normal(size=12) + 0.1 * rng.normal(size=80)
 init = surrogate.KernelParams(eta=1.0, theta=np.ones(12), noise=1e-4)
+surrogate.NUM_STARTS = 2
 with surrogate._single_thread_blas():
-    fit = surrogate.fit_hyperparameters(x, y, init, num_restarts=2, seed=3)
+    fit = surrogate.fit_hyperparameters(x, y, init, seed=3)
     cached = len(surrogate._openblas_thread_setters())
     fresh = len(surrogate._openblas_thread_setters.__wrapped__())
 print(json.dumps({"scipy_loaded": scipy_loaded, "cached": cached, "fresh": fresh,
@@ -626,7 +627,7 @@ class TestSingleThreadBlas:
             for set_local, count in zip(setters, outer):
                 set_local(count)
 
-    def test_fit_is_unchanged_by_the_cap(self):
+    def test_fit_is_unchanged_by_the_cap(self, monkeypatch):
         # 80 points and 12 bits, the size of a long search on the benchmark
         # feeders: below OpenBLAS's threading thresholds for every product
         # and solve of the likelihood, so the thread count cannot move a bit.
@@ -634,9 +635,10 @@ class TestSingleThreadBlas:
         x = random_bits(rng, 80, 12)
         y = x @ rng.normal(size=12) + 0.1 * rng.normal(size=80)
         init = KernelParams(eta=1.0, theta=np.ones(12), noise=1e-4)
-        free = fit_hyperparameters(x, y, init, num_restarts=2, seed=3)
+        monkeypatch.setattr(surrogate, "NUM_STARTS", 2)
+        free = fit_hyperparameters(x, y, init, seed=3)
         with _single_thread_blas():
-            capped = fit_hyperparameters(x, y, init, num_restarts=2, seed=3)
+            capped = fit_hyperparameters(x, y, init, seed=3)
         assert capped.eta == free.eta and capped.noise == free.noise
         np.testing.assert_array_equal(capped.theta, free.theta)
 
