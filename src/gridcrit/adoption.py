@@ -2,35 +2,15 @@
 
 from __future__ import annotations
 
-import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from gridcrit.feeder import Feeder
+from gridcrit.feeder import Feeder, _check_int, _check_real
 
 SCENARIO_SCHEMA_VERSION = 1
-
-
-def _check_int(name: str, value, minimum: int) -> None:
-    """Raise ValueError unless ``value`` is an integer (not a bool) >= ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, not {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}")
-
-
-def _check_real(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is a finite real number (not a bool)."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or not math.isfinite(value)
-    ):
-        raise ValueError(f"{name} must be a finite number, not {value!r}")
 
 
 @dataclass(frozen=True)

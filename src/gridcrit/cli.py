@@ -24,8 +24,6 @@ import numpy as np
 
 from gridcrit.adoption import (
     DiffusionParams,
-    _check_int,
-    _check_real,
     bitstrings,
     load_scenarios,
     save_scenarios,
@@ -33,6 +31,8 @@ from gridcrit.adoption import (
 )
 from gridcrit.feeder import (
     FeederError,
+    _check_int,
+    _check_real,
     apply_partition,
     fallback_partition,
     generate_synthetic_feeder,

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 from dataclasses import astuple, dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -23,6 +25,26 @@ class ParseError(FeederError):
 
 class ValidationError(FeederError):
     """Raised when a feeder violates a structural invariant."""
+
+
+def _check_int(name: str, value, minimum: int | None = None) -> None:
+    """Raise ValueError unless ``value`` is an integer (not a bool), and at
+    least ``minimum`` if one is given."""
+    # The builtin type first: an ABC check alone costs ~10x as much.
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+
+
+def _check_real(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is a finite real number (not a bool)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (float, int, numbers.Real))
+        or not math.isfinite(value)
+    ):
+        raise ValueError(f"{name} must be a finite number, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -87,6 +109,35 @@ class Feeder:
     @cached_property
     def _hash(self) -> int:
         return hash(astuple(self))
+
+    @cached_property
+    def tree(self) -> tuple[tuple[int, int, int], ...]:
+        """The feeder oriented away from the slack bus: ``(bus, parent, line)``
+        positions in ``buses`` and ``lines`` of every non-slack bus, in BFS
+        order from the slack, each bus's lines taken in line order.
+
+        The power-flow sweep sums in this order. Raises ValidationError if the
+        slack does not reach every bus: with one line fewer than buses, the
+        lines then close a cycle.
+        """
+        pos = {b.id: i for i, b in enumerate(self.buses)}
+        adj: list[list[tuple[int, int]]] = [[] for _ in self.buses]
+        for li, ln in enumerate(self.lines):
+            a, b = pos[ln.from_bus], pos[ln.to_bus]
+            adj[a].append((b, li))
+            adj[b].append((a, li))
+        order = [pos[self.slack_bus]]
+        seen = set(order)
+        tree = []
+        for u in order:  # grows as the BFS reaches new buses
+            for v, li in adj[u]:
+                if v not in seen:
+                    seen.add(v)
+                    order.append(v)
+                    tree.append((v, u, li))
+        if len(order) < len(self.buses):
+            raise ValidationError("not radial: cycle detected")
+        return tuple(tree)
 
     @property
     def num_buses(self) -> int:
@@ -153,23 +204,7 @@ def _validate(feeder: Feeder) -> Feeder:
         raise ValidationError(
             f"not radial: {len(lines)} lines for {len(buses)} buses"
         )
-    # Union-find connectivity; with |L| = |B|-1 this also rules out cycles.
-    parent = {i: i for i in id_set}
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for ln in lines:
-        a, b = find(ln.from_bus), find(ln.to_bus)
-        if a == b:
-            raise ValidationError("not radial: cycle detected")
-        parent[a] = b
-    roots = {find(i) for i in id_set}
-    if len(roots) != 1:
-        raise ValidationError("not radial: graph is disconnected")
+    feeder.tree  # raises ValidationError on a cycle
     return feeder
 
 
@@ -229,39 +264,60 @@ def feeder_to_document(feeder: Feeder) -> dict:
     }
 
 
+def _integer(record: dict, key: str) -> int:
+    _check_int(key, record[key])
+    return int(record[key])
+
+
+def _real(record: dict, key: str) -> float:
+    _check_real(key, record[key])
+    return float(record[key])
+
+
+def _flag(record: dict, key: str) -> bool:
+    if not isinstance(record[key], bool):
+        raise ValueError(f"{key} must be true or false, not {record[key]!r}")
+    return record[key]
+
+
 def feeder_from_document(doc: dict) -> Feeder:
-    """Build and validate a feeder from its JSON document form."""
+    """Build and validate a feeder from its JSON document form.
+
+    Nothing is coerced: ids, line ends, the slack, groups and ``num_groups``
+    must be integers, ``is_adopter`` a bool and the other fields finite
+    numbers, or the document is a ParseError.
+    """
     if isinstance(doc.get("schema"), bool) or doc.get("schema") != SCHEMA_VERSION:
         raise ParseError(f"unsupported or missing schema version: {doc.get('schema')!r}")
     try:
         buses = [
             Bus(
-                id=int(b["id"]),
-                load_p=float(b["load_p"]),
-                load_q=float(b["load_q"]),
-                v_lower=float(b["v_lower"]),
-                v_upper=float(b["v_upper"]),
-                group=int(b["group"]),
-                is_adopter=bool(b["is_adopter"]),
-                pv_capacity=float(b["pv_capacity"]),
+                id=_integer(b, "id"),
+                load_p=_real(b, "load_p"),
+                load_q=_real(b, "load_q"),
+                v_lower=_real(b, "v_lower"),
+                v_upper=_real(b, "v_upper"),
+                group=_integer(b, "group"),
+                is_adopter=_flag(b, "is_adopter"),
+                pv_capacity=_real(b, "pv_capacity"),
             )
             for b in doc["buses"]
         ]
         lines = [
             Line(
-                id=int(ln["id"]),
-                from_bus=int(ln["from_bus"]),
-                to_bus=int(ln["to_bus"]),
-                resistance=float(ln["resistance"]),
-                reactance=float(ln["reactance"]),
-                rating=float(ln["rating"]),
+                id=_integer(ln, "id"),
+                from_bus=_integer(ln, "from_bus"),
+                to_bus=_integer(ln, "to_bus"),
+                resistance=_real(ln, "resistance"),
+                reactance=_real(ln, "reactance"),
+                rating=_real(ln, "rating"),
             )
             for ln in doc["lines"]
         ]
-        slack_bus = int(doc["slack_bus"])
-        base_voltage = float(doc["base_voltage_kv"])
-        base_power = float(doc["base_power_mva"])
-        num_groups = int(doc["num_groups"])
+        slack_bus = _integer(doc, "slack_bus")
+        base_voltage = _real(doc, "base_voltage_kv")
+        base_power = _real(doc, "base_power_mva")
+        num_groups = _integer(doc, "num_groups")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed feeder document: {exc}") from exc
     return make_feeder(buses, lines, slack_bus, base_voltage, base_power, num_groups)
@@ -395,79 +451,43 @@ def generate_synthetic_feeder(
     )
 
 
-def _adjacency(feeder: Feeder) -> dict[int, list[tuple[int, int]]]:
-    adj: dict[int, list[tuple[int, int]]] = {b.id: [] for b in feeder.buses}
-    for ln in feeder.lines:
-        adj[ln.from_bus].append((ln.to_bus, ln.id))
-        adj[ln.to_bus].append((ln.from_bus, ln.id))
-    return adj
-
-
 def fallback_partition(feeder: Feeder, target_groups: int) -> BusPartition:
     """Deterministic balanced tree-cut partition into connected groups.
 
-    Greedily removes ``target_groups - 1`` edges; each removal splits the
-    largest current component at the edge whose subtree size is closest to
-    half that component. Every resulting group induces a connected subtree.
+    Greedily cuts ``target_groups - 1`` lines. Each cut splits the largest
+    group (ties: the one holding the lowest bus id) at the line whose cut
+    leaves a side closest to half of it, ties going to the lowest line id. A
+    side is measured below its line in the slack-rooted ``Feeder.tree``:
+    ``|size - half|`` is the same from either side of a cut. Every group
+    induces a connected subtree.
     """
     if not 1 <= target_groups <= feeder.num_buses:
         raise ValueError("target_groups must be in [1, num_buses]")
-    adj = _adjacency(feeder)
-    removed: set[int] = set()
-    # Components tracked as frozensets of bus ids.
-    components: list[set[int]] = [set(b.id for b in feeder.buses)]
+    tree = feeder.tree
+    # Each bus position's group, named by the group's top bus: the slack, or
+    # the bus below a cut line. Positions follow bus id order.
+    top = [[b.id for b in feeder.buses].index(feeder.slack_bus)] * feeder.num_buses
+    while True:
+        low = {t: i for i, t in reversed(list(enumerate(top)))}  # group -> lowest position
+        if len(low) == target_groups:
+            break
+        size = [1] * feeder.num_buses  # of each bus's subtree within its group
+        for u, par, _ in reversed(tree):
+            if top[u] == top[par]:
+                size[par] += size[u]
+        split = min(low, key=lambda t: (-size[t], low[t]))
+        half = size[split] / 2.0
+        cut, _ = min(
+            ((u, feeder.lines[li].id) for u, _, li in tree if top[u] == split and u != split),
+            key=lambda c: (abs(size[c[0]] - half), c[1]),
+        )
+        top[cut] = cut
+        for u, par, _ in tree:  # parents come before their children
+            if top[u] == split and top[par] == cut:
+                top[u] = cut
 
-    def component_of(root: int, comp: set[int]) -> dict[int, int]:
-        """Subtree sizes rooted at `root` within comp, skipping removed edges."""
-        order, parent_edge = [], {}
-        stack, seen = [root], {root}
-        while stack:
-            u = stack.pop()
-            order.append(u)
-            for v, eid in adj[u]:
-                if v in comp and v not in seen and eid not in removed:
-                    seen.add(v)
-                    parent_edge[v] = eid
-                    stack.append(v)
-        sizes = {u: 1 for u in order}
-        for u in reversed(order):
-            for v, eid in adj[u]:
-                if parent_edge.get(v) == eid and v != u:
-                    sizes[u] += sizes[v]
-        return {parent_edge[v]: sizes[v] for v in parent_edge}
-
-    for _ in range(target_groups - 1):
-        components.sort(key=lambda c: (-len(c), min(c)))
-        comp = components[0]
-        root = min(comp)
-        subtree = component_of(root, comp)
-        half = len(comp) / 2.0
-        # Closest-to-half subtree; ties broken by lowest edge id.
-        eid = min(subtree, key=lambda e: (abs(subtree[e] - half), e))
-        removed.add(eid)
-        cut = next(ln for ln in feeder.lines if ln.id == eid)
-        # Collect the side containing cut.to_bus (away from root).
-        side: set[int] = set()
-        stack = [cut.to_bus if cut.to_bus != root else cut.from_bus]
-        start = stack[0]
-        seen = {start}
-        while stack:
-            u = stack.pop()
-            side.add(u)
-            for v, e2 in adj[u]:
-                if v in comp and v not in seen and e2 not in removed:
-                    seen.add(v)
-                    stack.append(v)
-        components[0] = comp - side
-        components.append(side)
-
-    components.sort(key=min)
-    assignment = []
-    for g, comp in enumerate(components, start=1):
-        for bus_id in sorted(comp):
-            assignment.append((bus_id, g))
-    assignment.sort()
-    return BusPartition(tuple(assignment))
+    group = {t: g for g, t in enumerate(sorted(low, key=low.get), start=1)}
+    return BusPartition(tuple(sorted((b.id, group[t]) for b, t in zip(feeder.buses, top))))
 
 
 def apply_partition(feeder: Feeder, partition: BusPartition) -> Feeder:

@@ -7,8 +7,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from gridcrit.adoption import Scenario, _check_real
-from gridcrit.feeder import BusPartition, Feeder
+from gridcrit.adoption import Scenario
+from gridcrit.feeder import BusPartition, Feeder, _check_real
 
 
 @dataclass(frozen=True)
@@ -45,11 +45,13 @@ class ViolationConfig:
 class _Tree:
     """Per-feeder constants of the sweep and the stress (cached per feeder).
 
-    The topology is oriented away from the slack bus. The sweep runs on
-    separate float64 real and imaginary arrays, one row per bus and one
-    column per scenario, and writes every complex product out as CPython
-    does, ``(ar*br - ai*bi, ar*bi + ai*br)``: numpy's complex-array ``*`` may
-    fuse a multiply and an add and so round differently. The division
+    ``forward``, ``backward``, ``line_bus`` and ``line_parent`` are read off
+    ``Feeder.tree``, the feeder's one orientation away from the slack bus; the
+    sweep sums in its BFS order. The sweep runs on separate float64 real and
+    imaginary arrays, one row per bus and one column per scenario, and writes
+    every complex product out as CPython does, ``(ar*br - ai*bi, ar*bi +
+    ai*br)``: numpy's complex-array ``*`` may fuse a multiply and an add and
+    so round differently. The division
     ``conj(s_load / v)`` and the ``np.abs`` of the voltages and of their change
     per sweep stay numpy complex-array ops, as in the one-scenario sweep; they
     are element-wise, so they do not depend on the batch. A flow magnitude is
@@ -73,36 +75,16 @@ class _Tree:
 
 @lru_cache(maxsize=32)
 def _build_tree(feeder: Feeder) -> _Tree:
-    n = feeder.num_buses
-    pos = {b.id: i for i, b in enumerate(feeder.buses)}
-    adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n)}
-    for li, ln in enumerate(feeder.lines):
-        a, b = pos[ln.from_bus], pos[ln.to_bus]
-        adj[a].append((b, li))
-        adj[b].append((a, li))
-
-    slack = pos[feeder.slack_bus]
-    order = [slack]
-    parent = {slack: (-1, -1)}  # bus -> (parent bus, line feeding it)
-    head = 0
-    while head < len(order):
-        u = order[head]
-        head += 1
-        for v, li in adj[u]:
-            if v not in parent:
-                parent[v] = (u, li)
-                order.append(v)
-
     z_base = feeder.base_voltage**2 / feeder.base_power
     forward = []
     line_bus = np.zeros(feeder.num_lines, dtype=int)
     line_parent = np.zeros(feeder.num_lines, dtype=int)
-    for u in order[1:]:
-        par, li = parent[u]
+    for u, par, li in feeder.tree:
         ln = feeder.lines[li]
         z = complex((ln.resistance + 1j * ln.reactance) / z_base)
         forward.append((u, par, z.real, z.imag))
         line_bus[li], line_parent[li] = u, par
+    pos = {b.id: i for i, b in enumerate(feeder.buses)}
     s_base_kw = feeder.base_power * 1000.0
     return _Tree(
         p=np.array([b.load_p for b in feeder.buses]) / s_base_kw,

@@ -15,14 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gridcrit.adoption import (
-    DiffusionParams,
-    Scenario,
-    _check_int,
-    _check_real,
-    simulate_batch,
-)
-from gridcrit.feeder import Feeder
+from gridcrit.adoption import DiffusionParams, Scenario, simulate_batch
+from gridcrit.feeder import Feeder, _check_int, _check_real
 from gridcrit.pareto import CriticalFronts, critical_fronts, dominated, front_indices
 from gridcrit.powerflow import (
     ViolationConfig,
@@ -65,7 +59,8 @@ class SearchConfig:
     max_steps: int = 500
 
     def __post_init__(self):
-        for name in ("n0", "n_init", "n_expand", "batch_size", "num_mc_samples",
+        _check_int("n0", self.n0, 2)  # a GP fit needs two training points
+        for name in ("n_init", "n_expand", "batch_size", "num_mc_samples",
                      "refit_period", "max_steps", "num_candidates", "max_search_space"):
             if getattr(self, name) is not None:
                 _check_int(name, getattr(self, name), 1)
@@ -330,8 +325,11 @@ def run_search(
     # Initialization: n0 evaluated scenarios, then grow to |S_1|.
     add_scenarios(simulate_batch(feeder, diffusion, cfg.n0, seed=(cfg.seed, 0)))
     evaluate_batch(list(range(cfg.n0)), step=0)
-    if not eval_ids:
-        raise SearchAbort("no initial scenario produced a converged power flow")
+    if len(eval_ids) < 2:
+        raise SearchAbort(
+            f"{len(eval_ids)} of {cfg.n0} initial power flows converged; "
+            "the GP fits need at least two"
+        )
     add_scenarios(simulate_batch(feeder, diffusion, cfg.n_init, seed=(cfg.seed, 1)))
     m_cand = cfg.num_candidates or (cfg.n0 + cfg.n_init)
 

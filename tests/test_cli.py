@@ -91,7 +91,11 @@ class TestMakeFeeder:
 
     @pytest.mark.parametrize("buses,adopters,groups,seed", [(10, 6, 2, 3), (15, 12, 3, 19)])
     def test_documented_sizes_solve(self, runner, tmp_path, buses, adopters, groups, seed):
-        write_feeder(runner, tmp_path / "f.json", buses, adopters, groups, seed)
+        path = write_feeder(runner, tmp_path / "f.json", buses, adopters, groups, seed)
+        if (buses, adopters, groups, seed) == (15, 12, 3, 19):
+            # The committed standard feeder pins the generator, the partition
+            # and the writer byte for byte.
+            assert path.read_bytes() == (DATA_DIR / "standard_feeder.json").read_bytes()
 
     def test_unsolvable_feeder_exit_3(self, runner, tmp_path):
         # The generator does not scale load or impedance with depth: on this
@@ -243,6 +247,7 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("override", [
         {"search": {"n0": 0}},
+        {"search": {"n0": 1}},
         {"search": {"seed": "abc"}},
         {"search": {"seed": True}},
         {"search": {"n0": 2.5}},
@@ -263,7 +268,7 @@ class TestConfigHandling:
         {"violation": {"line_bins": [0.0, float("nan")]}},
         {"violation": {"line_bins": [0.0, float("inf")]}},
         {"violation": {"line_bins": [False, True]}},
-    ], ids=["n0-zero", "seed-text", "seed-bool", "n0-float", "space-float",
+    ], ids=["n0-zero", "n0-one", "seed-text", "seed-bool", "n0-float", "space-float",
             "horizon-float", "tol-text", "tol-nan", "max-iter-zero", "max-iter-bool",
             "derate-negative", "p-nan", "p-bool", "q-inf", "initial-rate-bool",
             "tau-bar-bool", "tau-bar-nan", "threshold-inf", "bins-nan", "bins-inf",

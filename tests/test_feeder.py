@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gridcrit.feeder import (
     Bus,
+    BusPartition,
     Line,
     ParseError,
     ValidationError,
@@ -81,6 +82,17 @@ class TestLoadFeeder:
             make_feeder(buses, lines, slack_bus=0, base_voltage=1.0,
                         base_power=0.1, num_groups=1)
 
+    @pytest.mark.parametrize("ends", [
+        [(0, 1), (1, 2), (3, 3)],          # a self-loop leaves bus 3 unreached
+        [(0, 1), (2, 3), (3, 2)],          # a cycle apart from the slack
+    ], ids=["self-loop", "cycle-off-slack"])
+    def test_cycle_detected_anywhere(self, ends):
+        buses = [Bus(i, 1.0, 0.3, 0.95, 1.05, 1, False, 0.0) for i in range(4)]
+        lines = [Line(4 + i, a, b, 0.1, 0.05, 1.0) for i, (a, b) in enumerate(ends)]
+        with pytest.raises(ValidationError, match="cycle detected"):
+            make_feeder(buses, lines, slack_bus=0, base_voltage=1.0,
+                        base_power=0.1, num_groups=1)
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "f.json"
         path.write_text("{not json")
@@ -95,17 +107,36 @@ class TestLoadFeeder:
         with pytest.raises(ParseError):
             load_feeder(path)
 
-    @pytest.mark.parametrize("case", ["missing", "directory", "text-load", "infinite-slack"])
+    # Most of these values would pass a cast (``bool("false")`` is True,
+    # ``int(5.7)`` is 5) or slip through the range checks (every comparison
+    # with NaN is false); an integer beyond the float range cannot be a real.
+    BAD_VALUES = {
+        "text-load": ("buses", 1, "load_p", "abc"),
+        "infinite-slack": (None, None, "slack_bus", float("inf")),
+        "text-adopter-flag": ("buses", 0, "is_adopter", "false"),
+        "integer-adopter-flag": ("buses", 0, "is_adopter", 0),
+        "fractional-line-id": ("lines", 0, "id", 5.7),
+        "fractional-bus-id": ("buses", 1, "id", 1.0),
+        "numeric-text-load": ("buses", 1, "load_p", "5"),
+        "bool-group": ("buses", 1, "group", True),
+        "bool-line-end": ("lines", 0, "to_bus", True),
+        "fractional-num-groups": (None, None, "num_groups", 1.0),
+        "nan-resistance": ("lines", 0, "resistance", float("nan")),
+        "nan-load": ("buses", 1, "load_q", float("nan")),
+        "nan-base": (None, None, "base_power_mva", float("nan")),
+        "bool-rating": ("lines", 0, "rating", True),
+        "float-overflowing-load": ("buses", 1, "load_p", 10**400),
+    }
+
+    @pytest.mark.parametrize("case", ["missing", "directory", *BAD_VALUES])
     def test_unreadable_or_unconvertible_file_is_parse_error(self, tmp_path, case):
         path = tmp_path / "f.json"
         doc = two_bus_document()
         if case == "directory":
             path.mkdir()
-        elif case == "text-load":
-            doc["buses"][1]["load_p"] = "abc"
-        elif case == "infinite-slack":
-            doc["slack_bus"] = float("inf")
-        if case in ("text-load", "infinite-slack"):
+        elif case in self.BAD_VALUES:
+            section, index, key, value = self.BAD_VALUES[case]
+            (doc[section][index] if section else doc)[key] = value
             path.write_text(json.dumps(doc))
         with pytest.raises(ParseError):
             load_feeder(path)
@@ -264,3 +295,76 @@ class TestPartition:
         updated = apply_partition(standard_feeder, part)
         assert updated.num_groups == 4
         assert updated.partition() == part
+
+
+@st.composite
+def random_radial_feeders(draw):
+    """A random tree over up to 60 buses: scrambled bus and line ids, line
+    ends in either direction, the slack anywhere."""
+    n = draw(st.integers(min_value=2, max_value=60))
+    label = draw(st.permutations(range(n)))
+    parents = [draw(st.integers(min_value=0, max_value=i - 1)) for i in range(1, n)]
+    line_ids = draw(st.permutations(range(n, 2 * n - 1)))
+    flips = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    slack = draw(st.integers(min_value=0, max_value=n - 1))
+    buses = [Bus(i, 1.0, 0.3, 0.95, 1.05, 1, False, 0.0) for i in range(n)]
+    lines = []
+    for i, (par, line_id, flip) in enumerate(zip(parents, line_ids, flips), start=1):
+        a, b = (label[i], label[par]) if flip else (label[par], label[i])
+        lines.append(Line(line_id, a, b, 0.1, 0.05, 1.0))
+    return make_feeder(buses, lines, slack_bus=slack, base_voltage=1.0,
+                       base_power=0.1, num_groups=1)
+
+
+def reference_partitions(feeder):
+    """The greedy tree cut, restarted from the whole feeder each time:
+    partitions into 1..n groups, by BFS over the feeder minus the cut lines.
+
+    Each cut splits the largest group (ties: lowest bus id) at the remaining
+    line one of whose sides is closest to half of it (ties: lowest line id).
+    """
+    def reach(start, cut):
+        adj = {b.id: [] for b in feeder.buses}
+        for ln in feeder.lines:
+            if ln.id not in cut:
+                adj[ln.from_bus].append(ln.to_bus)
+                adj[ln.to_bus].append(ln.from_bus)
+        seen, frontier = {start}, [start]
+        while frontier:
+            for v in adj[frontier.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    frontier.append(v)
+        return seen
+
+    def groups(cut):
+        out = []
+        for b in feeder.buses:  # ascending ids: groups come out by lowest id
+            if not any(b.id in g for g in out):
+                out.append(reach(b.id, cut))
+        return out
+
+    cut: set[int] = set()
+    partitions = []
+    while True:
+        comps = groups(cut)
+        partitions.append(BusPartition(tuple(sorted(
+            (bus, g) for g, comp in enumerate(comps, start=1) for bus in comp
+        ))))
+        if len(comps) == feeder.num_buses:
+            return partitions
+        comp = min(comps, key=lambda c: (-len(c), min(c)))
+        half = len(comp) / 2.0
+        best = min(
+            (ln for ln in feeder.lines if ln.id not in cut and ln.from_bus in comp),
+            key=lambda ln: (abs(len(reach(ln.to_bus, cut | {ln.id})) - half), ln.id),
+        )
+        cut.add(best.id)
+
+
+@given(feeder=random_radial_feeders())
+@settings(max_examples=40, deadline=None)
+def test_partition_matches_the_reference_at_every_group_count(feeder):
+    expected = reference_partitions(feeder)
+    for k in range(1, feeder.num_buses + 1):
+        assert fallback_partition(feeder, k) == expected[k - 1], k

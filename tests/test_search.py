@@ -302,6 +302,8 @@ class TestSearchConfig:
     def test_invalid_values(self):
         with pytest.raises(ValueError):
             SearchConfig(n0=0)
+        with pytest.raises(ValueError, match="n0 must be >= 2"):
+            SearchConfig(n0=1)
         with pytest.raises(ValueError):
             SearchConfig(tau_bar=0.0)
         with pytest.raises(ValueError):
@@ -548,6 +550,20 @@ class TestRunSearch:
         cfg = SearchConfig(seed=0, **{**FAST_CONFIG, "n0": 12})
         with pytest.raises(SearchAbort, match=r"^10/10 power flows failed to converge; "):
             run_search(feeder, FAST_DIFFUSION, ViolationConfig(), cfg, pf_max_iter=1)
+
+    def test_aborts_with_fewer_than_two_converged_initial_scenarios(self, monkeypatch):
+        # The GP fits need two training points; fewer than ten attempts never
+        # reach the failure-rate abort.
+        evaluate = search.evaluate_scenarios
+
+        def first_row_converges(*args):
+            stress, converged = evaluate(*args)
+            return stress, np.arange(len(converged)) == 0
+
+        monkeypatch.setattr(search, "evaluate_scenarios", first_row_converges)
+        cfg = SearchConfig(seed=0, **FAST_CONFIG)
+        with pytest.raises(SearchAbort, match="^1 of 8 initial power flows converged"):
+            run_search(small_feeder(), FAST_DIFFUSION, ViolationConfig(), cfg)
 
     def test_quiet_feeder_converges_with_empty_archives(self):
         feeder = quiet_feeder()
