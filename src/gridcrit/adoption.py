@@ -17,8 +17,8 @@ SCENARIO_SCHEMA_VERSION = 1
 class DiffusionParams:
     """Innovation/imitation coefficients and horizon of the diffusion model."""
 
-    p: float
-    q: float
+    p: float = 0.01
+    q: float = 0.164
     horizon_steps: int = 10
     initial_rate: float = 0.0
 

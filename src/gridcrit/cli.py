@@ -32,14 +32,13 @@ from gridcrit.adoption import (
 from gridcrit.feeder import (
     FeederError,
     _check_int,
-    _check_real,
     apply_partition,
     fallback_partition,
     generate_synthetic_feeder,
     load_feeder,
     save_feeder,
 )
-from gridcrit.powerflow import ViolationConfig, violation_map
+from gridcrit.powerflow import PowerFlowConfig, ViolationConfig, violation_map
 from gridcrit.search import (
     ORACLE_BUDGET,
     SearchAbort,
@@ -98,6 +97,15 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+# Each config section and the type that checks it and holds its defaults.
+_SECTIONS = {
+    "diffusion": DiffusionParams,
+    "violation": ViolationConfig,
+    "powerflow": PowerFlowConfig,
+    "search": SearchConfig,
+}
+
+
 def _load_config(path: str) -> dict:
     """Read a run config (or a manifest wrapping one) and apply defaults."""
     try:
@@ -125,23 +133,18 @@ def _load_config(path: str) -> dict:
         "schema": CONFIG_SCHEMA_VERSION,
         "feeder": doc["feeder"],
         "seed": seed,
-        "diffusion": {
-            "p": 0.01, "q": 0.164, "horizon_steps": 10, "initial_rate": 0.0,
-        },
-        "violation": {"line_bins": [0.0, 0.1, 0.25, 0.5]},
-        "powerflow": {"tol": 1e-8, "max_iter": 50, "pv_derate": 1.0},
-        "search": {},
+        # The search section keeps only the keys given, plus its seed.
+        **{section: {} if cls is SearchConfig else asdict(cls())
+           for section, cls in _SECTIONS.items()},
     }
     unknown = sorted(set(doc) - set(resolved))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    known = {s: set(resolved[s]) for s in ("diffusion", "violation", "powerflow")}
-    known["search"] = {f.name for f in fields(SearchConfig)}
-    for section, keys in known.items():
+    for section, cls in _SECTIONS.items():
         extra = doc.get(section, {})
         if not isinstance(extra, dict):
             raise ConfigError(f"config section '{section}' must be an object")
-        unknown = sorted(set(extra) - keys)
+        unknown = sorted(set(extra) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigError(
                 f"unknown keys in config section '{section}': {', '.join(unknown)}"
@@ -152,27 +155,14 @@ def _load_config(path: str) -> dict:
 
 
 def _build_parts(config: dict):
-    """Instantiate library objects from a resolved config."""
+    """The feeder and the diffusion, violation, power-flow and search settings
+    of a resolved config."""
     try:
         feeder = load_feeder(config["feeder"])
-        diffusion = DiffusionParams(**config["diffusion"])
-        viol_cfg = ViolationConfig(line_bins=tuple(config["violation"]["line_bins"]))
-        search_cfg = SearchConfig(**config["search"])
-        _check_powerflow(config["powerflow"])
+        parts = [cls(**config[section]) for section, cls in _SECTIONS.items()]
     except (FeederError, ValueError, TypeError) as exc:
         raise ConfigError(f"invalid config: {exc}")
-    return feeder, diffusion, viol_cfg, search_cfg
-
-
-def _check_powerflow(pf: dict) -> None:
-    """Raise ValueError unless the power-flow settings can be handed to the solver."""
-    _check_real("powerflow tol", pf["tol"])
-    if pf["tol"] <= 0:
-        raise ValueError("powerflow tol must be > 0")
-    _check_int("powerflow max_iter", pf["max_iter"], 1)
-    _check_real("powerflow pv_derate", pf["pv_derate"])
-    if pf["pv_derate"] < 0:
-        raise ValueError("powerflow pv_derate must be >= 0")
+    return feeder, *parts
 
 
 def _write_manifest(outdir: Path, command: str, config: dict, **extra) -> None:
@@ -360,7 +350,7 @@ def cmd_simulate(config_path, count, output) -> None:
         raise click.UsageError("count must be >= 1")
     _check_output_file(output)
     config = _load_config(config_path)
-    feeder, diffusion, _, _ = _build_parts(config)
+    feeder, diffusion, *_ = _build_parts(config)
     bits = simulate_batch(feeder, diffusion, count, seed=config["seed"])
     save_scenarios(output, bits, feeder)
     click.echo(f"wrote {output} ({count} scenarios)")
@@ -374,15 +364,12 @@ def cmd_evaluate(config_path, scenario_path, output) -> None:
     """Evaluate a scenario file: power flow, stresses and violations to CSV."""
     _check_output_file(output)
     config = _load_config(config_path)
-    feeder, _, viol_cfg, _ = _build_parts(config)
+    feeder, _, viol_cfg, pf_cfg, _ = _build_parts(config)
     try:
         bits = load_scenarios(scenario_path, feeder)
     except (FeederError, ValueError) as exc:
         raise ConfigError(str(exc))
-    pf_cfg = config["powerflow"]
-    stresses, converged = evaluate_scenarios(
-        feeder, bits, pf_cfg["tol"], pf_cfg["max_iter"], pf_cfg["pv_derate"]
-    )
+    stresses, converged = evaluate_scenarios(feeder, bits, pf_cfg)
     violations = violation_map(stresses, feeder.num_groups, viol_cfg)
     dim = feeder.num_groups + feeder.num_lines
     with open(output, "w", newline="") as fh:
@@ -451,16 +438,11 @@ def cmd_search(config_path, output_dir) -> None:
     """Run the Bayesian-optimization search and write result artifacts."""
     _check_output_dir(output_dir)
     config = _load_config(config_path)
-    feeder, diffusion, viol_cfg, search_cfg = _build_parts(config)
+    feeder, diffusion, viol_cfg, pf_cfg, search_cfg = _build_parts(config)
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    pf_cfg = config["powerflow"]
     try:
-        result = run_search(
-            feeder, diffusion, viol_cfg, search_cfg,
-            pf_tol=pf_cfg["tol"], pf_max_iter=pf_cfg["max_iter"],
-            pv_derate=pf_cfg["pv_derate"],
-        )
+        result = run_search(feeder, diffusion, viol_cfg, search_cfg, pf_cfg)
     except (NumericalError, SearchAbort) as exc:
         raise NumericalFailure(str(exc))
     config["search"] = {**asdict(search_cfg)}
@@ -486,7 +468,7 @@ def cmd_brute_force(config_path, scenario_path, count, output_dir) -> None:
     """Exhaustively evaluate a scenario set and write the exact fronts."""
     _check_output_dir(output_dir)
     config = _load_config(config_path)
-    feeder, diffusion, viol_cfg, _ = _build_parts(config)
+    feeder, diffusion, viol_cfg, pf_cfg, _ = _build_parts(config)
     if scenario_path is not None:
         try:
             bits = load_scenarios(scenario_path, feeder)
@@ -498,13 +480,8 @@ def cmd_brute_force(config_path, scenario_path, count, output_dir) -> None:
         if count > ORACLE_BUDGET:
             raise ConfigError(f"{count} scenarios exceed the oracle budget of {ORACLE_BUDGET}")
         bits = simulate_batch(feeder, diffusion, count, seed=config["seed"])
-    pf_cfg = config["powerflow"]
     try:
-        oracle = brute_force_oracle(
-            feeder, viol_cfg, bits,
-            pf_tol=pf_cfg["tol"], pf_max_iter=pf_cfg["max_iter"],
-            pv_derate=pf_cfg["pv_derate"],
-        )
+        oracle = brute_force_oracle(feeder, viol_cfg, bits, pf_cfg)
     except ValueError as exc:  # more scenarios than the oracle budget
         raise ConfigError(str(exc))
     outdir = Path(output_dir)

@@ -171,6 +171,8 @@ def _validate(feeder: Feeder) -> Feeder:
     ids = [b.id for b in buses]
     if len(set(ids)) != len(ids):
         raise ValidationError("duplicate bus ids")
+    if len({ln.id for ln in lines}) != len(lines):
+        raise ValidationError("duplicate line ids")
     id_set = set(ids)
     if feeder.slack_bus not in id_set:
         raise ValidationError(f"slack bus {feeder.slack_bus} not in bus set")

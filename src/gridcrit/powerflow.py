@@ -8,7 +8,7 @@ from functools import lru_cache
 import numpy as np
 
 from gridcrit.adoption import Scenario
-from gridcrit.feeder import BusPartition, Feeder, _check_real
+from gridcrit.feeder import BusPartition, Feeder, _check_int, _check_real
 
 
 @dataclass(frozen=True)
@@ -32,13 +32,33 @@ class ViolationConfig:
     line_bins: tuple[float, ...] = (0.0, 0.1, 0.25, 0.5)
 
     def __post_init__(self):
-        bins = self.line_bins
+        bins = tuple(self.line_bins)
         for b in bins:
             _check_real("line_bins entry", b)
         if not bins or bins[0] != 0.0:
             raise ValueError("line_bins must start at 0")
         if any(b2 <= b1 for b1, b2 in zip(bins, bins[1:])):
             raise ValueError("line_bins must be strictly increasing")
+        object.__setattr__(self, "line_bins", bins)
+
+
+@dataclass(frozen=True)
+class PowerFlowConfig:
+    """Sweep settings: stop when max |dV| < ``tol`` (p.u.) or after
+    ``max_iter`` sweeps; PV injects ``pv_derate`` of its nameplate."""
+
+    tol: float = 1e-8
+    max_iter: int = 50
+    pv_derate: float = 1.0
+
+    def __post_init__(self):
+        _check_real("powerflow tol", self.tol)
+        if self.tol <= 0:
+            raise ValueError("powerflow tol must be > 0")
+        _check_int("powerflow max_iter", self.max_iter, 1)
+        _check_real("powerflow pv_derate", self.pv_derate)
+        if self.pv_derate < 0:
+            raise ValueError("powerflow pv_derate must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -109,9 +129,9 @@ _PF_BLOCK_ELEMENTS = 1 << 16
 def solve_power_flow(
     feeder: Feeder,
     scenarios: Scenario | np.ndarray,
-    tol: float = 1e-8,
-    max_iter: int = 50,
-    pv_derate: float = 1.0,
+    tol: float = PowerFlowConfig.tol,
+    max_iter: int = PowerFlowConfig.max_iter,
+    pv_derate: float = PowerFlowConfig.pv_derate,
 ) -> PowerFlowResult:
     """Solve the radial network by backward/forward sweep.
 

@@ -19,6 +19,7 @@ from gridcrit.adoption import DiffusionParams, Scenario, simulate_batch
 from gridcrit.feeder import Feeder, _check_int, _check_real
 from gridcrit.pareto import CriticalFronts, critical_fronts, dominated, front_indices
 from gridcrit.powerflow import (
+    PowerFlowConfig,
     ViolationConfig,
     compute_stress,
     solve_power_flow,
@@ -244,11 +245,7 @@ def select_batch(
 
 
 def evaluate_scenarios(
-    feeder: Feeder,
-    bits: np.ndarray,
-    pf_tol: float = 1e-8,
-    pf_max_iter: int = 50,
-    pv_derate: float = 1.0,
+    feeder: Feeder, bits: np.ndarray, pf: PowerFlowConfig = PowerFlowConfig()
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stress (S x D) and power-flow convergence (S,) of each row of ``bits``.
 
@@ -258,9 +255,10 @@ def evaluate_scenarios(
     power flow and duplicates copy their row's result.
     """
     distinct, inverse = np.unique(bits, axis=0, return_inverse=True)
-    pf = solve_power_flow(feeder, distinct, tol=pf_tol, max_iter=pf_max_iter, pv_derate=pv_derate)
-    stress = compute_stress(feeder, feeder.partition(), pf)
-    return stress[inverse], pf.converged[inverse]
+    flow = solve_power_flow(feeder, distinct, tol=pf.tol, max_iter=pf.max_iter,
+                            pv_derate=pf.pv_derate)
+    stress = compute_stress(feeder, feeder.partition(), flow)
+    return stress[inverse], flow.converged[inverse]
 
 
 _DEFAULT_NOISE = 1e-4
@@ -271,9 +269,7 @@ def run_search(
     diffusion: DiffusionParams,
     viol_cfg: ViolationConfig,
     cfg: SearchConfig,
-    pf_tol: float = 1e-8,
-    pf_max_iter: int = 50,
-    pv_derate: float = 1.0,
+    pf: PowerFlowConfig = PowerFlowConfig(),
 ) -> SearchResult:
     """Run the full search loop until the stopping bound or exhaustion."""
     num_bus = feeder.num_groups
@@ -305,7 +301,7 @@ def run_search(
     def evaluate_batch(sids: list[int], step: int) -> None:
         """Evaluate a batch, then commit its results one at a time in batch order."""
         nonlocal attempts
-        stress, converged = evaluate_scenarios(feeder, pool[sids], pf_tol, pf_max_iter, pv_derate)
+        stress, converged = evaluate_scenarios(feeder, pool[sids], pf)
         for sid, row, ok in zip(sids, stress, converged):
             attempts += 1
             unevaluated.discard(representative[pool[sid].tobytes()])
@@ -494,16 +490,14 @@ def brute_force_oracle(
     feeder: Feeder,
     viol_cfg: ViolationConfig,
     bits: np.ndarray,
-    pf_tol: float = 1e-8,
-    pf_max_iter: int = 50,
-    pv_derate: float = 1.0,
+    pf: PowerFlowConfig = PowerFlowConfig(),
 ) -> OracleResult:
     """Evaluate every row of ``bits``; exact critical sets per objective family."""
     if len(bits) > ORACLE_BUDGET:
         raise ValueError(
             f"{len(bits)} scenarios exceed the oracle budget of {ORACLE_BUDGET}"
         )
-    stress, converged = evaluate_scenarios(feeder, bits, pf_tol, pf_max_iter, pv_derate)
+    stress, converged = evaluate_scenarios(feeder, bits, pf)
     return OracleResult(**_result_fields(
         feeder, viol_cfg, bits, np.flatnonzero(converged), stress[converged],
         np.flatnonzero(~converged).tolist(),

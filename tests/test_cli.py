@@ -1,8 +1,10 @@
 """End-to-end CLI tests: artifacts, determinism, manifests and exit codes."""
 
 import gc
+import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
 
@@ -16,6 +18,7 @@ from conftest import run_fresh_python
 from gridcrit import cli
 from gridcrit.cli import _json_chunks, main
 from gridcrit.powerflow import ViolationConfig, violation_map
+from gridcrit.search import SearchConfig
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -281,6 +284,84 @@ class TestConfigHandling:
         )
         assert res.exit_code == 3, res.output
         assert not (tmp_path / "out").exists()
+
+    def test_duplicate_line_ids_exit_3(self, runner, tmp_path):
+        feeder = write_feeder(runner, tmp_path / "f.json")
+        doc = json.loads(feeder.read_text())
+        doc["lines"][1]["id"] = doc["lines"][0]["id"]
+        feeder.write_text(json.dumps(doc))
+        config = write_config(tmp_path / "cfg.json", feeder)
+        res = runner.invoke(
+            main, ["simulate", "--config", str(config), "--count", "1",
+                   "-o", str(tmp_path / "s.txt")],
+        )
+        assert res.exit_code == 3, res.output
+        assert "duplicate line ids" in res.output
+        assert not (tmp_path / "s.txt").exists()
+
+    def test_minimal_config_resolves_documented_defaults(self, runner, tmp_path):
+        # The values of the README's config block, as a manifest records them.
+        # The search section is recorded as given plus its seed, except by
+        # ``search``, which records every setting it ran with.
+        feeder = write_feeder(runner, tmp_path / "f.json")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"schema": 1, "feeder": str(feeder)}))
+        for args in (["simulate", "--count", "5", "-o", str(tmp_path / "s.txt")],
+                     ["search", "-o", str(tmp_path / "search")],
+                     ["brute-force", "--count", "5", "-o", str(tmp_path / "oracle")]):
+            res = runner.invoke(main, [args[0], "--config", str(config), *args[1:]])
+            assert res.exit_code == 0, res.output
+        sections = {
+            "diffusion": {"p": 0.01, "q": 0.164, "horizon_steps": 10, "initial_rate": 0.0},
+            "violation": {"line_bins": [0.0, 0.1, 0.25, 0.5]},
+            "powerflow": {"tol": 1e-8, "max_iter": 50, "pv_derate": 1.0},
+        }
+        search = {
+            "n0": 30, "n_init": 220, "n_expand": 150, "batch_size": 4,
+            "num_mc_samples": 50, "num_candidates": None, "tau_bar": 0.1,
+            "stress_threshold": -0.05, "refit_period": 5, "seed": 0,
+            "max_search_space": None, "max_steps": 500,
+        }
+        assert search == asdict(SearchConfig())
+        for outdir, search_section in (("search", search), ("oracle", {"seed": 0})):
+            got = json.loads((tmp_path / outdir / "manifest.json").read_text())["config"]
+            assert set(got) == {"schema", "feeder", "seed", *sections, "search"}
+            assert (got["schema"], got["feeder"], got["seed"]) == (1, str(feeder), 0)
+            for name, values in sections.items():
+                assert got[name] == values, name
+            assert got["search"] == search_section
+
+
+class TestPinnedArtifacts:
+    """SHA-256 of every file that ``simulate``, ``evaluate`` and ``brute-force``
+    write on the small config, the manifest included.
+
+    A change that moves any of these bytes updates its hash here and names
+    the file in CHANGES.md. Search artifacts are left out: the GP algebra runs
+    through BLAS, whose kernels may round differently on another CPU.
+    """
+
+    HASHES = {
+        "f.json": "edb47738dd77b3268273b11ee9cdc7844e775b179e388e94937bb3a188ed7c15",
+        "scen.txt": "10e4f1fdb66098d2c403fe264644d612d201d08f497f8a92c302ad6a96702478",
+        "eval.csv": "ceaee4f18996bd74658f54c0f7bb1ccefb4c293a97577e01aa850ffee45eefdb",
+        "oracle/manifest.json": "d5ec969063b92e5d98a1921d26fd35ae470e02b4adcb1f520c26feba1ab96ca1",
+        "oracle/result.json": "5bef49f3f002e3abc2d3d621f6124e23cf92ccd82b125cc3a002aafbda279fa7",
+    }
+
+    def test_bytes(self, runner, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # relative paths keep the manifest's bytes
+        write_feeder(runner, Path("f.json"))
+        write_config(Path("cfg.json"), "f.json")
+        for args in (["simulate", "--count", "20", "-o", "scen.txt"],
+                     ["evaluate", "--scenarios", "scen.txt", "-o", "eval.csv"],
+                     ["brute-force", "--count", "200", "-o", "oracle"]):
+            res = runner.invoke(main, [args[0], "--config", "cfg.json", *args[1:]])
+            assert res.exit_code == 0, res.output
+        written = sorted(p for p in tmp_path.rglob("*") if p.is_file() and p.name != "cfg.json")
+        got = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in written}
+        assert got == self.HASHES
 
 
 class TestSearchCommand:

@@ -93,6 +93,23 @@ class TestLoadFeeder:
             make_feeder(buses, lines, slack_bus=0, base_voltage=1.0,
                         base_power=0.1, num_groups=1)
 
+    def test_duplicate_line_ids(self, tmp_path):
+        # Line ids order the partitioner's tie-break; a shared id would leave it
+        # to list position.
+        doc = two_bus_document()
+        doc["buses"].append(
+            {"id": 2, "load_p": 1.0, "load_q": 0.3, "v_lower": 0.95,
+             "v_upper": 1.05, "group": 1, "is_adopter": False, "pv_capacity": 0.0}
+        )
+        doc["lines"].append(
+            {"id": 2, "from_bus": 1, "to_bus": 2, "resistance": 0.2,
+             "reactance": 0.1, "rating": 1.0}
+        )
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="duplicate line ids"):
+            load_feeder(path)
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "f.json"
         path.write_text("{not json")

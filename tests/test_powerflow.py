@@ -5,6 +5,8 @@ full nodal mismatch equations (test-only oracle) and against nodal power
 balance computed from the admittance matrix.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from gridcrit import powerflow
 from gridcrit.adoption import Scenario
 from gridcrit.feeder import generate_synthetic_feeder
 from gridcrit.powerflow import (
+    PowerFlowConfig,
     PowerFlowResult,
     ViolationConfig,
     compute_stress,
@@ -461,3 +464,34 @@ class TestViolationMap:
             ViolationConfig(line_bins=(0.1, 0.2))
         with pytest.raises(ValueError):
             ViolationConfig(line_bins=(0.0, 0.2, 0.2))
+
+    def test_bins_stored_as_tuple(self):
+        cfg = ViolationConfig(line_bins=[0.0, 0.1])
+        assert cfg == ViolationConfig(line_bins=(0.0, 0.1))
+        assert cfg.line_bins == (0.0, 0.1)
+        assert hash(cfg) == hash(ViolationConfig(line_bins=(0.0, 0.1)))
+
+
+class TestPowerFlowConfig:
+    def test_defaults_are_the_solver_defaults(self):
+        # solve_power_flow keeps its keywords; their defaults are read off the class.
+        cfg = PowerFlowConfig()
+        assert (cfg.tol, cfg.max_iter, cfg.pv_derate) == (1e-8, 50, 1.0)
+        defaults = inspect.signature(solve_power_flow).parameters
+        for name in ("tol", "max_iter", "pv_derate"):
+            assert defaults[name].default == getattr(cfg, name)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"tol": "x"}, "powerflow tol"),
+        ({"tol": float("nan")}, "powerflow tol"),
+        ({"tol": 0.0}, "powerflow tol must be > 0"),
+        ({"max_iter": 0}, "powerflow max_iter"),
+        ({"max_iter": True}, "powerflow max_iter"),
+        ({"max_iter": 2.5}, "powerflow max_iter"),
+        ({"pv_derate": -1.0}, "powerflow pv_derate must be >= 0"),
+        ({"pv_derate": float("inf")}, "powerflow pv_derate"),
+    ], ids=["tol-text", "tol-nan", "tol-zero", "max-iter-zero", "max-iter-bool",
+            "max-iter-float", "derate-negative", "derate-inf"])
+    def test_rejects(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            PowerFlowConfig(**kwargs)

@@ -13,6 +13,7 @@ from scipy.stats import norm
 from conftest import build_chain_feeder, dominates, recovery_fraction
 from gridcrit.adoption import DiffusionParams
 from gridcrit.powerflow import (
+    PowerFlowConfig,
     ViolationConfig,
     compute_stress,
     solve_power_flow,
@@ -328,7 +329,7 @@ class TestEvaluateScenarios:
     def test_unconverged_sweep_marked_and_zero_rows(self):
         feeder = small_feeder()
         bits = np.array([[1, 0, 1], [0, 0, 0]], dtype=np.uint8)
-        stress, converged = evaluate_scenarios(feeder, bits, pf_max_iter=1)
+        stress, converged = evaluate_scenarios(feeder, bits, PowerFlowConfig(max_iter=1))
         assert stress.shape == (2, feeder.num_groups + feeder.num_lines)
         assert converged.tolist() == [False, False]
         stress, converged = evaluate_scenarios(feeder, bits[:0])
@@ -368,7 +369,7 @@ class TestEvaluateScenarios:
         bits = np.array([(1, 1, 1), (0, 1, 0), (1, 1, 1), (0, 1, 0), (1, 1, 1)],
                         dtype=np.uint8)
         solved = self.count_solves(monkeypatch)
-        stress, converged = evaluate_scenarios(feeder, bits, pf_max_iter=4)
+        stress, converged = evaluate_scenarios(feeder, bits, PowerFlowConfig(max_iter=4))
         assert solved == [[(0, 1, 0), (1, 1, 1)]]
         assert converged.tolist() == [False, True, False, True, False]
         np.testing.assert_array_equal(stress[1], stress[3])
@@ -387,24 +388,24 @@ class TestBruteForceOracle:
         # exactly with evaluating each scenario directly through the
         # power-flow stack. Four sweeps leave some scenarios unconverged:
         # their ids are invalid and have no row.
-        for pf_max_iter in (50, 4):
-            invalid = self.check_against_direct_evaluation(pf_max_iter)
-            assert bool(invalid) == (pf_max_iter == 4)
+        for max_iter in (50, 4):
+            invalid = self.check_against_direct_evaluation(max_iter)
+            assert bool(invalid) == (max_iter == 4)
 
     @staticmethod
-    def check_against_direct_evaluation(pf_max_iter: int) -> list[int]:
+    def check_against_direct_evaluation(max_iter: int) -> list[int]:
         """Compare the oracle with a scenario-by-scenario evaluation; returns
         the unconverged ids."""
         feeder = small_feeder()
         part = feeder.partition()
         cfg = ViolationConfig()
         scen = all_bit_vectors(feeder.num_adopters)
-        oracle = brute_force_oracle(feeder, cfg, scen, pf_max_iter=pf_max_iter)
+        oracle = brute_force_oracle(feeder, cfg, scen, PowerFlowConfig(max_iter=max_iter))
         assert oracle.bits is scen
 
         direct, invalid = {}, []
         for sid in range(len(scen)):
-            pf = solve_power_flow(feeder, scen[sid:sid + 1], max_iter=pf_max_iter)
+            pf = solve_power_flow(feeder, scen[sid:sid + 1], max_iter=max_iter)
             if not pf.converged[0]:
                 invalid.append(sid)
                 continue
@@ -549,7 +550,8 @@ class TestRunSearch:
         feeder = small_feeder()
         cfg = SearchConfig(seed=0, **{**FAST_CONFIG, "n0": 12})
         with pytest.raises(SearchAbort, match=r"^10/10 power flows failed to converge; "):
-            run_search(feeder, FAST_DIFFUSION, ViolationConfig(), cfg, pf_max_iter=1)
+            run_search(feeder, FAST_DIFFUSION, ViolationConfig(), cfg,
+                       PowerFlowConfig(max_iter=1))
 
     def test_aborts_with_fewer_than_two_converged_initial_scenarios(self, monkeypatch):
         # The GP fits need two training points; fewer than ten attempts never
