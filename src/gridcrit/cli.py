@@ -14,9 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
-from collections.abc import Iterator
 from dataclasses import asdict, fields
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import click
@@ -176,83 +174,89 @@ def _write_manifest(outdir: Path, command: str, config: dict, **extra) -> None:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    """Write ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline."""
+    """Write ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline; a
+    ``_Table`` stands for the list of its records."""
     with open(path, "w") as fh:
-        fh.writelines(_json_chunks(doc))
+        _write_value(fh, doc, "")
         fh.write("\n")
 
 
-_NUMBER_TYPES = {int, float}
-_JSON_LEAF_BLOCK = 256  # leaves per call of the C encoder
-
-
-def _json_chunks(doc) -> Iterator[str]:
-    """``json.dumps(doc, indent=2, sort_keys=True)`` in chunks, for string keys.
-
-    With an indent, ``json`` falls back to its pure-Python encoder. Here the
-    layout is written by hand, and the C encoder writes the numbers. Each
-    list of numbers, and each other scalar but a string as a one-element
-    list, is a leaf; a block of leaves is encoded in one call and split at
-    its "], [" and ", " separators, which no number's text contains.
-    """
-    pieces: list[str | None] = []  # None: the next leaf
-    leaves: list = []
-    indents: list[str | None] = []  # per leaf, its items' indent; None for a scalar
-    # Layout strings repeat from row to row; each is made once.
-    layout: dict[tuple, str] = {}
-
-    def text(*parts: str) -> str:
-        s = layout.get(parts)
-        if s is None:
-            s = layout[parts] = "".join(parts)
-        return s
-
-    def emit(obj, indent: str) -> None:
+def _write_value(fh, value, indent: str) -> None:
+    """Write ``value`` laid out at ``indent``: a dict (string keys) key by key,
+    so that its tables are written from their columns, anything else through
+    ``json.dumps``."""
+    if isinstance(value, _Table):
+        value.write(fh, indent)
+    elif isinstance(value, dict) and value:
         inner = indent + "  "
-        if isinstance(obj, str):
-            pieces.append(encode_basestring_ascii(obj))
-        elif isinstance(obj, (dict, list, tuple)) and not obj:
-            pieces.append("{}" if isinstance(obj, dict) else "[]")
-        elif isinstance(obj, dict):
-            sep = "{\n"
-            for key, value in sorted(obj.items()):
-                pieces.append(text(sep, inner, encode_basestring_ascii(key), ": "))
-                emit(value, inner)
-                sep = ",\n"
-            pieces.append(text("\n", indent, "}"))
-        elif isinstance(obj, (list, tuple)) and not set(map(type, obj)) <= _NUMBER_TYPES:
-            sep = "[\n"
-            for value in obj:
-                pieces.append(text(sep, inner))
-                emit(value, inner)
-                sep = ",\n"
-            pieces.append(text("\n", indent, "]"))
-        else:
-            number_list = isinstance(obj, (list, tuple))
-            leaves.append(obj if number_list else [obj])
-            indents.append(inner if number_list else None)
-            pieces.append(None)
+        sep = "{\n"
+        for key, item in sorted(value.items()):
+            fh.write(f"{sep}{inner}{json.dumps(key)}: ")
+            _write_value(fh, item, inner)
+            sep = ",\n"
+        fh.write(f"\n{indent}}}")
+    else:
+        # No string's JSON text holds a newline, so each newline is layout.
+        fh.write(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent))
 
-    emit(doc, "")
-    del emit  # it holds itself through its closure; free the leaves without the cyclic GC
 
-    def leaf_texts() -> Iterator[str]:
-        for start in range(0, len(leaves), _JSON_LEAF_BLOCK):
-            texts = json.dumps(leaves[start:start + _JSON_LEAF_BLOCK]).split("], [")
-            texts[0] = texts[0][2:]
-            texts[-1] = texts[-1][:-2]
-            yield from texts
+_TABLE_BLOCK = 256  # rows per call of the C encoder, and per write
 
-    # Leaves are encoded a block at a time and laid out only as they are
-    # written, so few of their strings are alive at once.
-    leaf = zip(leaf_texts(), indents)
-    for piece in pieces:
-        if piece is None:
-            piece, inner = next(leaf)
-            if inner is not None:
-                items = piece.replace(", ", ",\n" + inner)
-                piece = f"[\n{inner}{items}\n{inner[:-2]}]"
-        yield piece
+
+class _Table:
+    """A JSON list of records with the same keys, held as aligned columns.
+
+    A column is a list of strings or numbers, one per record, or a matrix of
+    numbers with at least one column, one row per record. Each distinct row
+    of a matrix is encoded once.
+    """
+
+    def __init__(self, **columns):
+        self.columns = columns
+
+    def write(self, fh, indent: str) -> None:
+        count = len(next(iter(self.columns.values())))
+        if not count:
+            fh.write("[]")
+            return
+        record, key, item = indent + "  ", indent + "    ", indent + "      "
+        entries, cells = [], []  # per key: its entry of the record template; its texts and row index
+        for name, column in sorted(self.columns.items()):
+            entry = f"{key}{json.dumps(name)}: ".replace("%", "%%")
+            if isinstance(column, list):
+                # No JSON text of a string or a number holds a raw newline.
+                entries.append(entry + "%s")
+                cells.append((json.dumps(column, separators=("\n", ":"))[1:-1].split("\n"), None))
+            else:
+                entries.append(f"{entry}[\n{item}%s\n{key}]")
+                cells.append(_distinct_row_texts(column, ",\n" + item))
+        template = f"\n{record}{{\n" + ",\n".join(entries) + f"\n{record}}}"
+        for start in range(0, count, _TABLE_BLOCK):
+            stop = start + _TABLE_BLOCK
+            block = zip(*(texts[start:stop] if index is None
+                          else [texts[i] for i in index[start:stop].tolist()]
+                          for texts, index in cells))
+            fh.write(("," if start else "[") + ",".join(template % row for row in block))
+        fh.write(f"\n{indent}]")
+
+
+def _distinct_row_texts(matrix: np.ndarray, sep: str) -> tuple[list[str], np.ndarray]:
+    """JSON texts of the distinct rows of a number matrix, without brackets
+    and with ``sep`` between items, and each row's index among them.
+
+    Rows are keyed by their bytes, as in ``pareto.critical_indices``: rows of
+    equal values but other bytes (-0.0, NaN payloads) just stay apart.
+    """
+    rows = np.ascontiguousarray(matrix)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    encoder = json.JSONEncoder(separators=(sep, ": "), check_circular=False)
+    texts: list[str] = []
+    for start in range(0, len(first), _TABLE_BLOCK):
+        # No number's text holds "]", so a block splits at its row ends.
+        text = encoder.encode(rows[first[start:start + _TABLE_BLOCK]].tolist())
+        texts += text[2:-2].split(f"]{sep}[")
+    return texts, inverse
 
 
 def _result_document(feeder, result, stop_reason: str, extra=None) -> dict:
@@ -262,16 +266,13 @@ def _result_document(feeder, result, stop_reason: str, extra=None) -> dict:
     fronts = result.fronts
     order = np.argsort(result.ids)
     ids = result.ids[order]
-    bits = bitstrings(result.bits[ids])
     violations = result.violations[order]
 
-    def scen_entry(sid: int, lo: int, hi: int) -> dict:
-        row = np.searchsorted(ids, sid)  # every critical scenario is an evaluated one
-        return {
-            "id": sid,
-            "bits": bits[row],
-            "violations": violations[row, lo:hi].tolist(),
-        }
+    def critical(front_ids, objectives: slice) -> _Table:
+        front_ids = np.array(front_ids, dtype=ids.dtype)
+        rows = np.searchsorted(ids, front_ids)  # every critical scenario is an evaluated one
+        return _Table(id=front_ids.tolist(), bits=bitstrings(result.bits[front_ids]),
+                      violations=violations[rows, objectives])
 
     doc = {
         "schema": CONFIG_SCHEMA_VERSION,
@@ -285,22 +286,14 @@ def _result_document(feeder, result, stop_reason: str, extra=None) -> dict:
             "bus": list(fronts.critical_objectives_bus),
             "line": list(fronts.critical_objectives_line),
         },
-        "per_objective_max_violation": [
-            float(v) for v in fronts.per_objective_max_violation
-        ],
+        "per_objective_max_violation": fronts.per_objective_max_violation.tolist(),
         "critical_scenarios": {
-            "bus": [scen_entry(i, 0, num_bus) for i in fronts.bus_ids],
-            "line": [
-                scen_entry(i, num_bus, num_bus + num_line) for i in fronts.line_ids
-            ],
+            "bus": critical(fronts.bus_ids, slice(0, num_bus)),
+            "line": critical(fronts.line_ids, slice(num_bus, num_bus + num_line)),
         },
         "invalid_ids": result.invalid_ids,
-        "evaluations": [
-            {"id": sid, "bits": b, "stress": stress, "violations": viol}
-            for sid, b, stress, viol in zip(
-                ids.tolist(), bits, result.stress[order].tolist(), violations.tolist()
-            )
-        ],
+        "evaluations": _Table(id=ids.tolist(), bits=bitstrings(result.bits[ids]),
+                              stress=result.stress[order], violations=violations),
     }
     if extra:
         doc.update(extra)
@@ -422,6 +415,12 @@ def _write_search_artifacts(outdir: Path, feeder, result) -> None:
                                            bitstrings(result.bits[result.ids]), result.stress):
             writer.writerow([step, sid, bits] + [_fmt(v) for v in stress])
 
+    # A search into the directory of an earlier run may write fewer
+    # relevance files; that run's others would read as this run's.
+    written = {f"relevance_obj_{k}.csv" for k in result.relevance}
+    for stale in outdir.glob("relevance_obj_*.csv"):
+        if stale.name not in written:
+            stale.unlink()
     adopters = feeder.adopters
     for k, vec in sorted(result.relevance.items()):
         with open(outdir / f"relevance_obj_{k}.csv", "w", newline="") as fh:
@@ -542,6 +541,9 @@ def _read_result(path: Path, feeder) -> dict:
     ):
         raise ConfigError(f"{path} has a relevance entry that does not fit the feeder")
     return doc
+
+
+_NUMBER_TYPES = {int, float}
 
 
 def _is_numbers(value, length: int) -> bool:

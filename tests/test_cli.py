@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import run_fresh_python
 from gridcrit import cli
-from gridcrit.cli import _json_chunks, main
+from gridcrit.cli import _Table, _write_json, main
 from gridcrit.powerflow import ViolationConfig, violation_map
 from gridcrit.search import SearchConfig
 
@@ -404,6 +404,21 @@ class TestSearchCommand:
             for name in sorted(p.name for p in outdir.iterdir()):
                 assert (outdir / name).read_bytes() == (rerun / name).read_bytes(), name
 
+    def test_rerun_removes_stale_relevance_files(self, runner, tmp_path):
+        # An earlier run into the same directory left a relevance file of an
+        # objective this run does not write, and a file of someone else's.
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        for name in ("relevance_obj_99.csv", "notes.txt"):
+            (outdir / name).write_text("earlier\n")
+        res, outdir = self.run_search(runner, tmp_path)
+        assert res.exit_code == 0, res.output
+        doc = json.loads((outdir / "result.json").read_text())
+        assert doc["relevance"]
+        assert {p.name for p in outdir.glob("relevance_obj_*.csv")} == {
+            f"relevance_obj_{k}.csv" for k in doc["relevance"]}
+        assert (outdir / "notes.txt").read_text() == "earlier\n"
+
     def test_threads_option_is_gone(self, runner, tmp_path):
         feeder = write_feeder(runner, tmp_path / "f.json")
         config = write_config(tmp_path / "cfg.json", feeder)
@@ -499,6 +514,23 @@ class TestBruteForceAndReport:
             assert (report_dir / name).exists(), name
         header = (report_dir / "max_violation_comparison.csv").read_text().splitlines()[0]
         assert header == "objective,search_max,oracle_max,top25_max"
+
+    def test_result_json_round_trips_at_1024_scenarios(self, runner, tmp_path):
+        # Fronts of 100+ records, and rows that repeat across the writer's blocks.
+        config = write_config(
+            tmp_path / "cfg.json", DATA_DIR / "standard_feeder.json",
+            diffusion={"p": 0.02, "q": 0.25, "horizon_steps": 10, "initial_rate": 0.15},
+        )
+        res = runner.invoke(main, ["brute-force", "--config", str(config), "--count", "1024",
+                                   "-o", str(tmp_path / "oracle")])
+        assert res.exit_code == 0, res.output
+        text = (tmp_path / "oracle" / "result.json").read_text()
+        doc = json.loads(text)
+        assert min(len(doc["critical_scenarios"][f]) for f in ("bus", "line")) >= 100
+        block = cli._TABLE_BLOCK
+        bits = [e["bits"] for e in doc["evaluations"]]
+        assert set(bits[:block]) & set(bits[block:2 * block])
+        assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def test_report_top_n_covers_all_equals_oracle(self, runner, tmp_path):
         # When top-n spans every evaluated scenario, the naive comparator's
@@ -797,27 +829,90 @@ _json_docs = st.recursive(
 )
 
 
-class TestJsonWriter:
-    @given(doc=_json_docs, block=st.sampled_from([1, 2, 3, 256]))
-    @settings(max_examples=500, deadline=None)
-    def test_same_text_as_the_indenting_encoder(self, doc, block):
-        # block: leaves per C-encoder call, so that blocks end at any leaf.
-        with mock.patch.object(cli, "_JSON_LEAF_BLOCK", block):
-            assert "".join(_json_chunks(doc)) == json.dumps(doc, indent=2, sort_keys=True)
+_table_numbers = (
+    st.sampled_from([0.0, -0.0, 1.0, 1e300, float("nan"), float("inf"), -float("inf")])
+    | st.floats(allow_nan=True, allow_infinity=True)
+)
 
-    def test_leaves_are_freed_without_the_cyclic_gc(self):
-        # A written document's leaves must not wait for a garbage collection:
-        # they hold every stress and violation list of a result.
-        leaf = [1.0, 2.0]
-        before = sys.getrefcount(leaf)
+
+@st.composite
+def _tables(draw):
+    """A table's columns, and the list of records it stands for."""
+    rows = draw(st.integers(0, 9))
+    columns = {}
+    for name in draw(st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True)):
+        kind = draw(st.sampled_from(["ints", "numbers", "text", "matrix"]))
+        if kind == "matrix":
+            width = draw(st.integers(1, 3))
+            cells = draw(st.lists(_table_numbers, min_size=rows * width, max_size=rows * width))
+            columns[name] = np.array(cells, dtype=float).reshape(rows, width)
+        else:
+            values = {"ints": st.integers(), "numbers": _table_numbers, "text": st.text()}[kind]
+            columns[name] = draw(st.lists(values, min_size=rows, max_size=rows))
+    records = [
+        {name: col[i] if isinstance(col, list) else col[i].tolist()
+         for name, col in columns.items()}
+        for i in range(rows)
+    ]
+    return columns, records
+
+
+def _written(doc, tmp_path_factory) -> str:
+    path = tmp_path_factory.getbasetemp() / "doc.json"
+    _write_json(path, doc)
+    return path.read_text()
+
+
+class TestJsonWriter:
+    @given(doc=_json_docs)
+    @settings(max_examples=500, deadline=None)
+    def test_same_text_as_the_indenting_encoder(self, doc, tmp_path_factory):
+        assert _written(doc, tmp_path_factory) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @given(table=_tables(), others=st.dictionaries(st.text(), _json_docs, max_size=3),
+           nested=st.booleans(), block=st.sampled_from([1, 2, 3, 256]))
+    @settings(max_examples=300, deadline=None)
+    def test_table_same_text_as_its_records(self, table, others, nested, block,
+                                            tmp_path_factory):
+        # block: rows per C-encoder call and per write, so that blocks end at any row.
+        columns, records = table
+        doc, expected = {**others, "t": _Table(**columns)}, {**others, "t": records}
+        if nested:
+            doc, expected = {"n": doc, "z": 1}, {"n": expected, "z": 1}
+        with mock.patch.object(cli, "_TABLE_BLOCK", block):
+            text = _written(doc, tmp_path_factory)
+        assert text == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+    def test_table_special_rows(self, tmp_path_factory):
+        # Repeated rows across blocks; -0.0 beside 0.0 stays apart, though the
+        # two are equal; NaN and the infinities; one number per row.
+        nan, inf = float("nan"), float("inf")
+        stress = np.array([[0.0, 1e300], [-0.0, 1e300], [nan, -inf], [0.0, 1e300],
+                           [inf, 2.5], [nan, -inf], [-0.0, 1e300]])
+        table = _Table(id=list(range(7)), bits=["01", "10", "11", "01", "00", "11", "10"],
+                       stress=stress, one=stress[:, :1].copy())
+        records = [{"bits": b, "id": i, "one": row[:1], "stress": row}
+                   for i, b, row in zip(table.columns["id"], table.columns["bits"],
+                                        stress.tolist())]
+        for block in (2, 256):
+            with mock.patch.object(cli, "_TABLE_BLOCK", block):
+                text = _written({"t": table}, tmp_path_factory)
+            assert text == json.dumps({"t": records}, indent=2, sort_keys=True) + "\n"
+        assert '"-0.0"' not in text and text.count("-0.0") == 4
+
+    def test_table_arrays_are_freed_without_the_cyclic_gc(self, tmp_path_factory):
+        # A written table must not keep its arrays until a garbage collection:
+        # they hold every stress and violation row of a result.
+        matrix = np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0]])
+        before = sys.getrefcount(matrix)
         gc.disable()
         try:
-            "".join(_json_chunks({"a": leaf}))
-            assert sys.getrefcount(leaf) == before
+            _written({"a": _Table(id=[0, 1, 2], x=matrix)}, tmp_path_factory)
+            assert sys.getrefcount(matrix) == before
         finally:
             gc.enable()
 
-    def test_escapes_and_special_floats(self):
+    def test_escapes_and_special_floats(self, tmp_path_factory):
         doc = {"\u00e9\n\"\\": [float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 3],
                "b": [[], {}, [True, False, None], ["a, b", "x], [y"]], "a": {}}
-        assert "".join(_json_chunks(doc)) == json.dumps(doc, indent=2, sort_keys=True)
+        assert _written(doc, tmp_path_factory) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
