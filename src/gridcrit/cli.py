@@ -36,6 +36,7 @@ from gridcrit.feeder import (
     load_feeder,
     save_feeder,
 )
+from gridcrit.pareto import distinct_rows
 from gridcrit.powerflow import PowerFlowConfig, ViolationConfig, violation_map
 from gridcrit.search import (
     ORACLE_BUDGET,
@@ -243,18 +244,13 @@ class _Table:
 def _distinct_row_texts(matrix: np.ndarray, sep: str) -> tuple[list[str], np.ndarray]:
     """JSON texts of the distinct rows of a number matrix, without brackets
     and with ``sep`` between items, and each row's index among them.
-
-    Rows are keyed by their bytes, as in ``pareto.critical_indices``: rows of
-    equal values but other bytes (-0.0, NaN payloads) just stay apart.
     """
-    rows = np.ascontiguousarray(matrix)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    first, inverse = distinct_rows(matrix)
     encoder = json.JSONEncoder(separators=(sep, ": "), check_circular=False)
     texts: list[str] = []
     for start in range(0, len(first), _TABLE_BLOCK):
         # No number's text holds "]", so a block splits at its row ends.
-        text = encoder.encode(rows[first[start:start + _TABLE_BLOCK]].tolist())
+        text = encoder.encode(matrix[first[start:start + _TABLE_BLOCK]].tolist())
         texts += text[2:-2].split(f"]{sep}[")
     return texts, inverse
 
@@ -399,13 +395,8 @@ def _write_search_artifacts(outdir: Path, feeder, result) -> None:
     with open(outdir / "tau_trace.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "tau_bus", "tau_line"])
-        for step, tb, tl in zip(
-            result.tau_steps, result.tau_bus_trace, result.tau_line_trace
-        ):
-            writer.writerow(
-                [step, _fmt(tb) if np.isfinite(tb) else "",
-                 _fmt(tl) if np.isfinite(tl) else ""]
-            )
+        for step, row in enumerate(result.tau.tolist(), start=1):
+            writer.writerow([step] + ["" if np.isnan(t) else _fmt(t) for t in row])
 
     with open(outdir / "evaluation_log.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -58,6 +58,22 @@ def front_indices(points) -> np.ndarray:
     return np.sort(front)
 
 
+def distinct_rows(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """The first index of each distinct row of a 2-D array, and each row's
+    position among them.
+
+    Rows are compared as byte strings, and the distinct rows are in byte
+    order: equal bytes mean equal values, and the few equal values with
+    other bytes (-0.0, NaN payloads) just stay apart.
+    """
+    rows = np.ascontiguousarray(matrix)
+    if not rows.shape[1]:  # no bytes to compare: every row is the empty row
+        return np.zeros(min(len(rows), 1), dtype=np.intp), np.zeros(len(rows), dtype=np.intp)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse
+
+
 def critical_indices(points) -> np.ndarray:
     """Sorted indices of rows with a positive entry that no row dominates.
 
@@ -68,11 +84,8 @@ def critical_indices(points) -> np.ndarray:
     """
     pts = np.asarray(points)
     positive = np.flatnonzero(np.any(pts > 0, axis=-1))
-    rows = np.ascontiguousarray(pts[positive])
-    # Rows compared as byte strings: equal bytes mean equal values, and the
-    # few equal values with other bytes (-0.0, NaN payloads) just stay apart.
-    keys = rows.view(np.dtype((np.void, rows.strides[0]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rows = pts[positive]
+    first, inverse = distinct_rows(rows)
     on_front = np.zeros(len(first), dtype=bool)
     on_front[front_indices(rows[first])] = True
     return positive[on_front[inverse]]

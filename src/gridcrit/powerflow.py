@@ -240,21 +240,15 @@ def compute_stress(
     return np.concatenate([np.stack(worst, axis=-1), pf.flows - tree.rating], axis=-1)
 
 
-def violation_map(stress: np.ndarray, bus, cfg: ViolationConfig) -> np.ndarray:
+def violation_map(stress: np.ndarray, num_bus: int, cfg: ViolationConfig) -> np.ndarray:
     """Rectify bus stresses; bin positive line excess flows by severity.
 
-    Objectives run along the last axis of ``stress``. ``bus`` is either the
-    number of leading bus objectives or a boolean mask over the last axis
-    that is True for bus objectives; the others are line objectives.
+    Objectives run along the last axis of ``stress``: the first ``num_bus``
+    are bus objectives, the others line objectives.
     """
-    stress = np.asarray(stress, dtype=float)
-    bus = np.asarray(bus)
-    if bus.dtype != bool:
-        bus = np.arange(stress.shape[-1]) < bus
-    line = ~bus
-    out = np.maximum(stress, 0.0)
+    out = np.maximum(np.asarray(stress, dtype=float), 0.0)
     bins = np.asarray(cfg.line_bins)
     # Bin index j with y+ in [c_j, c_{j+1}); values above the last edge map to J.
-    idx = np.searchsorted(bins, out[..., line], side="right") - 1
-    out[..., line] = np.minimum(idx, len(bins) - 1)
+    idx = np.searchsorted(bins, out[..., num_bus:], side="right") - 1
+    out[..., num_bus:] = np.minimum(idx, len(bins) - 1)
     return out

@@ -17,7 +17,13 @@ import numpy as np
 
 from gridcrit.adoption import DiffusionParams, Scenario, simulate_batch
 from gridcrit.feeder import Feeder, _check_int, _check_real
-from gridcrit.pareto import CriticalFronts, critical_fronts, dominated, front_indices
+from gridcrit.pareto import (
+    CriticalFronts,
+    critical_fronts,
+    critical_indices,
+    distinct_rows,
+    dominated,
+)
 from gridcrit.powerflow import (
     PowerFlowConfig,
     ViolationConfig,
@@ -65,6 +71,8 @@ class SearchConfig:
                      "refit_period", "max_steps", "num_candidates", "max_search_space"):
             if getattr(self, name) is not None:
                 _check_int(name, getattr(self, name), 1)
+        if self.max_search_space is not None and self.max_search_space < self.n0 + self.n_init:
+            raise ValueError("max_search_space must be >= n0 + n_init, the initial pool")
         _check_int("seed", self.seed, 0)
         _check_real("tau_bar", self.tau_bar)
         _check_real("stress_threshold", self.stress_threshold)
@@ -102,14 +110,19 @@ class SearchResult(OracleResult):
     """Everything the search learned, plus traces for reporting.
 
     The evaluated rows are in evaluation order; ``steps[i]`` is the step that
-    evaluated ``ids[i]`` (0 for the initial batch)."""
+    evaluated ``ids[i]`` (0 for the initial batch). Row s - 1 of ``tau``
+    (steps x 2) is the (bus, line) stopping value after step s; an entry is
+    NaN until its phase first runs."""
 
     steps: np.ndarray
-    tau_steps: list[int]
-    tau_bus_trace: list[float]
-    tau_line_trace: list[float]
+    tau: np.ndarray
     relevance: dict[int, np.ndarray]       # objective index -> adopter relevance
     stop_reason: str
+
+    @property
+    def tau_steps(self) -> list[int]:
+        # Read only by perfbench/tracing.py, which counts the steps.
+        return list(range(1, len(self.tau) + 1))
 
     @property
     def scenarios(self) -> list[Scenario]:
@@ -158,17 +171,20 @@ _MC_BLOCK_ELEMENTS = 1 << 16
 def _candidate_nondominated_freq(
     sampled_stress: np.ndarray,
     evaluated_violations: np.ndarray,
-    bus_mask: np.ndarray,
+    num_bus: int,
     cfg: ViolationConfig,
 ) -> np.ndarray:
     """Fraction of samples in which each candidate is critical.
 
-    sampled_stress has shape (N, M, K) over active objectives; evaluated
-    violations (already mapped) enter each simulated front as fixed points.
-    A candidate is critical in a sample iff it has a positive violation and
-    neither an evaluated point nor another candidate of that sample dominates
-    it. A point dominated by an evaluated one is dominated by a member of
-    their front, so only the distinct front members are compared against.
+    sampled_stress has shape (N, M, K) over active objectives, the first
+    ``num_bus`` of them bus objectives; evaluated violations (already mapped)
+    enter each simulated front as fixed points. A candidate is critical in a
+    sample iff it has a positive violation and neither an evaluated point nor
+    another candidate of that sample dominates it. Only positive candidates
+    are tested, and a point that dominates a positive one is positive, so a
+    point dominated by an evaluated one is dominated by a member of their
+    critical front (``pareto.critical_indices``): that front is the one
+    compared against.
 
     Each sample's candidates are first screened against K + 1 pivots of the
     same sample: the largest row of each objective and the row of largest
@@ -178,9 +194,8 @@ def _candidate_nondominated_freq(
     in blocks of at most _MC_BLOCK_ELEMENTS gathered violations.
     """
     n_samples, m, k = sampled_stress.shape
-    viol = violation_map(sampled_stress, bus_mask, cfg)
-    fixed = np.unique(evaluated_violations, axis=0)
-    fixed = fixed[front_indices(fixed)]
+    viol = violation_map(sampled_stress, num_bus, cfg)
+    fixed = evaluated_violations[critical_indices(evaluated_violations)]
     rows = np.concatenate([viol.argmax(axis=1), viol.sum(axis=-1).argmax(axis=1)[:, None]],
                           axis=1)
     pivots = np.take_along_axis(viol, rows[..., None], axis=1)
@@ -198,7 +213,7 @@ def acquisition_alpha_nd(
     gps: dict[int, GPSurrogate],
     candidate_bits: np.ndarray,
     evaluated_violations: np.ndarray,
-    bus_mask: np.ndarray,
+    num_bus: int,
     cfg: ViolationConfig,
     num_samples: int,
     seed,
@@ -206,7 +221,8 @@ def acquisition_alpha_nd(
     """Probability of each candidate being non-dominated (Monte Carlo).
 
     For every active objective, joint posterior samples over the candidates
-    are drawn, mapped to violations and compared against the realized
+    are drawn, mapped to violations (the first ``num_bus`` objectives, in key
+    order, are bus objectives) and compared against the realized
     violations of already-evaluated scenarios. Candidates with zero sampled
     violations never count as critical.
     """
@@ -219,7 +235,7 @@ def acquisition_alpha_nd(
         post = posterior(gps[k], candidate_bits)
         child = np.random.SeedSequence((_seed_entropy(seed), j))
         sampled[:, :, j] = sample_joint(post, num_samples, child)
-    return _candidate_nondominated_freq(sampled, evaluated_violations, bus_mask, cfg)
+    return _candidate_nondominated_freq(sampled, evaluated_violations, num_bus, cfg)
 
 
 def _seed_entropy(seed) -> int:
@@ -251,11 +267,11 @@ def evaluate_scenarios(
 
     Stresses are taken over the bus groups the feeder carries; a row whose
     sweep did not converge has a meaningless stress. A stress is a function
-    of the bits alone, so the sorted distinct rows are solved in one batched
-    power flow and duplicates copy their row's result.
+    of the bits alone, so the distinct rows are solved in one batched power
+    flow and duplicates copy their row's result.
     """
-    distinct, inverse = np.unique(bits, axis=0, return_inverse=True)
-    flow = solve_power_flow(feeder, distinct, tol=pf.tol, max_iter=pf.max_iter,
+    first, inverse = distinct_rows(bits)
+    flow = solve_power_flow(feeder, bits[first], tol=pf.tol, max_iter=pf.max_iter,
                             pv_derate=pf.pv_derate)
     stress = compute_stress(feeder, feeder.partition(), flow)
     return stress[inverse], flow.converged[inverse]
@@ -284,30 +300,30 @@ def run_search(
     eval_steps: list[int] = []
     eval_stress: list[np.ndarray] = []
     invalid: list[int] = []
-    attempts = 0
     # Stress is a function of the bits alone, so only the lowest id carrying
-    # each bit vector is ever evaluated; Monte Carlo duplicates of an
+    # each bit vector is ever a candidate; Monte Carlo duplicates of an
     # evaluated (or invalid) scenario carry no information.
-    representative: dict[bytes, int] = {}  # row bytes -> lowest id
+    seen: set[bytes] = set()  # row bytes of every scenario in the pool
     unevaluated: set[int] = set()
 
     def add_scenarios(batch: np.ndarray) -> None:
         nonlocal pool
         for sid, row in enumerate(batch, start=len(pool)):
-            if representative.setdefault(row.tobytes(), sid) == sid:
+            key = row.tobytes()
+            if key not in seen:
+                seen.add(key)
                 unevaluated.add(sid)
         pool = np.concatenate([pool, batch])
 
     def evaluate_batch(sids: list[int], step: int) -> None:
         """Evaluate a batch, then commit its results one at a time in batch order."""
-        nonlocal attempts
         stress, converged = evaluate_scenarios(feeder, pool[sids], pf)
         for sid, row, ok in zip(sids, stress, converged):
-            attempts += 1
-            unevaluated.discard(representative[pool[sid].tobytes()])
+            unevaluated.discard(sid)
             if not ok:
                 invalid.append(sid)
                 log.warning("power flow did not converge for scenario %d; excluded", sid)
+                attempts = len(eval_ids) + len(invalid)
                 if attempts >= 10 and len(invalid) > 0.1 * attempts:
                     raise SearchAbort(
                         f"{len(invalid)}/{attempts} power flows failed to converge; "
@@ -329,18 +345,11 @@ def run_search(
     add_scenarios(simulate_batch(feeder, diffusion, cfg.n_init, seed=(cfg.seed, 1)))
     m_cand = cfg.num_candidates or (cfg.n0 + cfg.n_init)
 
-    params_cache: dict[int, KernelParams] = {}
-    last_fit_step: dict[int, int] = {}
-    tau = {"bus": np.inf, "line": np.inf}
-    tau_steps: list[int] = []
-    tau_bus_trace: list[float] = []
-    tau_line_trace: list[float] = []
+    fits: dict[int, tuple[KernelParams, int]] = {}  # objective -> (params, step fitted)
+    tau = np.full(2, np.nan)  # (bus, line); NaN until the phase first runs
+    tau_rows: list[np.ndarray] = []
     cand_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 2)))
     stop_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 3)))
-    stop_reason = "max_steps"
-
-    def default_params() -> KernelParams:
-        return KernelParams(eta=1.0, theta=np.ones(num_agents), noise=_DEFAULT_NOISE)
 
     def expansion_size() -> int:
         cap = cfg.max_search_space
@@ -350,16 +359,19 @@ def run_search(
     # The GP matrices are too small to gain from a second BLAS thread.
     with _single_thread_blas():
         step = 0
-        while step < cfg.max_steps:
-            if max(tau["bus"], tau["line"]) < cfg.tau_bar:
+        while True:
+            if np.all(tau < cfg.tau_bar):
                 stop_reason = "converged"
                 break
             if not unevaluated and not expansion_size():
                 stop_reason = "exhausted"
                 break
+            if step == cfg.max_steps:
+                stop_reason = "max_steps"
+                break
             step += 1
-            phase = "bus" if step % 2 == 1 else "line"
-            family = range(num_bus) if phase == "bus" else range(num_bus, dim)
+            phase = (step - 1) % 2  # 0: bus, 1: line
+            family = range(num_bus, dim) if phase else range(num_bus)
             # The GPs train on the rows in ascending id order: a fit's
             # roundoff depends on the row order, and seeded results use this one.
             order = np.argsort(eval_ids)
@@ -367,89 +379,71 @@ def run_search(
             stress_mat = np.array(eval_stress)[order]
             active = detect_active_objectives(stress_mat, family, cfg.stress_threshold)
 
-            if not active or not unevaluated:
-                # No objective is active, or nothing is left to evaluate: no
-                # scenario in the pool can be a missed critical one.
-                tau[phase] = 0.0
-            else:
+            # With no active objective, or nothing left to evaluate, no
+            # scenario in the pool can be a missed critical one.
+            tau_val = 0.0
+            if active and unevaluated:
                 x_eval = pool[train_ids].astype(float)
                 gps: dict[int, GPSurrogate] = {}
                 for k in active:
-                    need_refit = (
-                        k not in params_cache
-                        or (step - last_fit_step.get(k, 0)) >= cfg.refit_period
-                    )
-                    if need_refit:
-                        params_cache[k] = fit_hyperparameters(
+                    params, fitted = fits.get(k, (None, 0))
+                    refit = params is None or step - fitted >= cfg.refit_period
+                    if refit:
+                        params = fit_hyperparameters(
                             x_eval,
                             stress_mat[:, k],
-                            init=params_cache.get(k, default_params()),
+                            init=params or KernelParams(
+                                eta=1.0, theta=np.ones(num_agents), noise=_DEFAULT_NOISE),
                             seed=_seed_entropy((cfg.seed, 4, step, k)),
                         )
-                        last_fit_step[k] = step
-                    gps[k] = GPSurrogate.build(x_eval, stress_mat[:, k], params_cache[k])
+                        fits[k] = (params, step)
+                    gps[k] = GPSurrogate.build(x_eval, stress_mat[:, k], params)
                     if log.isEnabledFor(logging.DEBUG):
                         log.debug(
                             "step %d obj %d: eta=%.3g noise=%.3g theta_max=%.3g refit=%s",
-                            step, k, params_cache[k].eta, params_cache[k].noise,
-                            float(np.max(params_cache[k].theta)), need_refit,
+                            step, k, params.eta, params.noise,
+                            float(np.max(params.theta)), refit,
                         )
 
-                bus_mask = np.array([k < num_bus for k in active])
-                eval_viol = violation_map(stress_mat[:, active], bus_mask, viol_cfg)
+                num_active_bus = 0 if phase else len(active)
+                eval_viol = violation_map(stress_mat[:, active], num_active_bus, viol_cfg)
 
                 cand_ids = sample_candidates(unevaluated, counts, m_cand, cand_rng)
                 for cid in cand_ids:
                     counts[cid] = counts.get(cid, 0) + 1
                 cand_bits = pool[cand_ids].astype(float)
-                alpha = acquisition_alpha_nd(
-                    gps,
-                    cand_bits,
-                    eval_viol,
-                    bus_mask,
-                    viol_cfg,
-                    cfg.num_mc_samples,
-                    seed=(cfg.seed, 5, step),
-                )
+                alpha = acquisition_alpha_nd(gps, cand_bits, eval_viol, num_active_bus, viol_cfg,
+                                             cfg.num_mc_samples, seed=(cfg.seed, 5, step))
 
                 # Stopping subsample: prefer unevaluated scenarios disjoint from the
                 # acquisition candidates; top up by reusing candidate alphas.
                 rest = sorted(unevaluated - set(cand_ids))
-                tau_val = 0.0
                 take = min(m_cand, len(rest))
                 if take > 0:
                     sub = sorted(
                         int(i) for i in stop_rng.choice(np.asarray(rest), size=take, replace=False)
                     )
                     sub_bits = pool[sub].astype(float)
-                    sub_alpha = acquisition_alpha_nd(
-                        gps,
-                        sub_bits,
-                        eval_viol,
-                        bus_mask,
-                        viol_cfg,
-                        cfg.num_mc_samples,
-                        seed=(cfg.seed, 6, step),
-                    )
+                    sub_alpha = acquisition_alpha_nd(gps, sub_bits, eval_viol, num_active_bus,
+                                                     viol_cfg, cfg.num_mc_samples,
+                                                     seed=(cfg.seed, 6, step))
                     tau_val += float(np.sum(sub_alpha))
                 if take < m_cand:
                     reuse = _rank_by_alpha(alpha, cand_ids)[:m_cand - take]
                     tau_val += float(np.sum(alpha[reuse]))
-                tau[phase] = tau_val
                 if log.isEnabledFor(logging.DEBUG):
                     nz = alpha[alpha > 0]
                     log.debug(
                         "step %d %s: tau=%.3f alpha>0 %d/%d max=%.3f",
-                        step, phase, tau_val, len(nz), len(alpha),
+                        step, ("bus", "line")[phase], tau_val, len(nz), len(alpha),
                         float(alpha.max()) if len(alpha) else 0.0,
                     )
 
                 batch = select_batch(alpha, cand_ids, cfg.batch_size)
                 evaluate_batch(batch, step)
 
-            tau_steps.append(step)
-            tau_bus_trace.append(tau["bus"] if np.isfinite(tau["bus"]) else np.nan)
-            tau_line_trace.append(tau["line"] if np.isfinite(tau["line"]) else np.nan)
+            tau[phase] = tau_val
+            tau_rows.append(tau.copy())
 
             n_new = expansion_size()
             if n_new > 0:
@@ -463,11 +457,9 @@ def run_search(
     return SearchResult(
         **fields,
         steps=np.asarray(eval_steps),
-        tau_steps=tau_steps,
-        tau_bus_trace=tau_bus_trace,
-        tau_line_trace=tau_line_trace,
+        tau=np.array(tau_rows).reshape(-1, 2),
         relevance={
-            k: adopter_relevance(p) for k, p in params_cache.items() if k in critical
+            k: adopter_relevance(params) for k, (params, _) in fits.items() if k in critical
         },
         stop_reason=stop_reason,
     )

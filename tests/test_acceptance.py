@@ -309,7 +309,7 @@ def test_criterion_7_numerical_property_suites():
         gps={0: far_gp},
         candidate_bits=np.array([[1.0, 1.0, 1.0]]),
         evaluated_violations=np.array([[v_e]]),
-        bus_mask=np.array([True]),
+        num_bus=1,
         cfg=ViolationConfig(),
         num_samples=n_mc,
         seed=123,

@@ -255,6 +255,7 @@ class TestConfigHandling:
         {"search": {"seed": True}},
         {"search": {"n0": 2.5}},
         {"search": {"max_search_space": 2.5}},
+        {"search": {"n0": 10, "n_init": 40, "max_search_space": 20}},
         {"diffusion": {"horizon_steps": 2.5}},
         {"powerflow": {"tol": "x"}},
         {"powerflow": {"tol": float("nan")}},
@@ -272,7 +273,7 @@ class TestConfigHandling:
         {"violation": {"line_bins": [0.0, float("inf")]}},
         {"violation": {"line_bins": [False, True]}},
     ], ids=["n0-zero", "n0-one", "seed-text", "seed-bool", "n0-float", "space-float",
-            "horizon-float", "tol-text", "tol-nan", "max-iter-zero", "max-iter-bool",
+            "space-below-initial-pool", "horizon-float", "tol-text", "tol-nan", "max-iter-zero", "max-iter-bool",
             "derate-negative", "p-nan", "p-bool", "q-inf", "initial-rate-bool",
             "tau-bar-bool", "tau-bar-nan", "threshold-inf", "bins-nan", "bins-inf",
             "bins-bool"])

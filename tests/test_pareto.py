@@ -13,6 +13,7 @@ from gridcrit import pareto
 from gridcrit.pareto import (
     critical_fronts,
     critical_indices,
+    distinct_rows,
     dominated,
     front_indices,
 )
@@ -154,6 +155,29 @@ class TestParetoSet:
         v_coarse = np.array([violation_map(s, 0, coarse) for s in stresses])
         v_fine = np.array([violation_map(s, 0, fine) for s in stresses])
         assert set(front_indices(v_coarse).tolist()) <= set(front_indices(v_fine).tolist())
+
+
+class TestDistinctRows:
+    @given(hnp.arrays(np.uint8, st.tuples(st.integers(0, 60), st.integers(0, 5)),
+                      elements=st.integers(0, 1)))
+    @settings(max_examples=150, deadline=None)
+    def test_bit_rows_match_numpy_unique(self, bits):
+        # Byte order is value order for uint8 rows, so the distinct rows come
+        # sorted, as np.unique(axis=0) gives them.
+        first, inverse = distinct_rows(bits)
+        rows, want_first, want_inverse = np.unique(
+            bits, axis=0, return_index=True, return_inverse=True)
+        np.testing.assert_array_equal(bits[first], rows)
+        np.testing.assert_array_equal(first, want_first)
+        np.testing.assert_array_equal(inverse, want_inverse.ravel())
+
+    def test_rows_keyed_by_bytes(self):
+        # -0.0 and 0.0 are equal values with different bytes.
+        points = np.array([(0.0, 1.0), (-0.0, 1.0), (0.0, 1.0)])
+        first, inverse = distinct_rows(points)
+        assert len(first) == 2
+        assert inverse[0] == inverse[2] != inverse[1]
+        np.testing.assert_array_equal(points[first][inverse], points)
 
 
 class TestIsCritical:

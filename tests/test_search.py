@@ -117,10 +117,11 @@ class TestSelectBatch:
             select_batch(np.array([0.5]), [1], 0)
 
 
-def per_sample_nondominated_freq(sampled_stress, evaluated_violations, bus_mask, cfg):
+def per_sample_nondominated_freq(sampled_stress, evaluated_violations, num_bus, cfg):
     """Reference: the acquisition's dominance test one Monte Carlo sample at a
     time, against every evaluated point, with its own violation mapping."""
-    n_samples, m, _ = sampled_stress.shape
+    n_samples, m, k = sampled_stress.shape
+    bus_mask = np.arange(k) < num_bus
     bins = np.asarray(cfg.line_bins)
     pos = np.maximum(sampled_stress, 0.0)
     viol = pos.copy()
@@ -144,7 +145,7 @@ def acquisition_inputs(draw):
     k = draw(st.integers(1, 8))
     n = draw(st.integers(1, 13))
     m = draw(st.integers(1, 9))
-    bus_mask = draw(hnp.arrays(bool, k))
+    num_bus = draw(st.integers(0, k))
     if draw(st.booleans()):  # integer-valued stresses: many exact ties
         values = st.integers(-2, 3).map(float)
     else:
@@ -154,8 +155,8 @@ def acquisition_inputs(draw):
                                 elements=values))
     evaluated = np.vstack([evaluated, evaluated[: draw(st.integers(0, 2))]])  # duplicates
     evaluated = np.maximum(evaluated, 0.0)
-    evaluated[:, ~bus_mask] = np.floor(evaluated[:, ~bus_mask])
-    return stress, evaluated, bus_mask
+    evaluated[:, num_bus:] = np.floor(evaluated[:, num_bus:])
+    return stress, evaluated, num_bus
 
 
 @st.composite
@@ -165,7 +166,7 @@ def wide_acquisition_inputs(draw):
     k = draw(st.integers(1, 5))
     n = draw(st.integers(1, 4))
     m = draw(st.integers(1, 300))
-    bus_mask = draw(hnp.arrays(bool, k))
+    num_bus = draw(st.integers(0, k))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         def values(shape):
@@ -174,10 +175,10 @@ def wide_acquisition_inputs(draw):
         def values(shape):
             return rng.choice([-0.1, 0.0, 0.05, 0.2, 0.3], size=shape)
     stress = values((n, m, k))
-    evaluated = violation_map(values((draw(st.integers(0, 20)), k)), bus_mask,
+    evaluated = violation_map(values((draw(st.integers(0, 20)), k)), num_bus,
                               ViolationConfig())
     block_elements = draw(st.integers(1, 4)) * m * k
-    return stress, evaluated, bus_mask, block_elements
+    return stress, evaluated, num_bus, block_elements
 
 
 class TestAcquisition:
@@ -186,22 +187,22 @@ class TestAcquisition:
     def test_blocked_matches_per_sample_loop(self, inputs, block_elements):
         # Small element caps give blocks of one or a few samples that
         # rarely divide the sample count.
-        stress, evaluated, bus_mask = inputs
+        stress, evaluated, num_bus = inputs
         cfg = ViolationConfig()
         with mock.patch.object(search, "_MC_BLOCK_ELEMENTS", block_elements):
-            got = _candidate_nondominated_freq(stress, evaluated, bus_mask, cfg)
-        want = per_sample_nondominated_freq(stress, evaluated, bus_mask, cfg)
+            got = _candidate_nondominated_freq(stress, evaluated, num_bus, cfg)
+        want = per_sample_nondominated_freq(stress, evaluated, num_bus, cfg)
         np.testing.assert_array_equal(got, want)
 
     @given(wide_acquisition_inputs())
     @settings(max_examples=150, deadline=None)
     def test_screen_matches_per_sample_loop_over_many_candidates(self, inputs):
         # The pivot screen leaves survivors that span several gathered blocks.
-        stress, evaluated, bus_mask, block_elements = inputs
+        stress, evaluated, num_bus, block_elements = inputs
         cfg = ViolationConfig()
         with mock.patch.object(search, "_MC_BLOCK_ELEMENTS", block_elements):
-            got = _candidate_nondominated_freq(stress, evaluated, bus_mask, cfg)
-        want = per_sample_nondominated_freq(stress, evaluated, bus_mask, cfg)
+            got = _candidate_nondominated_freq(stress, evaluated, num_bus, cfg)
+        want = per_sample_nondominated_freq(stress, evaluated, num_bus, cfg)
         np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("rows, want", [
@@ -213,12 +214,11 @@ class TestAcquisition:
     ])
     def test_dominated_pivot_and_survivor(self, rows, want):
         stress = np.array([rows])
-        bus_mask = np.ones(2, dtype=bool)
         cfg = ViolationConfig()
-        got = _candidate_nondominated_freq(stress, np.empty((0, 2)), bus_mask, cfg)
+        got = _candidate_nondominated_freq(stress, np.empty((0, 2)), 2, cfg)
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(
-            got, per_sample_nondominated_freq(stress, np.empty((0, 2)), bus_mask, cfg))
+            got, per_sample_nondominated_freq(stress, np.empty((0, 2)), 2, cfg))
 
     def test_matches_gaussian_tail_oracle(self):
         # One active objective, one candidate far from all training data:
@@ -237,7 +237,7 @@ class TestAcquisition:
             gps={0: gp},
             candidate_bits=cand,
             evaluated_violations=np.array([[v_e]]),
-            bus_mask=np.array([True]),
+            num_bus=1,
             cfg=ViolationConfig(),
             num_samples=n,
             seed=123,
@@ -257,7 +257,7 @@ class TestAcquisition:
             gps={0: gp},
             candidate_bits=np.array([[0.0, 0.0]]),
             evaluated_violations=np.empty((0, 1)),
-            bus_mask=np.array([True]),
+            num_bus=1,
             cfg=ViolationConfig(),
             num_samples=200,
             seed=0,
@@ -275,7 +275,7 @@ class TestAcquisition:
             gps={0: gp},
             candidate_bits=cands,
             evaluated_violations=np.empty((0, 1)),
-            bus_mask=np.array([True]),
+            num_bus=1,
             cfg=ViolationConfig(),
             num_samples=100,
         )
@@ -289,7 +289,7 @@ class TestAcquisition:
                 gps={},
                 candidate_bits=np.zeros((1, 2)),
                 evaluated_violations=np.empty((0, 0)),
-                bus_mask=np.array([]),
+                num_bus=0,
                 cfg=ViolationConfig(),
                 num_samples=10,
                 seed=0,
@@ -311,6 +311,11 @@ class TestSearchConfig:
             SearchConfig(stress_threshold=0.0)
         with pytest.raises(ValueError):
             SearchConfig(num_candidates=0)
+
+    def test_search_space_cap_holds_the_initial_pool(self):
+        with pytest.raises(ValueError, match="max_search_space must be >= n0 \\+ n_init"):
+            SearchConfig(n0=10, n_init=40, max_search_space=49)
+        SearchConfig(n0=10, n_init=40, max_search_space=50)
 
     @pytest.mark.parametrize("field", ["tau_bar", "stress_threshold"])
     @pytest.mark.parametrize("value", [float("nan"), float("-inf"), True])
@@ -607,13 +612,38 @@ class TestRunSearch:
         assert recovery_fraction(oracle, result, "bus") >= 0.5
         assert recovery_fraction(oracle, result, "line") >= 0.5
 
-    def test_tau_traces_align_with_steps(self):
+    def test_tau_has_one_row_per_step(self):
+        # Step s runs the bus phase when s is odd and the line phase when it
+        # is even: each column is NaN exactly before its phase's first step.
         feeder = small_feeder()
         cfg = SearchConfig(seed=4, **FAST_CONFIG)
         result = run_search(feeder, FAST_DIFFUSION, ViolationConfig(), cfg)
-        assert len(result.tau_steps) == len(result.tau_bus_trace)
-        assert len(result.tau_steps) == len(result.tau_line_trace)
-        assert result.tau_steps == sorted(result.tau_steps)
+        steps = len(result.tau)
+        assert steps >= 2
+        assert result.tau.shape == (steps, 2)
+        assert result.steps.max() <= steps
+        assert result.tau_steps == list(range(1, steps + 1))
+        first_step = np.array([1, 2])
+        step = np.arange(1, steps + 1)[:, None]
+        np.testing.assert_array_equal(np.isnan(result.tau), step < first_step)
+        converged = bool(np.all(result.tau[-1] < cfg.tau_bar))
+        assert (result.stop_reason == "converged") == converged
+
+    def test_bound_met_on_the_last_allowed_step_converges(
+        self, standard_feeder, std_diffusion
+    ):
+        # The stop checks run in the order convergence, exhaustion, step cap:
+        # a search capped at the step on which it meets the bound converges,
+        # and evaluates the same rows as without the cap.
+        config = {"n0": 10, "n_init": 40, "n_expand": 30, "max_search_space": 200, "seed": 0}
+        free = run_search(standard_feeder, std_diffusion, ViolationConfig(),
+                          SearchConfig(**config))
+        assert free.stop_reason == "converged"
+        capped = run_search(standard_feeder, std_diffusion, ViolationConfig(),
+                            SearchConfig(**config, max_steps=len(free.tau)))
+        assert capped.stop_reason == "converged"
+        np.testing.assert_array_equal(capped.ids, free.ids)
+        np.testing.assert_array_equal(capped.tau, free.tau)
 
     def test_relevance_reported_for_critical_objectives(self):
         feeder = small_feeder()
