@@ -28,8 +28,9 @@ from gridcrit.adoption import (
     simulate_batch,
 )
 from gridcrit.feeder import (
-    FeederError,
+    ParseError,
     _check_int,
+    _read_json_object,
     apply_partition,
     fallback_partition,
     generate_synthetic_feeder,
@@ -96,6 +97,14 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _write_csv(path, header: list, rows) -> None:
+    """Write a CSV artifact: the header row, then ``rows``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 # Each config section and the type that checks it and holds its defaults.
 _SECTIONS = {
     "diffusion": DiffusionParams,
@@ -108,15 +117,13 @@ _SECTIONS = {
 def _load_config(path: str) -> dict:
     """Read a run config (or a manifest wrapping one) and apply defaults."""
     try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}")
-    except ValueError as exc:  # invalid JSON or text that is not UTF-8
-        raise ConfigError(f"config is not valid JSON: {exc}")
-    if isinstance(doc, dict) and "command" in doc and "config" in doc:
+        doc = _read_json_object(path, "config file")
+    except ParseError as exc:
+        raise ConfigError(str(exc))
+    if "command" in doc and "config" in doc:
         doc = doc["config"]  # manifest re-run
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
+        if not isinstance(doc, dict):
+            raise ConfigError("config must be a JSON object")
     if isinstance(doc.get("schema"), bool) or doc.get("schema") != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"config schema must be {CONFIG_SCHEMA_VERSION}")
     if "feeder" not in doc:
@@ -155,12 +162,14 @@ def _load_config(path: str) -> dict:
 
 def _build_parts(config: dict):
     """The feeder and the diffusion, violation, power-flow and search settings
-    of a resolved config."""
+    of a resolved config. A feeder without adopters has no scenarios to run."""
     try:
         feeder = load_feeder(config["feeder"])
         parts = [cls(**config[section]) for section, cls in _SECTIONS.items()]
-    except (FeederError, ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid config: {exc}")
+    if not feeder.num_adopters:
+        raise ConfigError(f"invalid config: feeder {config['feeder']} has no adopters")
     return feeder, *parts
 
 
@@ -317,7 +326,7 @@ def cmd_make_feeder(buses, adopters, groups, seed, output) -> None:
     try:
         feeder = generate_synthetic_feeder(buses, adopters, seed)
         feeder = apply_partition(feeder, fallback_partition(feeder, groups))
-    except (FeederError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc))
     extremes = np.array([[0], [1]], dtype=np.uint8).repeat(feeder.num_adopters, axis=1)
     _, converged = evaluate_scenarios(feeder, extremes)
@@ -356,27 +365,19 @@ def cmd_evaluate(config_path, scenario_path, output) -> None:
     feeder, _, viol_cfg, pf_cfg, _ = _build_parts(config)
     try:
         bits = load_scenarios(scenario_path, feeder)
-    except (FeederError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc))
     stresses, converged = evaluate_scenarios(feeder, bits, pf_cfg)
     violations = violation_map(stresses, feeder.num_groups, viol_cfg)
     dim = feeder.num_groups + feeder.num_lines
-    with open(output, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["id"]
-            + [f"stress_{k}" for k in range(dim)]
-            + [f"violation_{k}" for k in range(dim)]
-            + ["converged"]
-        )
-        for sid, (stress, viol, ok) in enumerate(zip(stresses, violations, converged)):
-            if not ok:
-                writer.writerow([sid] + [""] * (2 * dim) + [False])
-            else:
-                writer.writerow(
-                    [sid] + [_fmt(v) for v in stress] + [_fmt(v) for v in viol]
-                    + [True]
-                )
+    _write_csv(
+        output,
+        ["id"] + [f"stress_{k}" for k in range(dim)]
+        + [f"violation_{k}" for k in range(dim)] + ["converged"],
+        ([sid] + [_fmt(v) for v in stress] + [_fmt(v) for v in viol] + [True] if ok
+         else [sid] + [""] * (2 * dim) + [False]
+         for sid, (stress, viol, ok) in enumerate(zip(stresses, violations, converged))),
+    )
     click.echo(f"wrote {output}")
 
 
@@ -392,19 +393,17 @@ def _write_search_artifacts(outdir: Path, feeder, result) -> None:
     )
     _write_json(outdir / "result.json", doc)
 
-    with open(outdir / "tau_trace.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "tau_bus", "tau_line"])
-        for step, row in enumerate(result.tau.tolist(), start=1):
-            writer.writerow([step] + ["" if np.isnan(t) else _fmt(t) for t in row])
+    _write_csv(outdir / "tau_trace.csv", ["step", "tau_bus", "tau_line"],
+               ([step] + ["" if np.isnan(t) else _fmt(t) for t in row]
+                for step, row in enumerate(result.tau.tolist(), start=1)))
 
-    with open(outdir / "evaluation_log.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        dim = num_bus + result.num_line_objectives
-        writer.writerow(["step", "id", "bits"] + [f"stress_{k}" for k in range(dim)])
-        for step, sid, bits, stress in zip(result.steps.tolist(), result.ids.tolist(),
-                                           bitstrings(result.bits[result.ids]), result.stress):
-            writer.writerow([step, sid, bits] + [_fmt(v) for v in stress])
+    dim = num_bus + result.num_line_objectives
+    _write_csv(outdir / "evaluation_log.csv",
+               ["step", "id", "bits"] + [f"stress_{k}" for k in range(dim)],
+               ([step, sid, bits] + [_fmt(v) for v in stress]
+                for step, sid, bits, stress in zip(
+                    result.steps.tolist(), result.ids.tolist(),
+                    bitstrings(result.bits[result.ids]), result.stress)))
 
     # A search into the directory of an earlier run may write fewer
     # relevance files; that run's others would read as this run's.
@@ -414,11 +413,8 @@ def _write_search_artifacts(outdir: Path, feeder, result) -> None:
             stale.unlink()
     adopters = feeder.adopters
     for k, vec in sorted(result.relevance.items()):
-        with open(outdir / f"relevance_obj_{k}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["adopter_bus", "relevance"])
-            for bus_id, val in zip(adopters, vec):
-                writer.writerow([bus_id, _fmt(val)])
+        _write_csv(outdir / f"relevance_obj_{k}.csv", ["adopter_bus", "relevance"],
+                   ([bus_id, _fmt(val)] for bus_id, val in zip(adopters, vec)))
 
 
 @main.command("search")
@@ -462,7 +458,7 @@ def cmd_brute_force(config_path, scenario_path, count, output_dir) -> None:
     if scenario_path is not None:
         try:
             bits = load_scenarios(scenario_path, feeder)
-        except (FeederError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(str(exc))
     else:
         if count < 1:
@@ -499,14 +495,10 @@ _RESULT_KEYS = (
 
 def _read_result(path: Path, feeder) -> dict:
     """A result.json written for ``feeder``; anything else is a validation error."""
-    if not path.exists():
-        raise ConfigError(f"missing result file: {path}")
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}")
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path} is not a result document")
+        doc = _read_json_object(path, "result file")
+    except ParseError as exc:
+        raise ConfigError(str(exc))
     missing = [key for key in _RESULT_KEYS if key not in doc]
     if missing:
         raise ConfigError(f"{path} lacks {', '.join(missing)}")
@@ -556,7 +548,7 @@ def cmd_report(feeder_path, search_dir, oracle_dir, top_n, output_dir) -> None:
     _check_output_dir(output_dir)
     try:
         feeder = load_feeder(feeder_path)
-    except (FeederError, ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc))
     search_doc = _read_result(Path(search_dir) / "result.json", feeder)
     oracle_doc = (
@@ -581,11 +573,9 @@ def cmd_report(feeder_path, search_dir, oracle_dir, top_n, output_dir) -> None:
         for e in search_doc["evaluations"]
     ]
     rows.sort(key=lambda r: (-r[2], r[0]))
-    with open(outdir / "scenarios_by_pv.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "bits", "total_pv_kw", "max_bus_violation"])
-        for rid, bits, pv, mv in rows:
-            writer.writerow([rid, bits, _fmt(pv), _fmt(mv)])
+    _write_csv(outdir / "scenarios_by_pv.csv",
+               ["id", "bits", "total_pv_kw", "max_bus_violation"],
+               ([rid, bits, _fmt(pv), _fmt(mv)] for rid, bits, pv, mv in rows))
 
     # (b) per-objective max violation: search vs oracle vs naive top-N-by-PV.
     base_doc = oracle_doc or search_doc
@@ -598,27 +588,18 @@ def cmd_report(feeder_path, search_dir, oracle_dir, top_n, output_dir) -> None:
     top_max = np.zeros(dim)
     for e in top:
         top_max = np.maximum(top_max, e["violations"])
-    with open(outdir / "max_violation_comparison.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["objective", "search_max", f"top{top_n}_max"]
-        if oracle_doc:
-            header.insert(2, "oracle_max")
-        writer.writerow(header)
-        for k in range(dim):
-            row = [k, _fmt(search_doc["per_objective_max_violation"][k]),
-                   _fmt(top_max[k])]
-            if oracle_doc:
-                row.insert(2, _fmt(oracle_doc["per_objective_max_violation"][k]))
-            writer.writerow(row)
+    maxima = {
+        "search_max": search_doc["per_objective_max_violation"],
+        **({"oracle_max": oracle_doc["per_objective_max_violation"]} if oracle_doc else {}),
+        f"top{top_n}_max": top_max,
+    }
+    _write_csv(outdir / "max_violation_comparison.csv", ["objective", *maxima],
+               ([k] + [_fmt(m[k]) for m in maxima.values()] for k in range(dim)))
 
     # (c) adopter relevance matrix over critical objectives.
-    with open(outdir / "relevance.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["objective"] + [str(b) for b in feeder.adopters])
-        for key in sorted(search_doc.get("relevance", {}), key=int):
-            writer.writerow(
-                [key] + [_fmt(v) for v in search_doc["relevance"][key]]
-            )
+    relevance = search_doc.get("relevance", {})
+    _write_csv(outdir / "relevance.csv", ["objective"] + [str(b) for b in feeder.adopters],
+               ([key] + [_fmt(v) for v in relevance[key]] for key in sorted(relevance, key=int)))
     click.echo(f"wrote report -> {outdir}")
 
 

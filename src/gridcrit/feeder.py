@@ -6,7 +6,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -77,20 +77,6 @@ class Line:
 
 
 @dataclass(frozen=True)
-class BusPartition:
-    """Total assignment of bus ids to group indices 1..P."""
-
-    assignment: tuple[tuple[int, int], ...]
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.assignment)
-
-    @property
-    def num_groups(self) -> int:
-        return max(g for _, g in self.assignment)
-
-
-@dataclass(frozen=True)
 class Feeder:
     """A validated radial distribution feeder (immutable after construction)."""
 
@@ -156,9 +142,9 @@ class Feeder:
     def num_adopters(self) -> int:
         return len(self.adopters)
 
-    def partition(self) -> BusPartition:
-        """The partition carried by the bus records."""
-        return BusPartition(tuple((b.id, b.group) for b in self.buses))
+    def partition(self) -> dict[int, int]:
+        """The partition carried by the bus records: bus id -> group 1..P."""
+        return {b.id: b.group for b in self.buses}
 
     def content_hash(self) -> str:
         """Stable hash of the feeder contents, used in scenario file headers."""
@@ -231,41 +217,6 @@ def make_feeder(
     )
 
 
-def feeder_to_document(feeder: Feeder) -> dict:
-    """Serialize a feeder to its JSON document form (schema 1)."""
-    return {
-        "schema": SCHEMA_VERSION,
-        "base_voltage_kv": feeder.base_voltage,
-        "base_power_mva": feeder.base_power,
-        "slack_bus": feeder.slack_bus,
-        "num_groups": feeder.num_groups,
-        "buses": [
-            {
-                "id": b.id,
-                "load_p": b.load_p,
-                "load_q": b.load_q,
-                "v_lower": b.v_lower,
-                "v_upper": b.v_upper,
-                "group": b.group,
-                "is_adopter": b.is_adopter,
-                "pv_capacity": b.pv_capacity,
-            }
-            for b in feeder.buses
-        ],
-        "lines": [
-            {
-                "id": ln.id,
-                "from_bus": ln.from_bus,
-                "to_bus": ln.to_bus,
-                "resistance": ln.resistance,
-                "reactance": ln.reactance,
-                "rating": ln.rating,
-            }
-            for ln in feeder.lines
-        ],
-    }
-
-
 def _integer(record: dict, key: str) -> int:
     _check_int(key, record[key])
     return int(record[key])
@@ -282,40 +233,51 @@ def _flag(record: dict, key: str) -> bool:
     return record[key]
 
 
+# A bus or line record in a document holds its fields by name. Per record
+# type, in field order: each field's name and the reader of its declared type
+# (``f.type`` is the annotation's text: this module postpones annotations).
+_FIELDS = {
+    cls: tuple((f.name, {"int": _integer, "float": _real, "bool": _flag}[f.type])
+               for f in fields(cls))
+    for cls in (Bus, Line)
+}
+
+
+def _to_record(item: Bus | Line) -> dict:
+    return {name: getattr(item, name) for name, _ in _FIELDS[type(item)]}
+
+
+def _from_record(cls: type, record: dict) -> Bus | Line:
+    return cls(*[read(record, name) for name, read in _FIELDS[cls]])
+
+
+def feeder_to_document(feeder: Feeder) -> dict:
+    """Serialize a feeder to its JSON document form (schema 1): each bus and
+    line record is ``{field name: value}``."""
+    return {
+        "schema": SCHEMA_VERSION,
+        "base_voltage_kv": feeder.base_voltage,
+        "base_power_mva": feeder.base_power,
+        "slack_bus": feeder.slack_bus,
+        "num_groups": feeder.num_groups,
+        "buses": [_to_record(b) for b in feeder.buses],
+        "lines": [_to_record(ln) for ln in feeder.lines],
+    }
+
+
 def feeder_from_document(doc: dict) -> Feeder:
     """Build and validate a feeder from its JSON document form.
 
-    Nothing is coerced: ids, line ends, the slack, groups and ``num_groups``
-    must be integers, ``is_adopter`` a bool and the other fields finite
-    numbers, or the document is a ParseError.
+    Nothing is coerced: each record field is read as its declared type, so
+    ids, line ends, the slack, groups and ``num_groups`` must be integers,
+    ``is_adopter`` a bool and the other fields finite numbers, or the
+    document is a ParseError.
     """
     if isinstance(doc.get("schema"), bool) or doc.get("schema") != SCHEMA_VERSION:
         raise ParseError(f"unsupported or missing schema version: {doc.get('schema')!r}")
     try:
-        buses = [
-            Bus(
-                id=_integer(b, "id"),
-                load_p=_real(b, "load_p"),
-                load_q=_real(b, "load_q"),
-                v_lower=_real(b, "v_lower"),
-                v_upper=_real(b, "v_upper"),
-                group=_integer(b, "group"),
-                is_adopter=_flag(b, "is_adopter"),
-                pv_capacity=_real(b, "pv_capacity"),
-            )
-            for b in doc["buses"]
-        ]
-        lines = [
-            Line(
-                id=_integer(ln, "id"),
-                from_bus=_integer(ln, "from_bus"),
-                to_bus=_integer(ln, "to_bus"),
-                resistance=_real(ln, "resistance"),
-                reactance=_real(ln, "reactance"),
-                rating=_real(ln, "rating"),
-            )
-            for ln in doc["lines"]
-        ]
+        buses = [_from_record(Bus, b) for b in doc["buses"]]
+        lines = [_from_record(Line, ln) for ln in doc["lines"]]
         slack_bus = _integer(doc, "slack_bus")
         base_voltage = _real(doc, "base_voltage_kv")
         base_power = _real(doc, "base_power_mva")
@@ -325,17 +287,25 @@ def feeder_from_document(doc: dict) -> Feeder:
     return make_feeder(buses, lines, slack_bus, base_voltage, base_power, num_groups)
 
 
+def _read_json_object(path, what: str) -> dict:
+    """The JSON object in the UTF-8 file at ``path``. Raises ParseError, naming
+    the file as ``what``, for a path that cannot be read (a directory too),
+    text that is not UTF-8 or not JSON, and a document that is not an object.
+    """
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ParseError(f"cannot read {what}: {exc}") from exc
+    except ValueError as exc:  # invalid JSON or text that is not UTF-8
+        raise ParseError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{what} {path} is not a JSON object")
+    return doc
+
+
 def load_feeder(path) -> Feeder:
     """Load and validate a feeder JSON file."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ParseError(f"cannot read feeder file: {exc}") from exc
-    except ValueError as exc:  # invalid JSON or text that is not UTF-8
-        raise ParseError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("feeder document must be a JSON object")
-    return feeder_from_document(doc)
+    return feeder_from_document(_read_json_object(path, "feeder file"))
 
 
 def save_feeder(feeder: Feeder, path) -> None:
@@ -453,7 +423,7 @@ def generate_synthetic_feeder(
     )
 
 
-def fallback_partition(feeder: Feeder, target_groups: int) -> BusPartition:
+def fallback_partition(feeder: Feeder, target_groups: int) -> dict[int, int]:
     """Deterministic balanced tree-cut partition into connected groups.
 
     Greedily cuts ``target_groups - 1`` lines. Each cut splits the largest
@@ -461,7 +431,7 @@ def fallback_partition(feeder: Feeder, target_groups: int) -> BusPartition:
     leaves a side closest to half of it, ties going to the lowest line id. A
     side is measured below its line in the slack-rooted ``Feeder.tree``:
     ``|size - half|`` is the same from either side of a cut. Every group
-    induces a connected subtree.
+    induces a connected subtree. Returns bus id -> group 1..P.
     """
     if not 1 <= target_groups <= feeder.num_buses:
         raise ValueError("target_groups must be in [1, num_buses]")
@@ -489,20 +459,20 @@ def fallback_partition(feeder: Feeder, target_groups: int) -> BusPartition:
                 top[u] = cut
 
     group = {t: g for g, t in enumerate(sorted(low, key=low.get), start=1)}
-    return BusPartition(tuple(sorted((b.id, group[t]) for b, t in zip(feeder.buses, top))))
+    return {b.id: group[t] for b, t in zip(feeder.buses, top)}
 
 
-def apply_partition(feeder: Feeder, partition: BusPartition) -> Feeder:
-    """Return a new feeder whose bus groups follow the given partition."""
-    mapping = partition.as_dict()
-    if set(mapping) != {b.id for b in feeder.buses}:
+def apply_partition(feeder: Feeder, partition: dict[int, int]) -> Feeder:
+    """Return a new feeder whose bus groups follow the given bus id -> group
+    partition."""
+    if set(partition) != {b.id for b in feeder.buses}:
         raise ValidationError("partition does not cover exactly the feeder's buses")
-    buses = [replace(b, group=mapping[b.id]) for b in feeder.buses]
+    buses = [replace(b, group=partition[b.id]) for b in feeder.buses]
     return make_feeder(
         buses,
         feeder.lines,
         slack_bus=feeder.slack_bus,
         base_voltage=feeder.base_voltage,
         base_power=feeder.base_power,
-        num_groups=max(mapping.values()),
+        num_groups=max(partition.values()),
     )

@@ -8,7 +8,7 @@ from functools import lru_cache
 import numpy as np
 
 from gridcrit.adoption import Scenario
-from gridcrit.feeder import BusPartition, Feeder, _check_int, _check_real
+from gridcrit.feeder import Feeder, _check_int, _check_real
 
 
 @dataclass(frozen=True)
@@ -223,20 +223,20 @@ def _sweep(tree: _Tree, bits: np.ndarray, tol: float, max_iter: int, pv_derate: 
 
 
 def compute_stress(
-    feeder: Feeder, partition: BusPartition, pf: PowerFlowResult
+    feeder: Feeder, partition: dict[int, int], pf: PowerFlowResult
 ) -> np.ndarray:
     """Signed distances from limits: P bus-group entries then L line entries.
 
-    Works on the last axis, so a batched result gives one row per scenario.
-    The stress of a row whose power flow did not converge is meaningless;
-    callers mask it by ``pf.converged``.
+    ``partition`` maps each bus id to its group 1..P. Works on the last axis,
+    so a batched result gives one row per scenario. The stress of a row whose
+    power flow did not converge is meaningless; callers mask it by
+    ``pf.converged``.
     """
     tree = _build_tree(feeder)
     vm = pf.voltages
     excess = np.maximum(vm - tree.v_upper, tree.v_lower - vm)
-    groups = partition.as_dict()
-    group = np.array([groups[b.id] for b in feeder.buses])
-    worst = [excess[..., group == k].max(axis=-1) for k in range(1, partition.num_groups + 1)]
+    group = np.array([partition[b.id] for b in feeder.buses])
+    worst = [excess[..., group == k].max(axis=-1) for k in range(1, group.max() + 1)]
     return np.concatenate([np.stack(worst, axis=-1), pf.flows - tree.rating], axis=-1)
 
 

@@ -194,6 +194,29 @@ class TestConfigHandling:
         assert res.exit_code == 3, res.output
         assert "config" in res.output
 
+    @pytest.mark.parametrize("command", ["simulate", "evaluate", "search", "brute-force"])
+    def test_feeder_without_adopters_exit_3(self, runner, tmp_path, command):
+        from gridcrit.adoption import save_scenarios
+        from gridcrit.feeder import load_feeder
+
+        doc = json.loads((DATA_DIR / "standard_feeder.json").read_text())
+        for bus in doc["buses"]:
+            bus.update(is_adopter=False, pv_capacity=0.0)
+        feeder = tmp_path / "f.json"
+        feeder.write_text(json.dumps(doc))
+        scen = tmp_path / "s.txt"
+        save_scenarios(scen, np.zeros((3, 0), np.uint8), load_feeder(feeder))
+        config = write_config(tmp_path / "cfg.json", feeder)
+        args = {
+            "simulate": ["--count", "3", "-o", str(tmp_path / "new.txt")],
+            "evaluate": ["--scenarios", str(scen), "-o", str(tmp_path / "e.csv")],
+            "search": ["-o", str(tmp_path / "out")],
+            "brute-force": ["--count", "3", "-o", str(tmp_path / "out")],
+        }[command]
+        res = runner.invoke(main, [command, "--config", str(config), *args])
+        assert res.exit_code == 3, res.output
+        assert "no adopters" in res.output
+
     def test_bad_schema_exit_3(self, runner, tmp_path):
         feeder = write_feeder(runner, tmp_path / "f.json")
         config = write_config(tmp_path / "cfg.json", feeder, schema=9)
@@ -334,8 +357,8 @@ class TestConfigHandling:
 
 
 class TestPinnedArtifacts:
-    """SHA-256 of every file that ``simulate``, ``evaluate`` and ``brute-force``
-    write on the small config, the manifest included.
+    """SHA-256 of every file that ``simulate``, ``evaluate``, ``brute-force``
+    and ``report`` write on the small config, the manifest included.
 
     A change that moves any of these bytes updates its hash here and names
     the file in CHANGES.md. Search artifacts are left out: the GP algebra runs
@@ -348,16 +371,25 @@ class TestPinnedArtifacts:
         "eval.csv": "ceaee4f18996bd74658f54c0f7bb1ccefb4c293a97577e01aa850ffee45eefdb",
         "oracle/manifest.json": "d5ec969063b92e5d98a1921d26fd35ae470e02b4adcb1f520c26feba1ab96ca1",
         "oracle/result.json": "5bef49f3f002e3abc2d3d621f6124e23cf92ccd82b125cc3a002aafbda279fa7",
+        "report/max_violation_comparison.csv":
+            "26e90722a23ed508039718ae64d52c86bc3f011fe0137a5326e98eaef5c3dcf0",
+        "report/relevance.csv": "58542a66149fcd94494265102d1a9603388d469f3c4aebe157d0c097c9eb7ce6",
+        "report/scenarios_by_pv.csv":
+            "2398991fb1563ac8ea46a22a45cb8dbc547430f31b7f74bbf94fd7a5001fbcbf",
     }
 
     def test_bytes(self, runner, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # relative paths keep the manifest's bytes
         write_feeder(runner, Path("f.json"))
         write_config(Path("cfg.json"), "f.json")
-        for args in (["simulate", "--count", "20", "-o", "scen.txt"],
-                     ["evaluate", "--scenarios", "scen.txt", "-o", "eval.csv"],
-                     ["brute-force", "--count", "200", "-o", "oracle"]):
-            res = runner.invoke(main, [args[0], "--config", "cfg.json", *args[1:]])
+        for args in (["simulate", "--config", "cfg.json", "--count", "20", "-o", "scen.txt"],
+                     ["evaluate", "--config", "cfg.json", "--scenarios", "scen.txt",
+                      "-o", "eval.csv"],
+                     ["brute-force", "--config", "cfg.json", "--count", "200", "-o", "oracle"],
+                     # A brute-force result carries every field report reads.
+                     ["report", "--feeder", "f.json", "--search-dir", "oracle",
+                      "--oracle-dir", "oracle", "-o", "report"]):
+            res = runner.invoke(main, args)
             assert res.exit_code == 0, res.output
         written = sorted(p for p in tmp_path.rglob("*") if p.is_file() and p.name != "cfg.json")
         got = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
@@ -559,7 +591,8 @@ class TestBruteForceAndReport:
             assert float(row["top50_max"]) == pytest.approx(float(row["oracle_max"]))
 
     @pytest.mark.parametrize("case", [
-        "missing", "not-json", "no-num-bus-objectives", "other-feeder",
+        "missing", "not-json", "not-utf8", "result-directory", "no-num-bus-objectives",
+        "other-feeder",
         "feeder-missing", "feeder-directory", "feeder-text-load",
         "no-bits", "evaluations-not-a-list", "no-violations", "short-bits",
         "relevance-key-not-integer", "relevance-key-out-of-range",
@@ -606,6 +639,11 @@ class TestBruteForceAndReport:
             }
             if case == "not-json":
                 path.write_text(path.read_text()[:-10])
+            elif case == "not-utf8":
+                path.write_bytes(b"\xff\xfe{")
+            elif case == "result-directory":
+                path.unlink()
+                path.mkdir()
             elif case in edits:
                 doc = json.loads(path.read_text())
                 edits[case](doc)

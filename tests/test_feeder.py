@@ -1,6 +1,7 @@
 """Feeder model, validation, file round-trips and the synthetic generator."""
 
 import json
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from gridcrit.feeder import (
     Bus,
-    BusPartition,
     Line,
     ParseError,
     ValidationError,
@@ -116,12 +116,16 @@ class TestLoadFeeder:
         with pytest.raises(ParseError):
             load_feeder(path)
 
-    def test_missing_field(self, tmp_path):
+    @pytest.mark.parametrize("section, key", [
+        *(("buses", f.name) for f in fields(Bus)),
+        *(("lines", f.name) for f in fields(Line)),
+    ])
+    def test_missing_field(self, tmp_path, section, key):
         doc = two_bus_document()
-        del doc["buses"][0]["load_p"]
+        del doc[section][0][key]
         path = tmp_path / "f.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=f"'{key}'"):
             load_feeder(path)
 
     # Most of these values would pass a cast (``bool("false")`` is True,
@@ -276,17 +280,16 @@ class TestGenerator:
 class TestPartition:
     def test_single_group(self, standard_feeder):
         part = fallback_partition(standard_feeder, 1)
-        assert part.num_groups == 1
-        assert set(part.as_dict().values()) == {1}
+        assert set(part) == {b.id for b in standard_feeder.buses}
+        assert set(part.values()) == {1}
 
     def test_singleton_groups(self, standard_feeder):
         n = standard_feeder.num_buses
         part = fallback_partition(standard_feeder, n)
-        assert sorted(part.as_dict().values()) == list(range(1, n + 1))
+        assert sorted(part.values()) == list(range(1, n + 1))
 
     def test_groups_are_connected(self, standard_feeder):
-        part = fallback_partition(standard_feeder, 3)
-        mapping = part.as_dict()
+        mapping = fallback_partition(standard_feeder, 3)
         adj = {b.id: set() for b in standard_feeder.buses}
         for ln in standard_feeder.lines:
             adj[ln.from_bus].add(ln.to_bus)
@@ -333,6 +336,12 @@ def random_radial_feeders(draw):
                        base_power=0.1, num_groups=1)
 
 
+@given(feeder=random_radial_feeders())
+@settings(max_examples=40, deadline=None)
+def test_document_round_trip(feeder):
+    assert feeder_from_document(feeder_to_document(feeder)) == feeder
+
+
 def reference_partitions(feeder):
     """The greedy tree cut, restarted from the whole feeder each time:
     partitions into 1..n groups, by BFS over the feeder minus the cut lines.
@@ -365,9 +374,9 @@ def reference_partitions(feeder):
     partitions = []
     while True:
         comps = groups(cut)
-        partitions.append(BusPartition(tuple(sorted(
-            (bus, g) for g, comp in enumerate(comps, start=1) for bus in comp
-        ))))
+        partitions.append(
+            {bus: g for g, comp in enumerate(comps, start=1) for bus in comp}
+        )
         if len(comps) == feeder.num_buses:
             return partitions
         comp = min(comps, key=lambda c: (-len(c), min(c)))

@@ -415,7 +415,7 @@ class TestBruteForceOracle:
                 invalid.append(sid)
                 continue
             stress = compute_stress(feeder, part, pf)[0]
-            direct[sid] = violation_map(stress, part.num_groups, cfg)
+            direct[sid] = violation_map(stress, feeder.num_groups, cfg)
             row = len(direct) - 1
             assert oracle.ids[row] == sid
             np.testing.assert_array_equal(oracle.stress[row], stress)
@@ -427,8 +427,8 @@ class TestBruteForceOracle:
 
         # Critical scenarios must be non-dominated among all positives.
         for family, ids, sl in (
-            ("bus", oracle.fronts.bus_ids, slice(0, part.num_groups)),
-            ("line", oracle.fronts.line_ids, slice(part.num_groups, None)),
+            ("bus", oracle.fronts.bus_ids, slice(0, feeder.num_groups)),
+            ("line", oracle.fronts.line_ids, slice(feeder.num_groups, None)),
         ):
             for cid in ids:
                 v = direct[cid][sl]
