@@ -10,7 +10,6 @@ criterion bounding the probability of a missed critical scenario.
 from __future__ import annotations
 
 import logging
-from collections.abc import Collection
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,24 +141,20 @@ def detect_active_objectives(
 
 
 def sample_candidates(
-    unevaluated_ids: Collection[int],
-    counts: dict[int, int],
-    m: int,
-    rng: np.random.Generator,
-) -> list[int]:
-    """Sample up to m ids without replacement, weight 1 / (1 + times sampled).
+    ids: np.ndarray, times_drawn: np.ndarray, m: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Sample up to m of the ascending ``ids`` without replacement, weight
+    1 / (1 + times drawn before); returns them in ascending order.
 
     Uses exponential sort keys so the draw is a proper weighted sample and
     deterministic for a given generator state.
     """
-    if not unevaluated_ids:
+    if not len(ids):
         raise ValueError("unevaluated search space is exhausted")
-    ids = np.asarray(sorted(unevaluated_ids))
-    weights = 1.0 / (1.0 + np.array([counts.get(int(i), 0) for i in ids], dtype=float))
-    keys = rng.exponential(size=len(ids)) / weights
-    take = min(m, len(ids))
-    chosen = ids[np.argsort(keys, kind="stable")[:take]]
-    return sorted(int(i) for i in chosen)
+    # Divided by the weight: multiplying by 1 + times_drawn rounds
+    # differently in the last bit, which can reorder seeded draws.
+    keys = rng.exponential(size=len(ids)) / (1.0 / (1.0 + times_drawn))
+    return np.sort(ids[np.argsort(keys, kind="stable")[:m]])
 
 
 # Cap on the violation elements gathered for one block of screen survivors
@@ -245,19 +240,15 @@ def _seed_entropy(seed) -> int:
     return int(np.random.SeedSequence(seed).generate_state(1)[0])
 
 
-def _rank_by_alpha(alpha: np.ndarray, candidate_ids: list[int]) -> list[int]:
-    """Candidate positions by decreasing alpha; ties go to lower ids."""
-    return sorted(range(len(candidate_ids)), key=lambda i: (-alpha[i], candidate_ids[i]))
-
-
 def select_batch(
-    alpha: np.ndarray, candidate_ids: list[int], batch_size: int
+    alpha: np.ndarray, candidate_ids: np.ndarray | list[int], batch_size: int
 ) -> list[int]:
     """Top-B candidates by alpha; alpha = 0 skipped; ties go to lower ids."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    order = _rank_by_alpha(alpha, candidate_ids)
-    return [candidate_ids[i] for i in order[:batch_size] if alpha[i] > 0]
+    ids = np.asarray(candidate_ids)
+    top = np.lexsort((ids, -alpha))[:batch_size]
+    return ids[top[alpha[top] > 0]].tolist()
 
 
 def evaluate_scenarios(
@@ -294,32 +285,32 @@ def run_search(
     num_agents = feeder.num_adopters
 
     pool = np.empty((0, num_agents), dtype=np.uint8)  # row index = scenario id
-    counts: dict[int, int] = {}
+    drawn = np.empty(0, dtype=np.intp)  # per scenario: times drawn as a candidate
+    # Stress is a function of the bits alone, so only the first copy of each
+    # bit vector is ever a candidate; Monte Carlo duplicates of an evaluated
+    # (or invalid) scenario carry no information. ``firsts`` holds the first
+    # copies in the byte order distinct_rows returns, so that its next stable
+    # sort starts from nearly sorted rows.
+    firsts = np.empty(0, dtype=np.intp)
     # The evaluated rows, in evaluation order.
     eval_ids: list[int] = []
     eval_steps: list[int] = []
     eval_stress: list[np.ndarray] = []
     invalid: list[int] = []
-    # Stress is a function of the bits alone, so only the lowest id carrying
-    # each bit vector is ever a candidate; Monte Carlo duplicates of an
-    # evaluated (or invalid) scenario carry no information.
-    seen: set[bytes] = set()  # row bytes of every scenario in the pool
-    unevaluated: set[int] = set()
 
     def add_scenarios(batch: np.ndarray) -> None:
-        nonlocal pool
-        for sid, row in enumerate(batch, start=len(pool)):
-            key = row.tobytes()
-            if key not in seen:
-                seen.add(key)
-                unevaluated.add(sid)
+        nonlocal pool, drawn, firsts
+        # The pool's first copies precede the batch, so a batch row that
+        # repeats one of them is not a first copy.
+        ids = np.concatenate([firsts, np.arange(len(pool), len(pool) + len(batch))])
         pool = np.concatenate([pool, batch])
+        drawn = np.concatenate([drawn, np.zeros(len(batch), dtype=np.intp)])
+        firsts = ids[distinct_rows(pool[ids])[0]]
 
     def evaluate_batch(sids: list[int], step: int) -> None:
         """Evaluate a batch, then commit its results one at a time in batch order."""
         stress, converged = evaluate_scenarios(feeder, pool[sids], pf)
         for sid, row, ok in zip(sids, stress, converged):
-            unevaluated.discard(sid)
             if not ok:
                 invalid.append(sid)
                 log.warning("power flow did not converge for scenario %d; excluded", sid)
@@ -360,10 +351,14 @@ def run_search(
     with _single_thread_blas():
         step = 0
         while True:
+            is_open = np.zeros(len(pool), dtype=bool)
+            is_open[firsts] = True
+            is_open[eval_ids + invalid] = False
+            open_ids = np.flatnonzero(is_open)  # first copies not yet evaluated
             if np.all(tau < cfg.tau_bar):
                 stop_reason = "converged"
                 break
-            if not unevaluated and not expansion_size():
+            if not len(open_ids) and not expansion_size():
                 stop_reason = "exhausted"
                 break
             if step == cfg.max_steps:
@@ -382,7 +377,7 @@ def run_search(
             # With no active objective, or nothing left to evaluate, no
             # scenario in the pool can be a missed critical one.
             tau_val = 0.0
-            if active and unevaluated:
+            if active and len(open_ids):
                 x_eval = pool[train_ids].astype(float)
                 gps: dict[int, GPSurrogate] = {}
                 for k in active:
@@ -408,28 +403,25 @@ def run_search(
                 num_active_bus = 0 if phase else len(active)
                 eval_viol = violation_map(stress_mat[:, active], num_active_bus, viol_cfg)
 
-                cand_ids = sample_candidates(unevaluated, counts, m_cand, cand_rng)
-                for cid in cand_ids:
-                    counts[cid] = counts.get(cid, 0) + 1
+                cand_ids = sample_candidates(open_ids, drawn[open_ids], m_cand, cand_rng)
+                drawn[cand_ids] += 1
                 cand_bits = pool[cand_ids].astype(float)
                 alpha = acquisition_alpha_nd(gps, cand_bits, eval_viol, num_active_bus, viol_cfg,
                                              cfg.num_mc_samples, seed=(cfg.seed, 5, step))
 
                 # Stopping subsample: prefer unevaluated scenarios disjoint from the
                 # acquisition candidates; top up by reusing candidate alphas.
-                rest = sorted(unevaluated - set(cand_ids))
+                rest = np.setdiff1d(open_ids, cand_ids, assume_unique=True)
                 take = min(m_cand, len(rest))
                 if take > 0:
-                    sub = sorted(
-                        int(i) for i in stop_rng.choice(np.asarray(rest), size=take, replace=False)
-                    )
+                    sub = np.sort(stop_rng.choice(rest, size=take, replace=False))
                     sub_bits = pool[sub].astype(float)
                     sub_alpha = acquisition_alpha_nd(gps, sub_bits, eval_viol, num_active_bus,
                                                      viol_cfg, cfg.num_mc_samples,
                                                      seed=(cfg.seed, 6, step))
                     tau_val += float(np.sum(sub_alpha))
                 if take < m_cand:
-                    reuse = _rank_by_alpha(alpha, cand_ids)[:m_cand - take]
+                    reuse = np.lexsort((cand_ids, -alpha))[:m_cand - take]
                     tau_val += float(np.sum(alpha[reuse]))
                 if log.isEnabledFor(logging.DEBUG):
                     nz = alpha[alpha > 0]

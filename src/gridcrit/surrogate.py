@@ -169,7 +169,7 @@ def _mismatch_factors(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     v[k, j + A]`` is 1, so ``(u * [theta, theta]) @ v.T`` is the weighted
     Hamming distance of every pair, with an exact zero diagonal. The factors
     depend on ``x`` alone: a fit builds them once for all its likelihood
-    calls, and a :class:`GPSurrogate` keeps its training inputs' factors for
+    calls, and a :class:`GPSurrogate` keeps its training inputs' ``v`` for
     its posteriors.
     """
     return np.hstack([x, 1.0 - x]), np.hstack([1.0 - x, x])
@@ -382,7 +382,7 @@ class GPSurrogate:
     """A fitted zero-mean GP over standardized outputs (immutable)."""
 
     params: KernelParams
-    train_factors: tuple[np.ndarray, np.ndarray]  # _mismatch_factors of the inputs
+    train_v: np.ndarray         # second _mismatch_factors factor of the inputs
     factor: np.ndarray          # lower Cholesky of K + noise*I (+ jitter)
     alpha: np.ndarray           # (K + noise*I)^-1 y, y the standardized outputs
     output_mean: float
@@ -411,7 +411,7 @@ class GPSurrogate:
         alpha, _ = _scipy().dpotrs(low, y, lower=1)
         return cls(
             params=params,
-            train_factors=(u, v),
+            train_v=v,
             factor=low,
             alpha=alpha,
             output_mean=mean,
@@ -433,7 +433,7 @@ def posterior(gp: GPSurrogate, candidates) -> JointPosterior:
         raise ValueError("need at least one candidate")
     p = gp.params
     uc, vc = _mismatch_factors(xc)
-    k_star = _correlation(p.theta, uc, gp.train_factors[1])
+    k_star = _correlation(p.theta, uc, gp.train_v)
     k_star *= p.eta
     mean = k_star @ gp.alpha
     sp = _scipy()

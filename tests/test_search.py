@@ -75,38 +75,74 @@ class TestDetectActiveObjectives:
             detect_active_objectives(np.empty((0, 2)), range(2), -0.05)
 
 
+def dict_sample_candidates(unevaluated_ids, counts, m, rng):
+    """Reference: the candidate draw over a set of open ids and a dict of
+    draw counts, one Python lookup per id."""
+    ids = np.asarray(sorted(unevaluated_ids))
+    weights = 1.0 / (1.0 + np.array([counts.get(int(i), 0) for i in ids], dtype=float))
+    keys = rng.exponential(size=len(ids)) / weights
+    take = min(m, len(ids))
+    chosen = ids[np.argsort(keys, kind="stable")[:take]]
+    return sorted(int(i) for i in chosen)
+
+
 class TestSampleCandidates:
     def test_returns_all_when_m_exceeds_pool(self):
         rng = np.random.default_rng(0)
-        out = sample_candidates([5, 3, 9], {}, 10, rng)
-        assert out == [3, 5, 9]
+        out = sample_candidates(np.array([3, 5, 9]), np.zeros(3, dtype=int), 10, rng)
+        assert out.tolist() == [3, 5, 9]
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
-            sample_candidates([], {}, 5, np.random.default_rng(0))
+            sample_candidates(np.array([], dtype=int), np.array([], dtype=int), 5,
+                              np.random.default_rng(0))
 
     def test_deterministic_for_generator_state(self):
-        ids = list(range(50))
-        a = sample_candidates(ids, {}, 10, np.random.default_rng(7))
-        b = sample_candidates(ids, {}, 10, np.random.default_rng(7))
-        assert a == b
+        ids, drawn = np.arange(50), np.zeros(50, dtype=int)
+        a = sample_candidates(ids, drawn, 10, np.random.default_rng(7))
+        b = sample_candidates(ids, drawn, 10, np.random.default_rng(7))
+        assert a.tolist() == b.tolist()
 
     def test_unseen_ids_favored(self):
         # Ids sampled many times before should be picked far less often.
-        ids = list(range(20))
-        counts = {i: 50 for i in range(10)}  # first half heavily sampled
+        ids = np.arange(20)
+        drawn = np.where(ids < 10, 50, 0)  # first half heavily sampled
         rng = np.random.default_rng(3)
         picks = np.zeros(20)
         for _ in range(400):
-            for i in sample_candidates(ids, counts, 5, rng):
+            for i in sample_candidates(ids, drawn, 5, rng):
                 picks[i] += 1
         assert picks[10:].sum() > 5 * picks[:10].sum()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        gaps=st.lists(st.integers(1, 4), min_size=1, max_size=40),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_dict_reference(self, gaps, data, seed):
+        # Same ids and the same generator state after the draw as the set and
+        # dict version, for ascending ids with gaps and any draw counts.
+        ids = np.cumsum(gaps) - 1
+        drawn = np.array(data.draw(st.lists(st.integers(0, 5), min_size=len(ids),
+                                            max_size=len(ids))))
+        m = data.draw(st.integers(1, len(ids) + 3))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        counts = {int(i): int(c) for i, c in zip(ids, drawn) if c}
+        expected = dict_sample_candidates(set(ids.tolist()), counts, m, ref_rng)
+        assert sample_candidates(ids, drawn, m, rng).tolist() == expected
+        assert rng.random() == ref_rng.random()
 
 
 class TestSelectBatch:
     def test_top_by_alpha_with_id_tiebreak(self):
         alpha = np.array([0.2, 0.9, 0.2, 0.0])
         assert select_batch(alpha, [10, 11, 12, 13], 3) == [11, 10, 12]
+
+    def test_tiebreak_with_unordered_ids(self):
+        # Ties go to the lower id, not to the earlier candidate position.
+        alpha = np.array([0.5, 0.2, 0.5, 0.9, 0.5])
+        assert select_batch(alpha, [12, 3, 7, 20, 1], 3) == [20, 1, 7]
 
     def test_zero_alpha_skipped(self):
         alpha = np.array([0.0, 0.0])
