@@ -120,6 +120,17 @@ def save_scenarios(path, bits: np.ndarray, feeder: Feeder) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _header_int(header: dict[str, str], key: str) -> int:
+    """The integer a scenario file header line holds; ValueError naming the
+    header if it holds none."""
+    try:
+        return int(header[key])
+    except ValueError:
+        raise ValueError(
+            f"scenario file header '{key}' must be an integer, not {header[key]!r}"
+        ) from None
+
+
 def load_scenarios(path, feeder: Feeder | None = None) -> np.ndarray:
     """Read a scenario file as a uint8 (S x A) matrix; verifies the feeder
     hash when a feeder is given."""
@@ -140,11 +151,11 @@ def load_scenarios(path, feeder: Feeder | None = None) -> np.ndarray:
         if not set(line) <= {"0", "1"}:
             raise ValueError(f"scenario bits must be 0 or 1: {line!r}")
         rows.append(line)
-    if int(header.get("schema", -1)) != SCENARIO_SCHEMA_VERSION:
+    if "schema" not in header or _header_int(header, "schema") != SCENARIO_SCHEMA_VERSION:
         raise ValueError("unsupported or missing scenario file schema")
     if "adopters" not in header:
         raise ValueError("scenario file has no adopters header")
-    num_adopters = int(header["adopters"])
+    num_adopters = _header_int(header, "adopters")
     if any(len(row) != num_adopters for row in rows):
         raise ValueError("scenario length does not match header adopter count")
     if feeder is not None:

@@ -425,12 +425,12 @@ def cmd_search(config_path, output_dir) -> None:
     _check_output_dir(output_dir)
     config = _load_config(config_path)
     feeder, diffusion, viol_cfg, pf_cfg, search_cfg = _build_parts(config)
-    outdir = Path(output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     try:
         result = run_search(feeder, diffusion, viol_cfg, search_cfg, pf_cfg)
     except (NumericalError, SearchAbort) as exc:
         raise NumericalFailure(str(exc))
+    outdir = Path(output_dir)
+    outdir.mkdir(parents=True, exist_ok=True)
     config["search"] = {**asdict(search_cfg)}
     _write_manifest(outdir, "search", config)
     _write_search_artifacts(outdir, feeder, result)

@@ -6,7 +6,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -15,15 +15,11 @@ import numpy as np
 SCHEMA_VERSION = 1
 
 
-class FeederError(ValueError):
-    """Base error for feeder parsing/validation problems."""
-
-
-class ParseError(FeederError):
+class ParseError(ValueError):
     """Raised when a feeder file is malformed."""
 
 
-class ValidationError(FeederError):
+class ValidationError(ValueError):
     """Raised when a feeder violates a structural invariant."""
 
 
@@ -78,7 +74,12 @@ class Line:
 
 @dataclass(frozen=True)
 class Feeder:
-    """A validated radial distribution feeder (immutable after construction)."""
+    """A radial distribution feeder, immutable and checked when built.
+
+    The buses and lines are kept in id order. A feeder that breaks a
+    structural invariant raises ValidationError, whether it is built directly
+    or through ``dataclasses.replace``.
+    """
 
     buses: tuple[Bus, ...]
     lines: tuple[Line, ...]
@@ -87,14 +88,49 @@ class Feeder:
     base_power: float
     num_groups: int
 
-    def __hash__(self) -> int:
-        # Feeders key the power-flow caches, which look one up per solve:
-        # hash the contents once.
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash(astuple(self))
+    def __post_init__(self):
+        object.__setattr__(self, "buses", tuple(sorted(self.buses, key=lambda b: b.id)))
+        object.__setattr__(self, "lines", tuple(sorted(self.lines, key=lambda ln: ln.id)))
+        buses, lines = self.buses, self.lines
+        ids = [b.id for b in buses]
+        if len(set(ids)) != len(ids):
+            raise ValidationError("duplicate bus ids")
+        if len({ln.id for ln in lines}) != len(lines):
+            raise ValidationError("duplicate line ids")
+        id_set = set(ids)
+        if self.slack_bus not in id_set:
+            raise ValidationError(f"slack bus {self.slack_bus} not in bus set")
+        if self.base_voltage <= 0 or self.base_power <= 0:
+            raise ValidationError("base voltage and base power must be positive")
+        for b in buses:
+            if not b.v_lower < b.v_upper:
+                raise ValidationError(f"bus {b.id}: v_lower must be < v_upper")
+            if b.pv_capacity < 0:
+                raise ValidationError(f"bus {b.id}: negative pv_capacity")
+            if b.pv_capacity > 0 and not b.is_adopter:
+                raise ValidationError(f"bus {b.id}: pv_capacity > 0 on a non-adopter")
+            if not 1 <= b.group <= self.num_groups:
+                raise ValidationError(
+                    f"bus {b.id}: group {b.group} outside [1, {self.num_groups}]"
+                )
+        groups = {b.group for b in buses}
+        for g in range(1, self.num_groups + 1):
+            if g not in groups:
+                raise ValidationError(f"group {g} is empty")
+        for ln in lines:
+            if ln.resistance < 0 or ln.reactance < 0:
+                raise ValidationError(f"line {ln.id}: negative impedance")
+            if ln.resistance + ln.reactance <= 0:
+                raise ValidationError(f"line {ln.id}: zero impedance")
+            if ln.rating <= 0:
+                raise ValidationError(f"line {ln.id}: rating must be positive")
+            if ln.from_bus not in id_set or ln.to_bus not in id_set:
+                raise ValidationError(f"line {ln.id}: endpoint not a known bus")
+        if len(lines) != len(buses) - 1:
+            raise ValidationError(
+                f"not radial: {len(lines)} lines for {len(buses)} buses"
+            )
+        self.tree  # raises ValidationError on a cycle
 
     @cached_property
     def tree(self) -> tuple[tuple[int, int, int], ...]:
@@ -136,7 +172,7 @@ class Feeder:
     @property
     def adopters(self) -> tuple[int, ...]:
         """Adopter bus ids in ascending order; defines scenario bit order."""
-        return tuple(sorted(b.id for b in self.buses if b.is_adopter))
+        return tuple(b.id for b in self.buses if b.is_adopter)
 
     @property
     def num_adopters(self) -> int:
@@ -150,71 +186,6 @@ class Feeder:
         """Stable hash of the feeder contents, used in scenario file headers."""
         doc = json.dumps(feeder_to_document(self), sort_keys=True)
         return hashlib.sha256(doc.encode()).hexdigest()[:16]
-
-
-def _validate(feeder: Feeder) -> Feeder:
-    buses, lines = feeder.buses, feeder.lines
-    ids = [b.id for b in buses]
-    if len(set(ids)) != len(ids):
-        raise ValidationError("duplicate bus ids")
-    if len({ln.id for ln in lines}) != len(lines):
-        raise ValidationError("duplicate line ids")
-    id_set = set(ids)
-    if feeder.slack_bus not in id_set:
-        raise ValidationError(f"slack bus {feeder.slack_bus} not in bus set")
-    if feeder.base_voltage <= 0 or feeder.base_power <= 0:
-        raise ValidationError("base voltage and base power must be positive")
-    for b in buses:
-        if not b.v_lower < b.v_upper:
-            raise ValidationError(f"bus {b.id}: v_lower must be < v_upper")
-        if b.pv_capacity < 0:
-            raise ValidationError(f"bus {b.id}: negative pv_capacity")
-        if b.pv_capacity > 0 and not b.is_adopter:
-            raise ValidationError(f"bus {b.id}: pv_capacity > 0 on a non-adopter")
-        if not 1 <= b.group <= feeder.num_groups:
-            raise ValidationError(
-                f"bus {b.id}: group {b.group} outside [1, {feeder.num_groups}]"
-            )
-    groups = {b.group for b in buses}
-    for g in range(1, feeder.num_groups + 1):
-        if g not in groups:
-            raise ValidationError(f"group {g} is empty")
-    for ln in lines:
-        if ln.resistance < 0 or ln.reactance < 0:
-            raise ValidationError(f"line {ln.id}: negative impedance")
-        if ln.resistance + ln.reactance <= 0:
-            raise ValidationError(f"line {ln.id}: zero impedance")
-        if ln.rating <= 0:
-            raise ValidationError(f"line {ln.id}: rating must be positive")
-        if ln.from_bus not in id_set or ln.to_bus not in id_set:
-            raise ValidationError(f"line {ln.id}: endpoint not a known bus")
-    if len(lines) != len(buses) - 1:
-        raise ValidationError(
-            f"not radial: {len(lines)} lines for {len(buses)} buses"
-        )
-    feeder.tree  # raises ValidationError on a cycle
-    return feeder
-
-
-def make_feeder(
-    buses,
-    lines,
-    slack_bus: int,
-    base_voltage: float,
-    base_power: float,
-    num_groups: int,
-) -> Feeder:
-    """Construct and validate a feeder."""
-    return _validate(
-        Feeder(
-            buses=tuple(sorted(buses, key=lambda b: b.id)),
-            lines=tuple(sorted(lines, key=lambda ln: ln.id)),
-            slack_bus=slack_bus,
-            base_voltage=base_voltage,
-            base_power=base_power,
-            num_groups=num_groups,
-        )
-    )
 
 
 def _integer(record: dict, key: str) -> int:
@@ -284,7 +255,7 @@ def feeder_from_document(doc: dict) -> Feeder:
         num_groups = _integer(doc, "num_groups")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed feeder document: {exc}") from exc
-    return make_feeder(buses, lines, slack_bus, base_voltage, base_power, num_groups)
+    return Feeder(buses, lines, slack_bus, base_voltage, base_power, num_groups)
 
 
 def _read_json_object(path, what: str) -> dict:
@@ -413,7 +384,7 @@ def generate_synthetic_feeder(
                 rating=rating,
             )
         )
-    return make_feeder(
+    return Feeder(
         buses,
         lines,
         slack_bus=0,
@@ -467,12 +438,8 @@ def apply_partition(feeder: Feeder, partition: dict[int, int]) -> Feeder:
     partition."""
     if set(partition) != {b.id for b in feeder.buses}:
         raise ValidationError("partition does not cover exactly the feeder's buses")
-    buses = [replace(b, group=partition[b.id]) for b in feeder.buses]
-    return make_feeder(
-        buses,
-        feeder.lines,
-        slack_bus=feeder.slack_bus,
-        base_voltage=feeder.base_voltage,
-        base_power=feeder.base_power,
+    return replace(
+        feeder,
+        buses=tuple(replace(b, group=partition[b.id]) for b in feeder.buses),
         num_groups=max(partition.values()),
     )

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -63,7 +62,7 @@ class PowerFlowConfig:
 
 @dataclass(frozen=True)
 class _Tree:
-    """Per-feeder constants of the sweep and the stress (cached per feeder).
+    """A feeder's sweep constants, built once per ``solve_power_flow`` call.
 
     ``forward``, ``backward``, ``line_bus`` and ``line_parent`` are read off
     ``Feeder.tree``, the feeder's one orientation away from the slack bus; the
@@ -88,12 +87,8 @@ class _Tree:
     forward: tuple[tuple[int, int, float, float], ...]   # (bus, parent, Re z, Im z), BFS order
     line_bus: np.ndarray       # per line, in line order: its receiving bus
     line_parent: np.ndarray    # and its sending bus
-    v_lower: np.ndarray        # per-bus voltage limits (p.u.)
-    v_upper: np.ndarray
-    rating: np.ndarray         # per-line flow rating
 
 
-@lru_cache(maxsize=32)
 def _build_tree(feeder: Feeder) -> _Tree:
     z_base = feeder.base_voltage**2 / feeder.base_power
     forward = []
@@ -115,9 +110,6 @@ def _build_tree(feeder: Feeder) -> _Tree:
         forward=tuple(forward),
         line_bus=line_bus,
         line_parent=line_parent,
-        v_lower=np.array([b.v_lower for b in feeder.buses]),
-        v_upper=np.array([b.v_upper for b in feeder.buses]),
-        rating=np.array([ln.rating for ln in feeder.lines]),
     )
 
 
@@ -232,12 +224,14 @@ def compute_stress(
     power flow did not converge is meaningless; callers mask it by
     ``pf.converged``.
     """
-    tree = _build_tree(feeder)
     vm = pf.voltages
-    excess = np.maximum(vm - tree.v_upper, tree.v_lower - vm)
+    v_lower = np.array([b.v_lower for b in feeder.buses])
+    v_upper = np.array([b.v_upper for b in feeder.buses])
+    excess = np.maximum(vm - v_upper, v_lower - vm)
     group = np.array([partition[b.id] for b in feeder.buses])
     worst = [excess[..., group == k].max(axis=-1) for k in range(1, group.max() + 1)]
-    return np.concatenate([np.stack(worst, axis=-1), pf.flows - tree.rating], axis=-1)
+    rating = np.array([ln.rating for ln in feeder.lines])
+    return np.concatenate([np.stack(worst, axis=-1), pf.flows - rating], axis=-1)
 
 
 def violation_map(stress: np.ndarray, num_bus: int, cfg: ViolationConfig) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from gridcrit.adoption import DiffusionParams, bitstrings
-from gridcrit.feeder import Bus, Line, Feeder, load_feeder, make_feeder
+from gridcrit.feeder import Bus, Feeder, Line, load_feeder
 from gridcrit.pareto import dominated
 from gridcrit.powerflow import ViolationConfig
 
@@ -85,7 +85,7 @@ def build_chain_feeder(
         )
         for i in range(1, n)
     ]
-    return make_feeder(
+    return Feeder(
         buses, lines, slack_bus=0, base_voltage=base_voltage,
         base_power=base_power, num_groups=num_groups,
     )

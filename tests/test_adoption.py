@@ -1,5 +1,6 @@
 """Diffusion simulator: transition probability, trajectories, serialization."""
 
+import re
 import warnings
 
 import numpy as np
@@ -250,6 +251,46 @@ class TestScenarioFiles:
         path.write_text("0101\n")
         with pytest.raises(ValueError, match="schema"):
             load_scenarios(path)
+
+    @pytest.mark.parametrize("key, value", [("adopters", "x"), ("schema", "1.0")])
+    def test_header_that_is_not_an_integer_is_named(self, tmp_path, standard_feeder,
+                                                   key, value):
+        path = tmp_path / "scen.txt"
+        save_scenarios(path, np.zeros((1, standard_feeder.num_adopters), np.uint8),
+                       standard_feeder)
+        text = re.sub(f"^# {key}: .*$", f"# {key}: {value}", path.read_text(), flags=re.M)
+        path.write_text(text)
+        message = f"scenario file header '{key}' must be an integer, not '{value}'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_scenarios(path, standard_feeder)
+
+    def test_blank_lines_are_skipped(self, tmp_path, standard_feeder, std_diffusion):
+        batch = simulate_batch(standard_feeder, std_diffusion, 3, seed=4)
+        path = tmp_path / "scen.txt"
+        save_scenarios(path, batch, standard_feeder)
+        path.write_text("\n" + path.read_text().replace("\n", "\n  \n"))
+        assert np.array_equal(load_scenarios(path, standard_feeder), batch)
+
+    def test_row_length_must_match_the_header(self, tmp_path, standard_feeder):
+        path = tmp_path / "scen.txt"
+        save_scenarios(path, np.zeros((1, standard_feeder.num_adopters), np.uint8),
+                       standard_feeder)
+        path.write_text(path.read_text() + "0" * (standard_feeder.num_adopters + 1) + "\n")
+        with pytest.raises(ValueError, match="does not match header adopter count"):
+            load_scenarios(path, standard_feeder)
+
+    def test_header_adopter_count_must_match_the_feeder(self, tmp_path, standard_feeder):
+        # Rows and header agree with each other, not with the feeder.
+        num_adopters = standard_feeder.num_adopters - 1
+        path = tmp_path / "scen.txt"
+        save_scenarios(path, np.zeros((2, standard_feeder.num_adopters), np.uint8),
+                       standard_feeder)
+        text = path.read_text().replace(
+            f"# adopters: {standard_feeder.num_adopters}", f"# adopters: {num_adopters}")
+        path.write_text(text.replace("0" * standard_feeder.num_adopters, "0" * num_adopters))
+        assert load_scenarios(path).shape == (2, num_adopters)
+        with pytest.raises(ValueError, match="does not match feeder adopter count"):
+            load_scenarios(path, standard_feeder)
 
 
 class TestScenario:

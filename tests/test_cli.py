@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import json
+import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -148,7 +149,11 @@ class TestSimulateEvaluate:
             assert res.exit_code == 0, res.output
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize("case", ["other-feeder", "missing-file", "no-adopters-header"])
+    HEADER_EDITS = {"text-adopters-header": ("adopters", "x"),
+                    "fractional-schema-header": ("schema", "1.0")}
+
+    @pytest.mark.parametrize("case", ["other-feeder", "missing-file", "no-adopters-header",
+                                      *HEADER_EDITS])
     @pytest.mark.parametrize("command", ["evaluate", "brute-force"])
     def test_scenario_feeder_mismatch_exit_3(self, runner, tmp_path, command, case):
         feeder_a = write_feeder(runner, tmp_path / "a.json", seed=3)
@@ -165,11 +170,108 @@ class TestSimulateEvaluate:
         if case == "no-adopters-header":
             lines = scen.read_text().splitlines()
             scen.write_text("".join(f"{ln}\n" for ln in lines if "adopters" not in ln))
+        if case in self.HEADER_EDITS:
+            key, value = self.HEADER_EDITS[case]
+            scen.write_text(re.sub(f"^# {key}: .*$", f"# {key}: {value}", scen.read_text(),
+                                   flags=re.M))
         res = runner.invoke(
             main, [command, "--config", str(cfg_a if case != "other-feeder" else cfg_b),
                    "--scenarios", str(scen), "-o", str(tmp_path / "x")],
         )
         assert res.exit_code == 3, res.output
+        if case in self.HEADER_EDITS:
+            assert f"scenario file header '{key}' must be an integer, not '{value}'" in res.output
+
+
+class TestUnconvergedFeeder:
+    """A feeder the generator makes and make-feeder refuses: its power flow
+    converges for no scenario."""
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        from gridcrit.feeder import generate_synthetic_feeder, save_feeder
+
+        feeder = tmp_path / "f.json"
+        save_feeder(generate_synthetic_feeder(40, 10, 0), feeder)
+        return write_config(tmp_path / "cfg.json", feeder)
+
+    def test_search_exit_4_leaves_no_directory(self, runner, tmp_path, config):
+        outdir = tmp_path / "out"
+        res = runner.invoke(main, ["search", "--config", str(config), "-o", str(outdir)])
+        assert res.exit_code == 4, res.output
+        assert "10/10 power flows failed to converge" in res.output
+        assert not outdir.exists()
+
+    def test_evaluate_writes_blank_unconverged_rows(self, runner, tmp_path, config):
+        scen, out = tmp_path / "scen.txt", tmp_path / "eval.csv"
+        res = runner.invoke(main, ["simulate", "--config", str(config), "--count", "5",
+                                   "-o", str(scen)])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(main, ["evaluate", "--config", str(config),
+                                   "--scenarios", str(scen), "-o", str(out)])
+        assert res.exit_code == 0, res.output
+        dim = 1 + 39  # one bus group and 39 lines
+        rows = out.read_text().splitlines()[1:]
+        assert rows == [",".join([str(i)] + [""] * (2 * dim) + ["False"]) for i in range(5)]
+
+    def test_brute_force_finds_every_scenario_invalid(self, runner, tmp_path, config):
+        outdir = tmp_path / "oracle"
+        res = runner.invoke(main, ["brute-force", "--config", str(config), "--count", "50",
+                                   "-o", str(outdir)])
+        assert res.exit_code == 0, res.output
+        doc = json.loads((outdir / "result.json").read_text())
+        assert doc["num_evaluations"] == 0 and doc["evaluations"] == []
+        assert doc["invalid_ids"] == list(range(50))
+
+
+class TestInputBranches:
+    """Inputs refused with their documented exit code before any output."""
+
+    CASES = {
+        "config-without-feeder": (3, "config is missing the 'feeder' path"),
+        "config-section-not-an-object": (3, "config section 'diffusion' must be an object"),
+        "report-objective-count-mismatch": (3, "does not match the feeder's"),
+        "make-feeder-zero-groups": (2, "groups must be in [1, buses]"),
+        "simulate-zero-count": (2, "count must be >= 1"),
+        "brute-force-zero-count": (2, "count must be >= 1"),
+        "report-zero-top-n": (2, "top-n must be >= 1"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_exit_code(self, runner, tmp_path, case):
+        feeder = write_feeder(runner, tmp_path / "f.json")
+        config = write_config(tmp_path / "cfg.json", feeder)
+        simulate = ["simulate", "--config", str(config), "--count", "5"]
+        report = ["report", "--feeder", str(feeder), "--search-dir", str(tmp_path / "result")]
+        if case == "config-without-feeder":
+            config.write_text(json.dumps({"schema": 1, "seed": 0}))
+        elif case == "config-section-not-an-object":
+            write_config(config, feeder, diffusion=[0.05, 0.3])
+        elif case == "report-objective-count-mismatch":
+            res = runner.invoke(main, ["brute-force", "--config", str(config), "--count", "20",
+                                       "-o", str(tmp_path / "result")])
+            assert res.exit_code == 0, res.output
+            path = tmp_path / "result" / "result.json"
+            doc = json.loads(path.read_text())
+            doc["num_bus_objectives"] += 1
+            path.write_text(json.dumps(doc))
+        args = {
+            "config-without-feeder": simulate,
+            "config-section-not-an-object": simulate,
+            "report-objective-count-mismatch": report,
+            "make-feeder-zero-groups": ["make-feeder", "--buses", "10", "--adopters", "6",
+                                        "--groups", "0"],
+            "simulate-zero-count": [*simulate[:-1], "0"],
+            "brute-force-zero-count": ["brute-force", "--config", str(config),
+                                       "--count", "0"],
+            "report-zero-top-n": [*report, "--top-n", "0"],
+        }[case]
+        out = tmp_path / "out"
+        res = runner.invoke(main, [*args, "-o", str(out)])
+        code, message = self.CASES[case]
+        assert res.exit_code == code, res.output
+        assert message in res.output
+        assert not out.exists()
 
 
 class TestConfigHandling:
@@ -474,6 +576,20 @@ class TestSearchCommand:
             assert res.exit_code == 5
         else:
             assert res.exit_code == 0
+
+    def test_exhausted_search_exit_5(self, runner, tmp_path):
+        # Three scenarios at most: the loop runs out of open ones before tau
+        # meets its bound.
+        config = write_config(
+            tmp_path / "cfg.json", DATA_DIR / "standard_feeder.json",
+            search={"n0": 2, "n_init": 1, "n_expand": 1, "max_search_space": 3},
+        )
+        outdir = tmp_path / "out"
+        res = runner.invoke(main, ["search", "--config", str(config), "-o", str(outdir)])
+        assert res.exit_code == 5, res.output
+        assert res.output.startswith("exhausted: ")
+        doc = json.loads((outdir / "result.json").read_text())
+        assert doc["stop_reason"] == "exhausted"
 
     def test_evaluation_log_consistent_with_result(self, runner, tmp_path):
         import csv

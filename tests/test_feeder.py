@@ -1,7 +1,8 @@
 """Feeder model, validation, file round-trips and the synthetic generator."""
 
 import json
-from dataclasses import fields
+import re
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from gridcrit.feeder import (
     Bus,
+    Feeder,
     Line,
     ParseError,
     ValidationError,
@@ -18,7 +20,6 @@ from gridcrit.feeder import (
     feeder_to_document,
     generate_synthetic_feeder,
     load_feeder,
-    make_feeder,
     save_feeder,
 )
 
@@ -79,8 +80,8 @@ class TestLoadFeeder:
             Line(6, 2, 1, 0.1, 0.05, 1.0),  # duplicate edge closes a cycle
         ]
         with pytest.raises(ValidationError, match="cycle detected"):
-            make_feeder(buses, lines, slack_bus=0, base_voltage=1.0,
-                        base_power=0.1, num_groups=1)
+            Feeder(buses, lines, slack_bus=0, base_voltage=1.0,
+                   base_power=0.1, num_groups=1)
 
     @pytest.mark.parametrize("ends", [
         [(0, 1), (1, 2), (3, 3)],          # a self-loop leaves bus 3 unreached
@@ -90,8 +91,8 @@ class TestLoadFeeder:
         buses = [Bus(i, 1.0, 0.3, 0.95, 1.05, 1, False, 0.0) for i in range(4)]
         lines = [Line(4 + i, a, b, 0.1, 0.05, 1.0) for i, (a, b) in enumerate(ends)]
         with pytest.raises(ValidationError, match="cycle detected"):
-            make_feeder(buses, lines, slack_bus=0, base_voltage=1.0,
-                        base_power=0.1, num_groups=1)
+            Feeder(buses, lines, slack_bus=0, base_voltage=1.0,
+                   base_power=0.1, num_groups=1)
 
     def test_duplicate_line_ids(self, tmp_path):
         # Line ids order the partitioner's tie-break; a shared id would leave it
@@ -170,7 +171,78 @@ class TestLoadFeeder:
                 feeder_from_document(doc)
 
 
+def extra_bus(doc, *lines):
+    """Add a non-adopter bus 2 to ``doc`` and a line per ``(id, from, to)``."""
+    doc["buses"].append(
+        {"id": 2, "load_p": 1.0, "load_q": 0.3, "v_lower": 0.95,
+         "v_upper": 1.05, "group": 1, "is_adopter": False, "pv_capacity": 0.0}
+    )
+    doc["lines"] += [{"id": i, "from_bus": a, "to_bus": b, "resistance": 0.2,
+                      "reactance": 0.1, "rating": 1.0} for i, a, b in lines]
+
+
+def feeder_fields(doc) -> dict:
+    """The ``Feeder`` fields a document holds, read without any check."""
+    return {
+        "buses": tuple(Bus(**b) for b in doc["buses"]),
+        "lines": tuple(Line(**ln) for ln in doc["lines"]),
+        "slack_bus": doc["slack_bus"],
+        "base_voltage": doc["base_voltage_kv"],
+        "base_power": doc["base_power_mva"],
+        "num_groups": doc["num_groups"],
+    }
+
+
 class TestValidation:
+    # Each feeder check, as an edit of the two-bus document and its message.
+    CHECKS = {
+        "duplicate-bus-ids": (lambda d: d["buses"][1].update(id=0), "duplicate bus ids"),
+        "duplicate-line-ids": (lambda d: extra_bus(d, (2, 1, 2)), "duplicate line ids"),
+        "unknown-slack": (lambda d: d.update(slack_bus=77), "slack bus 77 not in bus set"),
+        "zero-base-voltage": (lambda d: d.update(base_voltage_kv=0.0),
+                              "base voltage and base power must be positive"),
+        "negative-base-power": (lambda d: d.update(base_power_mva=-0.1),
+                                "base voltage and base power must be positive"),
+        "inverted-voltage-bounds": (lambda d: d["buses"][1].update(v_lower=1.1),
+                                    "bus 1: v_lower must be < v_upper"),
+        "negative-pv": (lambda d: d["buses"][1].update(pv_capacity=-1.0),
+                        "bus 1: negative pv_capacity"),
+        "pv-on-non-adopter": (lambda d: d["buses"][1].update(is_adopter=False),
+                              "bus 1: pv_capacity > 0 on a non-adopter"),
+        "group-zero": (lambda d: d["buses"][1].update(group=0), "bus 1: group 0 outside [1, 1]"),
+        "group-above-count": (lambda d: d["buses"][1].update(group=2),
+                              "bus 1: group 2 outside [1, 1]"),
+        "empty-group": (lambda d: d.update(num_groups=2), "group 2 is empty"),
+        "negative-impedance": (lambda d: d["lines"][0].update(reactance=-0.1),
+                               "line 2: negative impedance"),
+        "zero-impedance": (lambda d: d["lines"][0].update(resistance=0.0, reactance=0.0),
+                           "line 2: zero impedance"),
+        "zero-rating": (lambda d: d["lines"][0].update(rating=0.0),
+                        "line 2: rating must be positive"),
+        "unknown-endpoint": (lambda d: d["lines"][0].update(to_bus=5),
+                             "line 2: endpoint not a known bus"),
+        "too-few-lines": (lambda d: d.update(lines=[]), "not radial: 0 lines for 2 buses"),
+        "cycle": (lambda d: extra_bus(d, (3, 1, 0)), "not radial: cycle detected"),
+    }
+
+    @pytest.mark.parametrize("route", ["document", "constructor", "replace"])
+    @pytest.mark.parametrize("check", list(CHECKS))
+    def test_every_check_fires_however_the_feeder_is_built(self, check, route):
+        edit, message = self.CHECKS[check]
+        doc = two_bus_document()
+        edit(doc)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            if route == "document":
+                feeder_from_document(doc)
+            elif route == "constructor":
+                Feeder(**feeder_fields(doc))
+            else:
+                valid = feeder_from_document(two_bus_document())
+                changed = {name: value for name, value in feeder_fields(doc).items()
+                           if value != getattr(valid, name)}
+                assert changed
+                replace(valid, **changed)
+
     def test_pv_on_non_adopter(self):
         doc = two_bus_document()
         doc["buses"][1]["is_adopter"] = False
@@ -210,7 +282,6 @@ class TestRoundTrip:
         assert load_feeder(path) == standard_feeder
 
     def test_equal_feeders_hash_equal(self, tmp_path, standard_feeder):
-        # The power-flow caches key on a feeder's hash, computed once.
         path = tmp_path / "f.json"
         save_feeder(standard_feeder, path)
         copy = load_feeder(path)
@@ -316,6 +387,23 @@ class TestPartition:
         assert updated.num_groups == 4
         assert updated.partition() == part
 
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda f: fallback_partition(f, 0), ValueError,
+         "target_groups must be in [1, num_buses]"),
+        (lambda f: fallback_partition(f, f.num_buses + 1), ValueError,
+         "target_groups must be in [1, num_buses]"),
+        (lambda f: apply_partition(f, {b.id: 1 for b in f.buses[1:]}), ValidationError,
+         "partition does not cover exactly the feeder's buses"),
+        (lambda f: apply_partition(f, {**f.partition(), 99: 1}), ValidationError,
+         "partition does not cover exactly the feeder's buses"),
+        (lambda f: apply_partition(f, {b.id: 2 for b in f.buses}), ValidationError,
+         "group 1 is empty"),
+    ], ids=["no-groups", "more-groups-than-buses", "bus-missing", "unknown-bus",
+            "group-left-empty"])
+    def test_bad_partition_rejected(self, standard_feeder, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call(standard_feeder)
+
 
 @st.composite
 def random_radial_feeders(draw):
@@ -332,8 +420,8 @@ def random_radial_feeders(draw):
     for i, (par, line_id, flip) in enumerate(zip(parents, line_ids, flips), start=1):
         a, b = (label[i], label[par]) if flip else (label[par], label[i])
         lines.append(Line(line_id, a, b, 0.1, 0.05, 1.0))
-    return make_feeder(buses, lines, slack_bus=slack, base_voltage=1.0,
-                       base_power=0.1, num_groups=1)
+    return Feeder(buses, lines, slack_bus=slack, base_voltage=1.0,
+                  base_power=0.1, num_groups=1)
 
 
 @given(feeder=random_radial_feeders())

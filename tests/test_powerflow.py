@@ -199,15 +199,15 @@ class TestSolvePowerFlow:
         # With x=0 and purely real load P at the receiving bus, the voltage
         # solves v^2 - v + r*P = 0 (root nearer 1).
         r_pu, p_pu = 0.05, 0.4
-        from gridcrit.feeder import Bus, Line, make_feeder
+        from gridcrit.feeder import Bus, Feeder, Line
 
         buses = [
             Bus(0, 0.0, 0.0, 0.95, 1.05, 1, False, 0.0),
             Bus(1, p_pu * 100.0, 0.0, 0.95, 1.05, 1, False, 0.0),
         ]
         lines = [Line(2, 0, 1, r_pu * 10.0, 0.0, 1.0)]
-        feeder = make_feeder(buses, lines, slack_bus=0, base_voltage=1.0,
-                             base_power=0.1, num_groups=1)
+        feeder = Feeder(buses, lines, slack_bus=0, base_voltage=1.0,
+                        base_power=0.1, num_groups=1)
         pf = solve_power_flow(feeder, Scenario(bits=()))
         expected = (1.0 + np.sqrt(1.0 - 4.0 * r_pu * p_pu)) / 2.0
         assert pf.converged
@@ -344,15 +344,15 @@ class TestSolvePowerFlow:
     def test_flow_beyond_the_float_range_reads_inf(self):
         # One sweep leaves a current whose finite parts have a magnitude
         # above the largest float: the flow is inf, as in the reference.
-        from gridcrit.feeder import Bus, Line, make_feeder
+        from gridcrit.feeder import Bus, Feeder, Line
 
         buses = [
             Bus(0, 0.0, 0.0, 0.95, 1.05, 1, False, 0.0),
             Bus(1, 1.5e308, 1.5e308, 0.95, 1.05, 1, False, 0.0),
         ]
         lines = [Line(2, 0, 1, 1.0, 1.0, 1.0)]
-        feeder = make_feeder(buses, lines, slack_bus=0, base_voltage=1.0,
-                             base_power=0.001, num_groups=1)
+        feeder = Feeder(buses, lines, slack_bus=0, base_voltage=1.0,
+                        base_power=0.001, num_groups=1)
         with np.errstate(all="ignore"):
             pf = solve_power_flow(feeder, Scenario(bits=()), max_iter=1)
             ref = numpy_scalar_sweep(feeder, Scenario(bits=()), max_iter=1)
