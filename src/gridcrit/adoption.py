@@ -56,29 +56,112 @@ def bitstrings(bits: np.ndarray) -> list[str]:
 # bounded at the oracle's scenario budget and at long horizons.
 _DRAW_BLOCK_ELEMENTS = 1 << 18
 
+# numpy's SeedSequence hash constants and PCG64 multiplier
+# (numpy/random/bit_generator.pyx, numpy/random/src/pcg64/pcg64.h).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
-def _simulate(feeder: Feeder, params: DiffusionParams, seeds: list) -> np.ndarray:
-    """One diffusion trajectory per seed, all through one vectorised kernel;
-    the final states, one uint8 row per seed.
 
-    Each trajectory draws from its own ``default_rng(seed)``: ``num_agents``
-    uniforms for the initial state, then as many for every step. Drawing t
-    steps at once yields the same doubles as t single draws, so the result
-    does not depend on the blocking.
+def _entropy_words(entropy) -> list[int]:
+    """A checked SeedSequence entropy as numpy's uint32 words: an int least
+    significant word first, a sequence its items' words in order."""
+    if isinstance(entropy, (int, np.integer)):
+        value = int(entropy)
+        words = [value & _MASK32]
+        while value := value >> 32:
+            words.append(value & _MASK32)
+        return words
+    return [word for item in entropy for word in _entropy_words(item)]
+
+
+# SeedSequence's two hash steps, on Python ints or on uint32 arrays, where
+# the arithmetic wraps modulo 2**32 as in numpy's C.
+def _hashmix(value, hash_const: list[int], mult: int = _MULT_A):
+    value = value ^ hash_const[0]
+    hash_const[0] = hash_const[0] * mult & _MASK32
+    value = value * hash_const[0] & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    result = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    return result ^ result >> 16
+
+
+def _pcg64_states(entropy, start: int, stop: int) -> list[tuple[int, int]]:
+    """``PCG64(child).state["state"]`` as ``(state, inc)`` for each child
+    ``SeedSequence(entropy).spawn(stop)[start:stop]``, recomputed with
+    numpy's own arithmetic instead of building each child and generator.
+
+    A child's entropy is the parent's words, zero-padded to the pool size,
+    then its spawn index (below 2**32, so one word). Only that last word
+    differs between children, so the words before it are mixed on Python
+    ints and it alone on arrays.
+    """
+    words = _entropy_words(entropy)
+    words += [0] * (_POOL_SIZE - len(words))
+    words.append(np.arange(start, stop, dtype=np.uint32))
+    hash_const = [_INIT_A]
+    pool = [_hashmix(word, hash_const) for word in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], hash_const))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, hash_const))
+    # generate_state(4, uint64): eight words cycled from the pool, paired
+    # little-endian.
+    hash_const = [_INIT_B]
+    out = [_hashmix(pool[k % _POOL_SIZE], hash_const, _MULT_B).astype(np.uint64)
+           for k in range(8)]
+    state_words = [(out[k] | out[k + 1] << 32).tolist() for k in range(0, 8, 2)]
+    # pcg64_set_seed: state = 0, inc = seq << 1 | 1, step, state += s, step.
+    states = []
+    for w0, w1, w2, w3 in zip(*state_words):
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        states.append(((((w0 << 64 | w1) + inc) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def _simulate(feeder: Feeder, params: DiffusionParams, entropy, count: int) -> np.ndarray:
+    """One diffusion trajectory per child of ``SeedSequence(entropy)``, all
+    through one vectorised kernel; the final states, one uint8 row per child.
+
+    Trajectory i draws from ``default_rng(SeedSequence(entropy).spawn(count)[i])``:
+    ``num_agents`` uniforms for the initial state, then as many for every
+    step. One generator serves every trajectory, its state set to each
+    child's in turn. Drawing t steps at once yields the same doubles as t
+    single draws, so the result does not depend on the blocking.
     """
     num_agents = feeder.num_adopters
     if num_agents < 1:
         raise ValueError("feeder has no adopters")
     steps = params.horizon_steps + 1
     per_block = max(1, _DRAW_BLOCK_ELEMENTS // (steps * num_agents))
-    bits = np.empty((len(seeds), num_agents), dtype=np.uint8)
-    for start in range(0, len(seeds), per_block):
-        rngs = [np.random.default_rng(s) for s in seeds[start:start + per_block]]
-        span = max(1, _DRAW_BLOCK_ELEMENTS // (len(rngs) * num_agents))  # steps per draw
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    bits = np.empty((count, num_agents), dtype=np.uint8)
+    for start in range(0, count, per_block):
+        seeds = _pcg64_states(entropy, start, min(count, start + per_block))
+        span = max(1, _DRAW_BLOCK_ELEMENTS // (len(seeds) * num_agents))  # steps per draw
         state = None
         for t0 in range(0, steps, span):
-            draws = np.empty((len(rngs), min(span, steps - t0), num_agents))
-            for rng, own in zip(rngs, draws):
+            draws = np.empty((len(seeds), min(span, steps - t0), num_agents))
+            for (pcg_state, inc), own in zip(seeds, draws):
+                # A block of several trajectories draws its horizon in one span;
+                # a lone trajectory keeps its stream from span to span.
+                if t0 == 0:
+                    bit_generator.state = {
+                        "bit_generator": "PCG64",
+                        "state": {"state": pcg_state, "inc": inc},
+                        "has_uint32": 0,
+                        "uinteger": 0,
+                    }
                 rng.random(out=own)
             for step_draws in draws.swapaxes(0, 1):
                 if state is None:
@@ -87,7 +170,7 @@ def _simulate(feeder: Feeder, params: DiffusionParams, seeds: list) -> np.ndarra
                 # Synchronous update: probability from the state at step start.
                 prob = params.p + params.q * state.sum(axis=1) / num_agents
                 state |= step_draws < np.minimum(np.maximum(prob, 0.0), 1.0)[:, None]
-        bits[start:start + len(rngs)] = state
+        bits[start:start + len(seeds)] = state
     return bits
 
 
@@ -100,13 +183,17 @@ def simulate_batch(
     """Simulate ``count`` independent scenarios with distinct derived sub-seeds.
 
     Returns a uint8 (count x A) matrix; row i is scenario i. Duplicates are
-    allowed (Monte Carlo semantics). Sub-seeds come from spawning a ``numpy``
-    SeedSequence, so batches are reproducible and individual trajectories
-    are independent streams.
+    allowed (Monte Carlo semantics). Row i draws from
+    ``default_rng(SeedSequence(seed).spawn(count)[i])``, so batches are
+    reproducible, trajectories are independent streams, and a batch's first
+    k rows are the k-row batch. The children's generator states are
+    recomputed exactly from numpy's seeding arithmetic; the tests check them
+    against numpy's own objects. ``seed`` is checked by ``SeedSequence``: a
+    negative int raises ValueError, a float TypeError.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    return _simulate(feeder, params, np.random.SeedSequence(seed).spawn(count))
+    return _simulate(feeder, params, np.random.SeedSequence(seed).entropy, count)
 
 
 def save_scenarios(path, bits: np.ndarray, feeder: Feeder) -> None:

@@ -160,6 +160,18 @@ def adopter_feeder(num_agents):
     return build_chain_feeder([0.0] + [1.0] * num_agents, pv_kw=[0] + [5.0] * num_agents)
 
 
+# Seeds of every shape SeedSequence takes: one word or several, no words, more
+# words than its 4-word pool (which takes the extra mixing loop), and nested.
+SEEDS = st.one_of(
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=2**32, max_value=2**130),
+    st.tuples(st.integers(0, 99), st.integers(0, 9), st.integers(0, 500)),
+    st.just(()),
+    st.lists(st.integers(0, 2**40), min_size=5, max_size=8).map(tuple),
+    st.tuples(st.integers(0, 9), st.tuples(st.integers(0, 2**64), st.tuples(st.integers(0, 9)))),
+)
+
+
 class TestBatchMatchesPerScenarioLoop:
     @given(
         num_agents=st.integers(min_value=1, max_value=20),
@@ -168,10 +180,7 @@ class TestBatchMatchesPerScenarioLoop:
         q=st.floats(min_value=0.0, max_value=1.0),
         initial_rate=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
         count=st.integers(min_value=1, max_value=40),
-        seed=st.one_of(
-            st.integers(min_value=0, max_value=2**32),
-            st.tuples(st.integers(0, 99), st.integers(0, 9), st.integers(0, 500)),
-        ),
+        seed=SEEDS,
         block=st.sampled_from([1, 7, 64, 300, 1 << 18]),
     )
     @settings(max_examples=150, deadline=None)
@@ -200,6 +209,28 @@ class TestBatchMatchesPerScenarioLoop:
         got = simulate_batch(standard_feeder, std_diffusion, count, seed=(3, 1))
         ref = per_scenario_reference(standard_feeder.num_adopters, std_diffusion, count, (3, 1))
         assert got.tolist() == ref
+
+
+class TestChildStates:
+    """``_pcg64_states`` against numpy's own children and generators."""
+
+    @given(seed=SEEDS, count=st.integers(1, 40), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_equal_to_numpy(self, seed, count, data):
+        parent = np.random.SeedSequence(seed)
+        want = [(state["state"], state["inc"]) for state in
+                (np.random.PCG64(child).state["state"] for child in parent.spawn(count))]
+        start = data.draw(st.integers(0, count - 1))
+        assert adoption._pcg64_states(parent.entropy, 0, count) == want
+        assert adoption._pcg64_states(parent.entropy, start, count) == want[start:]
+
+    @pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError),
+                                             ((3, -2), ValueError), ((3, 0.5), TypeError)])
+    def test_invalid_seed_fails_as_in_numpy(self, standard_feeder, std_diffusion, seed, error):
+        with pytest.raises(error):
+            np.random.SeedSequence(seed)
+        with pytest.raises(error):
+            simulate_batch(standard_feeder, std_diffusion, 3, seed=seed)
 
 
 class TestScenarioFiles:

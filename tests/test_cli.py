@@ -863,6 +863,18 @@ class TestScipyLoading:
         assert search_exit == 0 and "scipy" in after_search
 
 
+class TestNumpyRandomLoading:
+    """numpy imports ``numpy.random`` lazily (~20 ms). gridcrit builds its
+    generators at first use, so importing the CLI does not load it."""
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        loaded = run_fresh_python(
+            "import json, sys\nimport gridcrit, gridcrit.cli\n"
+            "print(json.dumps('numpy.random' in sys.modules))"
+        )
+        assert loaded is False
+
+
 class TestOutputPaths:
     """An output path that cannot be written exits 2 before any work, writing nothing."""
 
