@@ -31,7 +31,6 @@ from gridcrit.feeder import (
     ParseError,
     _check_int,
     _read_json_object,
-    apply_partition,
     fallback_partition,
     generate_synthetic_feeder,
     load_feeder,
@@ -324,8 +323,7 @@ def cmd_make_feeder(buses, adopters, groups, seed, output) -> None:
         raise click.UsageError("groups must be in [1, buses]")
     _check_output_file(output)
     try:
-        feeder = generate_synthetic_feeder(buses, adopters, seed)
-        feeder = apply_partition(feeder, fallback_partition(feeder, groups))
+        feeder = fallback_partition(generate_synthetic_feeder(buses, adopters, seed), groups)
     except ValueError as exc:
         raise ConfigError(str(exc))
     extremes = np.array([[0], [1]], dtype=np.uint8).repeat(feeder.num_adopters, axis=1)

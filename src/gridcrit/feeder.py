@@ -311,8 +311,8 @@ def generate_synthetic_feeder(
     - voltage tolerance (0.95, 1.05) p.u., base 1.0 kV / 0.1 MVA
 
     Deterministic for a fixed argument triple. All buses are placed in a
-    single group; apply :func:`fallback_partition` + :func:`apply_partition`
-    for multi-group studies.
+    single group; :func:`fallback_partition` regroups it for multi-group
+    studies.
     """
     if num_buses < 2:
         raise ValueError("num_buses must be >= 2")
@@ -394,15 +394,16 @@ def generate_synthetic_feeder(
     )
 
 
-def fallback_partition(feeder: Feeder, target_groups: int) -> dict[int, int]:
-    """Deterministic balanced tree-cut partition into connected groups.
+def fallback_partition(feeder: Feeder, target_groups: int) -> Feeder:
+    """The feeder with its buses in a deterministic balanced tree-cut
+    partition into connected groups.
 
     Greedily cuts ``target_groups - 1`` lines. Each cut splits the largest
     group (ties: the one holding the lowest bus id) at the line whose cut
     leaves a side closest to half of it, ties going to the lowest line id. A
     side is measured below its line in the slack-rooted ``Feeder.tree``:
     ``|size - half|`` is the same from either side of a cut. Every group
-    induces a connected subtree. Returns bus id -> group 1..P.
+    induces a connected subtree. Every other field is kept.
     """
     if not 1 <= target_groups <= feeder.num_buses:
         raise ValueError("target_groups must be in [1, num_buses]")
@@ -430,16 +431,8 @@ def fallback_partition(feeder: Feeder, target_groups: int) -> dict[int, int]:
                 top[u] = cut
 
     group = {t: g for g, t in enumerate(sorted(low, key=low.get), start=1)}
-    return {b.id: group[t] for b, t in zip(feeder.buses, top)}
-
-
-def apply_partition(feeder: Feeder, partition: dict[int, int]) -> Feeder:
-    """Return a new feeder whose bus groups follow the given bus id -> group
-    partition."""
-    if set(partition) != {b.id for b in feeder.buses}:
-        raise ValidationError("partition does not cover exactly the feeder's buses")
     return replace(
         feeder,
-        buses=tuple(replace(b, group=partition[b.id]) for b in feeder.buses),
-        num_groups=max(partition.values()),
+        buses=tuple(replace(b, group=group[t]) for b, t in zip(feeder.buses, top)),
+        num_groups=target_groups,
     )

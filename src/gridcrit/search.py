@@ -207,7 +207,7 @@ def _candidate_nondominated_freq(
 def acquisition_alpha_nd(
     gps: dict[int, GPSurrogate],
     candidate_bits: np.ndarray,
-    evaluated_violations: np.ndarray,
+    evaluated_stress: np.ndarray,
     num_bus: int,
     cfg: ViolationConfig,
     num_samples: int,
@@ -215,22 +215,25 @@ def acquisition_alpha_nd(
 ) -> np.ndarray:
     """Probability of each candidate being non-dominated (Monte Carlo).
 
-    For every active objective, joint posterior samples over the candidates
-    are drawn, mapped to violations (the first ``num_bus`` objectives, in key
-    order, are bus objectives) and compared against the realized
-    violations of already-evaluated scenarios. Candidates with zero sampled
-    violations never count as critical.
+    ``gps`` maps an objective index to its GP; as in ``violation_map``, the
+    objectives below the feeder's ``num_bus`` are bus objectives. For every
+    objective of ``gps``, joint posterior samples over the candidates are
+    drawn, mapped to violations and compared against the realized violations
+    of the evaluated rows, whose full stresses ``evaluated_stress`` holds.
+    Candidates with zero sampled violations never count as critical.
     """
     if not gps:
         raise ValueError("need at least one active objective")
     keys = sorted(gps)
+    active_bus = int(np.searchsorted(keys, num_bus))
     m = candidate_bits.shape[0]
     sampled = np.empty((num_samples, m, len(keys)))
     for j, k in enumerate(keys):
         post = posterior(gps[k], candidate_bits)
         child = np.random.SeedSequence((_seed_entropy(seed), j))
         sampled[:, :, j] = sample_joint(post, num_samples, child)
-    return _candidate_nondominated_freq(sampled, evaluated_violations, num_bus, cfg)
+    evaluated = violation_map(evaluated_stress[:, keys], active_bus, cfg)
+    return _candidate_nondominated_freq(sampled, evaluated, active_bus, cfg)
 
 
 def _seed_entropy(seed) -> int:
@@ -268,9 +271,6 @@ def evaluate_scenarios(
     return stress[inverse], flow.converged[inverse]
 
 
-_DEFAULT_NOISE = 1e-4
-
-
 def run_search(
     feeder: Feeder,
     diffusion: DiffusionParams,
@@ -282,9 +282,8 @@ def run_search(
     num_bus = feeder.num_groups
     num_line = feeder.num_lines
     dim = num_bus + num_line
-    num_agents = feeder.num_adopters
 
-    pool = np.empty((0, num_agents), dtype=np.uint8)  # row index = scenario id
+    pool = np.empty((0, feeder.num_adopters), dtype=np.uint8)  # row index = scenario id
     drawn = np.empty(0, dtype=np.intp)  # per scenario: times drawn as a candidate
     # Stress is a function of the bits alone, so only the first copy of each
     # bit vector is ever a candidate; Monte Carlo duplicates of an evaluated
@@ -378,7 +377,7 @@ def run_search(
             # scenario in the pool can be a missed critical one.
             tau_val = 0.0
             if active and len(open_ids):
-                x_eval = pool[train_ids].astype(float)
+                x_eval = pool[train_ids]
                 gps: dict[int, GPSurrogate] = {}
                 for k in active:
                     params, fitted = fits.get(k, (None, 0))
@@ -387,8 +386,7 @@ def run_search(
                         params = fit_hyperparameters(
                             x_eval,
                             stress_mat[:, k],
-                            init=params or KernelParams(
-                                eta=1.0, theta=np.ones(num_agents), noise=_DEFAULT_NOISE),
+                            init=params,
                             seed=_seed_entropy((cfg.seed, 4, step, k)),
                         )
                         fits[k] = (params, step)
@@ -400,13 +398,9 @@ def run_search(
                             float(np.max(params.theta)), refit,
                         )
 
-                num_active_bus = 0 if phase else len(active)
-                eval_viol = violation_map(stress_mat[:, active], num_active_bus, viol_cfg)
-
                 cand_ids = sample_candidates(open_ids, drawn[open_ids], m_cand, cand_rng)
                 drawn[cand_ids] += 1
-                cand_bits = pool[cand_ids].astype(float)
-                alpha = acquisition_alpha_nd(gps, cand_bits, eval_viol, num_active_bus, viol_cfg,
+                alpha = acquisition_alpha_nd(gps, pool[cand_ids], stress_mat, num_bus, viol_cfg,
                                              cfg.num_mc_samples, seed=(cfg.seed, 5, step))
 
                 # Stopping subsample: prefer unevaluated scenarios disjoint from the
@@ -415,10 +409,8 @@ def run_search(
                 take = min(m_cand, len(rest))
                 if take > 0:
                     sub = np.sort(stop_rng.choice(rest, size=take, replace=False))
-                    sub_bits = pool[sub].astype(float)
-                    sub_alpha = acquisition_alpha_nd(gps, sub_bits, eval_viol, num_active_bus,
-                                                     viol_cfg, cfg.num_mc_samples,
-                                                     seed=(cfg.seed, 6, step))
+                    sub_alpha = acquisition_alpha_nd(gps, pool[sub], stress_mat, num_bus, viol_cfg,
+                                                     cfg.num_mc_samples, seed=(cfg.seed, 6, step))
                     tau_val += float(np.sum(sub_alpha))
                 if take < m_cand:
                     reuse = np.lexsort((cand_ids, -alpha))[:m_cand - take]

@@ -297,23 +297,24 @@ def _lbfgsb(fun, x0, f0, g0, lower, upper, args) -> tuple[np.ndarray, float, int
 def fit_hyperparameters(
     train_inputs,
     train_outputs,
-    init: KernelParams,
+    init: KernelParams | None = None,
     seed: int = 0,
 ) -> KernelParams:
     """Maximize the log marginal likelihood from the best of several starts.
 
-    The ``NUM_STARTS`` starts are ``init`` and random draws, each
-    clipped to the bounds. Every start is scored with one likelihood call,
-    and L-BFGS-B descends only from the ``NUM_DESCENTS`` of lowest negative
-    LML (ties go to the earlier start, so the warm start wins one); the
-    better of those descents is returned. A descent costs tens of likelihood
+    The ``NUM_STARTS`` starts are ``init`` (by default eta 1, every theta 1
+    and noise 1e-4) and random draws, each clipped to the bounds. Every
+    start is scored with one likelihood call, and L-BFGS-B descends only
+    from the ``NUM_DESCENTS`` of lowest negative LML (ties go to the earlier
+    start, so the warm start wins one); the better of those descents is
+    returned. A descent costs tens of likelihood
     calls, so scoring a start costs a small share of descending from it, and
     the descent reuses its start's score rather than evaluating it again.
 
     Outputs are standardized internally, so the returned hyperparameters live
     on the standardized scale (the scale :class:`GPSurrogate` fits on).
-    Degenerate (constant) outputs short-circuit to the init with a variance
-    floor on eta. Deterministic for a fixed seed.
+    Degenerate (constant) outputs short-circuit to eta 1e-6 with the start's
+    theta and noise. Deterministic for a fixed seed.
 
     The fit runs with BLAS capped at one thread: OpenBLAS inverts with
     another summation order when it has more threads (its ``dpotri`` does at
@@ -324,9 +325,11 @@ def fit_hyperparameters(
     if x.ndim != 2 or len(y) != x.shape[0] or x.shape[0] < 2:
         raise ValueError("need >= 2 training points with matching shapes")
     n, a = x.shape
+    if init is None:
+        init = KernelParams(eta=1.0, theta=np.ones(a), noise=1e-4)
     y_std = float(np.std(y))
     if y_std < 1e-12:
-        return KernelParams(eta=max(float(np.var(y)), 1e-6), theta=init.theta, noise=init.noise)
+        return KernelParams(eta=1e-6, theta=init.theta, noise=init.noise)
     y = (y - float(np.mean(y))) / y_std
 
     rho_cap = float(_inv_softplus(THETA_SCALE_CAP * a))

@@ -308,7 +308,7 @@ def test_criterion_7_numerical_property_suites():
     alpha = acquisition_alpha_nd(
         gps={0: far_gp},
         candidate_bits=np.array([[1.0, 1.0, 1.0]]),
-        evaluated_violations=np.array([[v_e]]),
+        evaluated_stress=np.array([[v_e]]),
         num_bus=1,
         cfg=ViolationConfig(),
         num_samples=n_mc,

@@ -14,7 +14,6 @@ from gridcrit.feeder import (
     Line,
     ParseError,
     ValidationError,
-    apply_partition,
     fallback_partition,
     feeder_from_document,
     feeder_to_document,
@@ -348,19 +347,29 @@ class TestGenerator:
         assert feeder.num_adopters == num_adopters
 
 
+def partition_of(feeder, k):
+    """``fallback_partition(feeder, k).partition()``, after checking that the
+    result has k groups and differs from ``feeder`` in its bus groups alone."""
+    out = fallback_partition(feeder, k)
+    assert out.num_groups == k
+    regrouped = tuple(replace(b, group=o.group) for b, o in zip(feeder.buses, out.buses))
+    assert replace(feeder, buses=regrouped, num_groups=k) == out
+    return out.partition()
+
+
 class TestPartition:
     def test_single_group(self, standard_feeder):
-        part = fallback_partition(standard_feeder, 1)
+        part = partition_of(standard_feeder, 1)
         assert set(part) == {b.id for b in standard_feeder.buses}
         assert set(part.values()) == {1}
 
     def test_singleton_groups(self, standard_feeder):
         n = standard_feeder.num_buses
-        part = fallback_partition(standard_feeder, n)
+        part = partition_of(standard_feeder, n)
         assert sorted(part.values()) == list(range(1, n + 1))
 
     def test_groups_are_connected(self, standard_feeder):
-        mapping = fallback_partition(standard_feeder, 3)
+        mapping = partition_of(standard_feeder, 3)
         adj = {b.id: set() for b in standard_feeder.buses}
         for ln in standard_feeder.lines:
             adj[ln.from_bus].add(ln.to_bus)
@@ -379,27 +388,14 @@ class TestPartition:
             assert seen == members
 
     def test_deterministic(self, standard_feeder):
-        assert fallback_partition(standard_feeder, 3) == fallback_partition(standard_feeder, 3)
-
-    def test_apply_partition_sets_groups(self, standard_feeder):
-        part = fallback_partition(standard_feeder, 4)
-        updated = apply_partition(standard_feeder, part)
-        assert updated.num_groups == 4
-        assert updated.partition() == part
+        assert partition_of(standard_feeder, 3) == partition_of(standard_feeder, 3)
 
     @pytest.mark.parametrize("call, error, message", [
         (lambda f: fallback_partition(f, 0), ValueError,
          "target_groups must be in [1, num_buses]"),
         (lambda f: fallback_partition(f, f.num_buses + 1), ValueError,
          "target_groups must be in [1, num_buses]"),
-        (lambda f: apply_partition(f, {b.id: 1 for b in f.buses[1:]}), ValidationError,
-         "partition does not cover exactly the feeder's buses"),
-        (lambda f: apply_partition(f, {**f.partition(), 99: 1}), ValidationError,
-         "partition does not cover exactly the feeder's buses"),
-        (lambda f: apply_partition(f, {b.id: 2 for b in f.buses}), ValidationError,
-         "group 1 is empty"),
-    ], ids=["no-groups", "more-groups-than-buses", "bus-missing", "unknown-bus",
-            "group-left-empty"])
+    ], ids=["no-groups", "more-groups-than-buses"])
     def test_bad_partition_rejected(self, standard_feeder, call, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             call(standard_feeder)
@@ -481,4 +477,4 @@ def reference_partitions(feeder):
 def test_partition_matches_the_reference_at_every_group_count(feeder):
     expected = reference_partitions(feeder)
     for k in range(1, feeder.num_buses + 1):
-        assert fallback_partition(feeder, k) == expected[k - 1], k
+        assert partition_of(feeder, k) == expected[k - 1], k

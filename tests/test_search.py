@@ -272,7 +272,7 @@ class TestAcquisition:
         alpha = acquisition_alpha_nd(
             gps={0: gp},
             candidate_bits=cand,
-            evaluated_violations=np.array([[v_e]]),
+            evaluated_stress=np.array([[v_e]]),
             num_bus=1,
             cfg=ViolationConfig(),
             num_samples=n,
@@ -292,13 +292,34 @@ class TestAcquisition:
         alpha = acquisition_alpha_nd(
             gps={0: gp},
             candidate_bits=np.array([[0.0, 0.0]]),
-            evaluated_violations=np.empty((0, 1)),
+            evaluated_stress=np.empty((0, 1)),
             num_bus=1,
             cfg=ViolationConfig(),
             num_samples=200,
             seed=0,
         )
         assert alpha[0] == 0.0
+
+    @pytest.mark.parametrize("line_stress, want", [
+        (0.3, 0.0),  # severity 2 dominates the candidate's severity 1
+        (0.2, 1.0),  # severity 1 ties it; as a bus stress 0.2 would dominate 0.15
+    ])
+    def test_line_objective_maps_evaluated_stress_by_severity(self, line_stress, want):
+        # Objective 1 is a line objective of a feeder with one bus group. The
+        # candidate's posterior sits near 0.15, severity 1.
+        x = np.array([[0.0, 0.0], [1.0, 1.0]])
+        params = KernelParams(eta=0.001, theta=np.full(2, 1.0), noise=1e-6)
+        gp = GPSurrogate.build(x, np.full(2, 0.15), params)
+        alpha = acquisition_alpha_nd(
+            gps={1: gp},
+            candidate_bits=np.array([[0.0, 0.0]]),
+            evaluated_stress=np.array([[-1.0, line_stress]]),
+            num_bus=1,
+            cfg=ViolationConfig(),
+            num_samples=200,
+            seed=0,
+        )
+        assert alpha[0] == want
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(4)
@@ -310,7 +331,7 @@ class TestAcquisition:
         kwargs = dict(
             gps={0: gp},
             candidate_bits=cands,
-            evaluated_violations=np.empty((0, 1)),
+            evaluated_stress=np.empty((0, 1)),
             num_bus=1,
             cfg=ViolationConfig(),
             num_samples=100,
@@ -324,7 +345,7 @@ class TestAcquisition:
             acquisition_alpha_nd(
                 gps={},
                 candidate_bits=np.zeros((1, 2)),
-                evaluated_violations=np.empty((0, 0)),
+                evaluated_stress=np.empty((0, 0)),
                 num_bus=0,
                 cfg=ViolationConfig(),
                 num_samples=10,

@@ -434,7 +434,20 @@ class TestFit:
         init = KernelParams(eta=1.0, theta=np.array([1.0, 1.0]), noise=0.01)
         fitted = fit_hyperparameters(x, np.full(3, 2.7), init)
         assert fitted.eta > 0
+        assert fitted.eta == 1e-6
+        assert fitted.noise == init.noise
         np.testing.assert_array_equal(fitted.theta, init.theta)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_default_start(self, seed):
+        # Without an init the fit starts from eta 1, every theta 1, noise 1e-4.
+        rng = np.random.default_rng(12)
+        x = random_bits(rng, 15, 4)
+        y = x @ np.array([1.0, -0.5, 0.0, 2.0]) + 0.1 * rng.normal(size=15)
+        default = fit_hyperparameters(x, y, seed=seed)
+        explicit = fit_hyperparameters(x, y, KernelParams(1.0, np.ones(4), 1e-4), seed=seed)
+        assert (default.eta, default.noise) == (explicit.eta, explicit.noise)
+        np.testing.assert_array_equal(default.theta, explicit.theta)
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)
