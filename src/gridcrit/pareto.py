@@ -24,21 +24,26 @@ def dominated(points, against) -> np.ndarray:
     ``points`` has shape (..., N, K) and ``against`` (..., P, K); leading
     batch axes broadcast. Row a dominates row p iff a >= p in every objective
     and a > p in at least one. Returns a boolean array of shape (..., N).
+
+    The comparison arrays are (..., P, N), one objective at a time, so the
+    inner loop runs along the points: a few pivots against many candidates
+    sweep whole rows, and objective-major inputs (each ``[..., k]`` slice
+    contiguous) are read in order.
     """
     p = np.asarray(points)
     a = np.asarray(against)
     if p.shape[-1] != a.shape[-1]:
         raise ValueError("violation vectors have mismatched lengths")
-    shape = np.broadcast_shapes(p.shape[:-2], a.shape[:-2]) + (p.shape[-2], a.shape[-2])
+    shape = np.broadcast_shapes(p.shape[:-2], a.shape[:-2]) + (a.shape[-2], p.shape[-2])
     ge = np.ones(shape, dtype=bool)
     gt = np.zeros(shape, dtype=bool)
     for k in range(p.shape[-1]):
-        pk = p[..., :, None, k]
-        ak = a[..., None, :, k]
+        pk = p[..., None, :, k]
+        ak = a[..., :, None, k]
         ge &= ak >= pk
         gt |= ak > pk
     ge &= gt
-    return ge.any(axis=-1)
+    return ge.any(axis=-2)
 
 
 def front_indices(points) -> np.ndarray:

@@ -158,8 +158,9 @@ def sample_candidates(
 
 
 # Cap on the violation elements gathered for one block of screen survivors
-# (survivors x M candidates x K objectives): 512 KB of float64 per block; the
-# block's boolean comparison arrays hold survivors x M elements.
+# (survivors x width x K objectives, the width being the most survivors of
+# any one sample): 512 KB of float64 per block; the block's boolean
+# comparison arrays hold survivors x width elements.
 _MC_BLOCK_ELEMENTS = 1 << 16
 
 
@@ -171,36 +172,52 @@ def _candidate_nondominated_freq(
 ) -> np.ndarray:
     """Fraction of samples in which each candidate is critical.
 
-    sampled_stress has shape (N, M, K) over active objectives, the first
-    ``num_bus`` of them bus objectives; evaluated violations (already mapped)
-    enter each simulated front as fixed points. A candidate is critical in a
-    sample iff it has a positive violation and neither an evaluated point nor
-    another candidate of that sample dominates it. Only positive candidates
-    are tested, and a point that dominates a positive one is positive, so a
-    point dominated by an evaluated one is dominated by a member of their
-    critical front (``pareto.critical_indices``): that front is the one
-    compared against.
+    sampled_stress is objective-major, of shape (K, N, M): K active
+    objectives, the first ``num_bus`` of them bus objectives, each an (N, M)
+    block of N samples of the M candidates. Evaluated violations (already
+    mapped, (E, K)) enter each simulated front as fixed points. A candidate
+    is critical in a sample iff it has a positive violation and neither an
+    evaluated point nor another candidate of that sample dominates it. Only
+    positive candidates are tested, and a point that dominates a positive one
+    is positive, so a point dominated by an evaluated one is dominated by a
+    member of their critical front (``pareto.critical_indices``): that front
+    is the one compared against.
 
     Each sample's candidates are first screened against K + 1 pivots of the
     same sample: the largest row of each objective and the row of largest
     sum. A pivot is one of the sample's rows, so the screen only removes
-    candidates that really are dominated; the survivors, usually few, are
-    then tested against the evaluated front and all M rows of their sample
-    in blocks of at most _MC_BLOCK_ELEMENTS gathered violations.
+    candidates that really are dominated. A survivor is then tested against
+    the evaluated front and the other survivors of its own sample only,
+    padded with -inf rows (which dominate nothing) to the widest sample.
+    That is exact: dominance is a strict partial order on finitely many
+    rows, so a row dominated by any row of its sample is dominated by a
+    non-dominated one, which is positive and passes the screen. Each
+    survivor meets at most M rows of its sample, as many as an all-pairs
+    test would compare; when few survive, far fewer. Survivors go in blocks
+    of at most _MC_BLOCK_ELEMENTS gathered violations.
     """
-    n_samples, m, k = sampled_stress.shape
-    viol = violation_map(sampled_stress, num_bus, cfg)
+    k, n_samples, _ = sampled_stress.shape
+    # violation_map maps the last axis; its ufuncs keep the layout of their
+    # input, so the moved-back result is objective-major again.
+    viol = np.moveaxis(violation_map(np.moveaxis(sampled_stress, 0, -1), num_bus, cfg), -1, 0)
+    rows = np.moveaxis(viol, 0, -1)  # (N, M, K) view for pareto.dominated
     fixed = evaluated_violations[critical_indices(evaluated_violations)]
-    rows = np.concatenate([viol.argmax(axis=1), viol.sum(axis=-1).argmax(axis=1)[:, None]],
-                          axis=1)
-    pivots = np.take_along_axis(viol, rows[..., None], axis=1)
-    alive = np.any(viol > 0, axis=-1) & ~dominated(viol, pivots)
-    sample, cand = np.nonzero(alive)
-    per_block = max(1, _MC_BLOCK_ELEMENTS // (m * k))
+    pivot_ids = np.vstack([viol.argmax(axis=2), viol.sum(axis=0).argmax(axis=1)])
+    pivots = np.take_along_axis(viol, pivot_ids.T[None], axis=2)  # (K, N, K + 1)
+    alive = np.any(viol > 0, axis=0) & ~dominated(rows, np.moveaxis(pivots, 0, -1))
+    sample, cand = np.nonzero(alive)  # by sample, then candidate
+    counts = np.bincount(sample, minlength=n_samples)
+    slot = np.arange(len(sample)) - (np.cumsum(counts) - counts)[sample]
+    survivors = np.full((k, n_samples, counts.max(initial=0)), -np.inf)
+    points = viol[:, sample, cand]
+    survivors[:, sample, slot] = points
+    points = points.T
+    per_block = max(1, _MC_BLOCK_ELEMENTS // max(1, survivors.shape[2] * k))
     for start in range(0, len(sample), per_block):
-        s, c = sample[start:start + per_block], cand[start:start + per_block]
-        points = viol[s, c]
-        alive[s, c] = ~(dominated(points, fixed) | dominated(points[:, None], viol[s])[:, 0])
+        block = slice(start, start + per_block)
+        s, p = sample[block], points[block]
+        peers = np.moveaxis(survivors[:, s], 0, -1)
+        alive[s, cand[block]] = ~(dominated(p, fixed) | dominated(p[:, None], peers)[:, 0])
     return alive.sum(axis=0) / n_samples
 
 
@@ -227,11 +244,11 @@ def acquisition_alpha_nd(
     keys = sorted(gps)
     active_bus = int(np.searchsorted(keys, num_bus))
     m = candidate_bits.shape[0]
-    sampled = np.empty((num_samples, m, len(keys)))
+    sampled = np.empty((len(keys), num_samples, m))  # objective-major
     for j, k in enumerate(keys):
         post = posterior(gps[k], candidate_bits)
         child = np.random.SeedSequence((_seed_entropy(seed), j))
-        sampled[:, :, j] = sample_joint(post, num_samples, child)
+        sampled[j] = sample_joint(post, num_samples, child)
     evaluated = violation_map(evaluated_stress[:, keys], active_bus, cfg)
     return _candidate_nondominated_freq(sampled, evaluated, active_bus, cfg)
 
@@ -294,8 +311,12 @@ def run_search(
     # The evaluated rows, in evaluation order.
     eval_ids: list[int] = []
     eval_steps: list[int] = []
-    eval_stress: list[np.ndarray] = []
     invalid: list[int] = []
+    # The same rows in ascending id order, the order the GPs train in: a
+    # fit's roundoff depends on the row order, and seeded results use this one.
+    train_ids = np.empty(0, dtype=np.intp)
+    train_stress = np.empty((0, dim))
+    train_bits = np.empty((0, feeder.num_adopters), dtype=np.uint8)
 
     def add_scenarios(batch: np.ndarray) -> None:
         nonlocal pool, drawn, firsts
@@ -308,8 +329,9 @@ def run_search(
 
     def evaluate_batch(sids: list[int], step: int) -> None:
         """Evaluate a batch, then commit its results one at a time in batch order."""
+        nonlocal train_ids, train_stress, train_bits
         stress, converged = evaluate_scenarios(feeder, pool[sids], pf)
-        for sid, row, ok in zip(sids, stress, converged):
+        for sid, ok in zip(sids, converged):
             if not ok:
                 invalid.append(sid)
                 log.warning("power flow did not converge for scenario %d; excluded", sid)
@@ -322,7 +344,12 @@ def run_search(
                 continue
             eval_ids.append(sid)
             eval_steps.append(step)
-            eval_stress.append(row)
+        new = np.asarray(sids, dtype=np.intp)[converged]
+        order = np.argsort(new)
+        at = np.searchsorted(train_ids, new[order])
+        train_ids = np.insert(train_ids, at, new[order])
+        train_stress = np.insert(train_stress, at, stress[converged][order], axis=0)
+        train_bits = np.insert(train_bits, at, pool[new[order]], axis=0)
 
     # Initialization: n0 evaluated scenarios, then grow to |S_1|.
     add_scenarios(simulate_batch(feeder, diffusion, cfg.n0, seed=(cfg.seed, 0)))
@@ -366,31 +393,25 @@ def run_search(
             step += 1
             phase = (step - 1) % 2  # 0: bus, 1: line
             family = range(num_bus, dim) if phase else range(num_bus)
-            # The GPs train on the rows in ascending id order: a fit's
-            # roundoff depends on the row order, and seeded results use this one.
-            order = np.argsort(eval_ids)
-            train_ids = np.asarray(eval_ids)[order]
-            stress_mat = np.array(eval_stress)[order]
-            active = detect_active_objectives(stress_mat, family, cfg.stress_threshold)
+            active = detect_active_objectives(train_stress, family, cfg.stress_threshold)
 
             # With no active objective, or nothing left to evaluate, no
             # scenario in the pool can be a missed critical one.
             tau_val = 0.0
             if active and len(open_ids):
-                x_eval = pool[train_ids]
                 gps: dict[int, GPSurrogate] = {}
                 for k in active:
                     params, fitted = fits.get(k, (None, 0))
                     refit = params is None or step - fitted >= cfg.refit_period
                     if refit:
                         params = fit_hyperparameters(
-                            x_eval,
-                            stress_mat[:, k],
+                            train_bits,
+                            train_stress[:, k],
                             init=params,
                             seed=_seed_entropy((cfg.seed, 4, step, k)),
                         )
                         fits[k] = (params, step)
-                    gps[k] = GPSurrogate.build(x_eval, stress_mat[:, k], params)
+                    gps[k] = GPSurrogate.build(train_bits, train_stress[:, k], params)
                     if log.isEnabledFor(logging.DEBUG):
                         log.debug(
                             "step %d obj %d: eta=%.3g noise=%.3g theta_max=%.3g refit=%s",
@@ -400,7 +421,7 @@ def run_search(
 
                 cand_ids = sample_candidates(open_ids, drawn[open_ids], m_cand, cand_rng)
                 drawn[cand_ids] += 1
-                alpha = acquisition_alpha_nd(gps, pool[cand_ids], stress_mat, num_bus, viol_cfg,
+                alpha = acquisition_alpha_nd(gps, pool[cand_ids], train_stress, num_bus, viol_cfg,
                                              cfg.num_mc_samples, seed=(cfg.seed, 5, step))
 
                 # Stopping subsample: prefer unevaluated scenarios disjoint from the
@@ -409,7 +430,7 @@ def run_search(
                 take = min(m_cand, len(rest))
                 if take > 0:
                     sub = np.sort(stop_rng.choice(rest, size=take, replace=False))
-                    sub_alpha = acquisition_alpha_nd(gps, pool[sub], stress_mat, num_bus, viol_cfg,
+                    sub_alpha = acquisition_alpha_nd(gps, pool[sub], train_stress, num_bus, viol_cfg,
                                                      cfg.num_mc_samples, seed=(cfg.seed, 6, step))
                     tau_val += float(np.sum(sub_alpha))
                 if take < m_cand:
@@ -433,9 +454,9 @@ def run_search(
             if n_new > 0:
                 add_scenarios(simulate_batch(feeder, diffusion, n_new, seed=(cfg.seed, 7, step)))
 
-    fields = _result_fields(
-        feeder, viol_cfg, pool, np.asarray(eval_ids), np.array(eval_stress), sorted(invalid)
-    )
+    ids = np.asarray(eval_ids, dtype=np.intp)
+    fields = _result_fields(feeder, viol_cfg, pool, ids,
+                            train_stress[np.searchsorted(train_ids, ids)], sorted(invalid))
     fronts = fields["fronts"]
     critical = set(fronts.critical_objectives_bus) | set(fronts.critical_objectives_line)
     return SearchResult(

@@ -68,6 +68,73 @@ duplicated_points = st.integers(1, 5).flatmap(
 ).map(lambda drawn: drawn[0][np.array(drawn[1]) % len(drawn[0])])
 
 
+def pairwise_dominated(points, against):
+    """Reference for ``dominated``: one pair of rows at a time, in Python,
+    over the broadcast batch axes."""
+    p, a = np.asarray(points), np.asarray(against)
+    batch = np.broadcast_shapes(p.shape[:-2], a.shape[:-2])
+    p = np.broadcast_to(p, batch + p.shape[-2:])
+    a = np.broadcast_to(a, batch + a.shape[-2:])
+    out = np.zeros(batch + p.shape[-2:-1], dtype=bool)
+    for idx in np.ndindex(*batch):
+        for i, row in enumerate(p[idx].tolist()):
+            out[idx + (i,)] = any(
+                all(x >= y for x, y in zip(other, row)) and any(x > y for x, y in zip(other, row))
+                for other in a[idx].tolist()
+            )
+    return out
+
+
+# (points, against) leading axes that broadcast, B = 3.
+BATCH_AXES = [((), ()), ((3,), ()), ((3,), (1,)), ((3,), (3,)), ((), (3,)), ((1, 3), (3,)),
+              ((2, 1), (1, 3))]
+
+
+@st.composite
+def broadcast_pairs(draw):
+    """Points and rows against them with broadcast leading axes and 0 to 4
+    rows each; values tie often, -0.0 meets 0.0 and -inf rows occur."""
+    k = draw(st.integers(1, 4))
+    lead_p, lead_a = draw(st.sampled_from(BATCH_AXES))
+    values = st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf])
+    points = draw(hnp.arrays(np.float64, lead_p + (draw(st.integers(0, 4)), k), elements=values))
+    against = draw(hnp.arrays(np.float64, lead_a + (draw(st.integers(0, 4)), k), elements=values))
+    if against.shape[-2] and draw(st.booleans()):
+        against[..., 0, :] = -np.inf
+    if draw(st.booleans()):  # objective-major strides, as the acquisition passes them
+        points = np.moveaxis(np.ascontiguousarray(np.moveaxis(points, -1, 0)), 0, -1)
+    return points, against
+
+
+class TestDominatedKernel:
+    """``dominated`` over batch axes against a pairwise loop."""
+
+    @given(broadcast_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pairwise_loop(self, pair):
+        points, against = pair
+        got = dominated(points, against)
+        want = pairwise_dominated(points, against)
+        assert got.shape == want.shape and got.dtype == bool
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("lead_p, lead_a", BATCH_AXES)
+    @pytest.mark.parametrize("n, p", [(0, 3), (3, 0), (1, 3), (3, 1), (1, 1), (0, 0)])
+    def test_empty_and_single_rows(self, lead_p, lead_a, n, p):
+        rng = np.random.default_rng(n * 7 + p)
+        points = rng.integers(0, 3, size=lead_p + (n, 2)).astype(float)
+        against = rng.integers(0, 3, size=lead_a + (p, 2)).astype(float)
+        np.testing.assert_array_equal(dominated(points, against),
+                                      pairwise_dominated(points, against))
+
+    def test_ties_signed_zero_and_minus_inf(self):
+        points = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 0.0], [-np.inf, -np.inf]])
+        against = np.array([[-0.0, 1.0], [-np.inf, -np.inf]])
+        # Equal rows (-0.0 == 0.0) do not dominate; only the -inf point is dominated.
+        assert dominated(points, against).tolist() == [False, False, True, True]
+        assert dominated(points[3:], against[1:]).tolist() == [False]
+
+
 class TestDominates:
     def test_componentwise_greater(self):
         assert dominates((2, 1), (1, 1))

@@ -12,6 +12,7 @@ from scipy.stats import norm
 
 from conftest import build_chain_feeder, dominates, recovery_fraction
 from gridcrit.adoption import DiffusionParams
+from gridcrit.pareto import dominated
 from gridcrit.powerflow import (
     PowerFlowConfig,
     ViolationConfig,
@@ -175,6 +176,11 @@ def per_sample_nondominated_freq(sampled_stress, evaluated_violations, num_bus, 
     return hits / n_samples
 
 
+def objective_major(stress):
+    """(N, M, K) samples in the acquisition's layout: (K, N, M), contiguous."""
+    return np.ascontiguousarray(np.moveaxis(stress, -1, 0))
+
+
 @st.composite
 def acquisition_inputs(draw):
     """Sampled stresses and evaluated violations with frequent ties."""
@@ -217,6 +223,39 @@ def wide_acquisition_inputs(draw):
     return stress, evaluated, num_bus, block_elements
 
 
+def widest_sample(num_bus, m, rng):
+    """(M, K) rows of one sample that all survive the screen: positive and
+    pairwise incomparable (an antichain over the first two bus objectives;
+    equal rows when there are fewer than two)."""
+    rows = np.full((m, num_bus), 0.3)
+    if num_bus >= 2:
+        u = rng.permutation(m) * (0.2 / m)
+        rows[:, 0] += u
+        rows[:, 1] -= u
+    return rows
+
+
+@st.composite
+def paper_scale_acquisition_inputs(draw):
+    """Paper-scale sizes: up to 30 objectives, 250 candidates and 50 samples
+    of independent normal stresses, so most positive candidates survive the
+    screen. Sample 0 keeps every candidate; each other sample is shifted
+    down by 2.5 or not at all, so some keep few. The block cap is a quarter
+    to all of one widest sample's survivors, so the blocks split them."""
+    k = draw(st.integers(1, 30))
+    m = draw(st.integers(2, 250))
+    n = draw(st.integers(2, 50))
+    num_bus = draw(st.integers(0, k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stress = rng.normal(size=(n, m, k)) - rng.choice([0.0, 2.5], size=(n, 1, 1))
+    stress[0] = 0.3  # a line stress of 0.3 maps to a positive bin
+    stress[0, :, :num_bus] = widest_sample(num_bus, m, rng)
+    evaluated = violation_map(rng.normal(size=(draw(st.integers(0, 60)), k)), num_bus,
+                              ViolationConfig())
+    block_elements = draw(st.integers(max(1, m // 4), m)) * m * k
+    return stress, evaluated, num_bus, block_elements
+
+
 class TestAcquisition:
     @given(acquisition_inputs(), st.integers(1, 400))
     @settings(max_examples=300, deadline=None)
@@ -226,7 +265,7 @@ class TestAcquisition:
         stress, evaluated, num_bus = inputs
         cfg = ViolationConfig()
         with mock.patch.object(search, "_MC_BLOCK_ELEMENTS", block_elements):
-            got = _candidate_nondominated_freq(stress, evaluated, num_bus, cfg)
+            got = _candidate_nondominated_freq(objective_major(stress), evaluated, num_bus, cfg)
         want = per_sample_nondominated_freq(stress, evaluated, num_bus, cfg)
         np.testing.assert_array_equal(got, want)
 
@@ -237,9 +276,54 @@ class TestAcquisition:
         stress, evaluated, num_bus, block_elements = inputs
         cfg = ViolationConfig()
         with mock.patch.object(search, "_MC_BLOCK_ELEMENTS", block_elements):
-            got = _candidate_nondominated_freq(stress, evaluated, num_bus, cfg)
+            got = _candidate_nondominated_freq(objective_major(stress), evaluated, num_bus, cfg)
         want = per_sample_nondominated_freq(stress, evaluated, num_bus, cfg)
         np.testing.assert_array_equal(got, want)
+
+    @given(paper_scale_acquisition_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_sample_loop_at_paper_scale(self, inputs):
+        # The widest sample pads every other sample's survivors to M rows.
+        stress, evaluated, num_bus, block_elements = inputs
+        cfg = ViolationConfig()
+        with mock.patch.object(search, "_MC_BLOCK_ELEMENTS", block_elements):
+            got = _candidate_nondominated_freq(objective_major(stress), evaluated, num_bus, cfg)
+        want = per_sample_nondominated_freq(stress, evaluated, num_bus, cfg)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("shift", [0.0, 2.5])
+    def test_no_survivor_meets_more_rows_than_its_sample(self, shift):
+        # Every dominance test the kernel makes, counted in compared pairs:
+        # the screen's N x M x (K + 1), then each survivor against the
+        # evaluated front and at most M rows of its sample, which is what
+        # testing it against all M rows would compare.
+        n, m, k, num_bus = 20, 120, 12, 6
+        rng = np.random.default_rng(11)
+        stress = rng.normal(size=(n, m, k)) - shift
+        stress[0] = 0.3
+        stress[0, :, :num_bus] = widest_sample(num_bus, m, rng)
+        evaluated = violation_map(rng.normal(size=(40, k)), num_bus, ViolationConfig())
+        calls = []
+
+        def counting(points, against):
+            p, a = np.shape(points), np.shape(against)
+            calls.append((np.prod(np.broadcast_shapes(p[:-2], a[:-2])), p[-2], a[-2]))
+            return dominated(points, against)
+
+        with mock.patch.object(search, "dominated", counting), \
+                mock.patch.object(search, "_MC_BLOCK_ELEMENTS", 40 * m * k):
+            got = _candidate_nondominated_freq(objective_major(stress), evaluated, num_bus,
+                                               ViolationConfig())
+        np.testing.assert_array_equal(
+            got, per_sample_nondominated_freq(stress, evaluated, num_bus, ViolationConfig()))
+        (screen, *tests) = calls
+        assert screen == (n, m, k + 1)
+        front = tests[0][2]
+        survivors = sum(points for _, points, _ in tests[::2])
+        assert survivors >= m and len(tests) > 2  # sample 0 survives, in several blocks
+        assert all(width == m for _, _, width in tests[1::2])  # padded to sample 0
+        pairs = sum(batch * points * width for batch, points, width in calls)
+        assert pairs <= n * m * (k + 1) + survivors * (front + m)
 
     @pytest.mark.parametrize("rows, want", [
         # 1e16 + 1 rounds to 1e16, so the first row, which the second
@@ -251,7 +335,7 @@ class TestAcquisition:
     def test_dominated_pivot_and_survivor(self, rows, want):
         stress = np.array([rows])
         cfg = ViolationConfig()
-        got = _candidate_nondominated_freq(stress, np.empty((0, 2)), 2, cfg)
+        got = _candidate_nondominated_freq(objective_major(stress), np.empty((0, 2)), 2, cfg)
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(
             got, per_sample_nondominated_freq(stress, np.empty((0, 2)), 2, cfg))
