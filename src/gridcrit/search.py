@@ -297,66 +297,58 @@ def run_search(
 ) -> SearchResult:
     """Run the full search loop until the stopping bound or exhaustion."""
     num_bus = feeder.num_groups
-    num_line = feeder.num_lines
-    dim = num_bus + num_line
+    dim = num_bus + feeder.num_lines
 
-    pool = np.empty((0, feeder.num_adopters), dtype=np.uint8)  # row index = scenario id
-    drawn = np.empty(0, dtype=np.intp)  # per scenario: times drawn as a candidate
+    # Every fact about a scenario is an array aligned with the pool, whose
+    # row index is the scenario id.
+    pool = np.empty((0, feeder.num_adopters), dtype=np.uint8)
+    drawn = np.empty(0, dtype=np.intp)  # times drawn as a candidate
+    evaluated_at = np.empty(0, dtype=np.intp)  # step that evaluated the row, -1 if none
+    row = np.empty(0, dtype=np.intp)  # the row's position in ``stress``, -1 if none
     # Stress is a function of the bits alone, so only the first copy of each
     # bit vector is ever a candidate; Monte Carlo duplicates of an evaluated
     # (or invalid) scenario carry no information. ``firsts`` holds the first
     # copies in the byte order distinct_rows returns, so that its next stable
     # sort starts from nearly sorted rows.
     firsts = np.empty(0, dtype=np.intp)
-    # The evaluated rows, in evaluation order.
-    eval_ids: list[int] = []
-    eval_steps: list[int] = []
-    invalid: list[int] = []
-    # The same rows in ascending id order, the order the GPs train in: a
-    # fit's roundoff depends on the row order, and seeded results use this one.
-    train_ids = np.empty(0, dtype=np.intp)
-    train_stress = np.empty((0, dim))
-    train_bits = np.empty((0, feeder.num_adopters), dtype=np.uint8)
+    stress = np.empty((0, dim))  # the converged evaluations, in evaluation order
 
     def add_scenarios(batch: np.ndarray) -> None:
-        nonlocal pool, drawn, firsts
+        nonlocal pool, drawn, evaluated_at, row, firsts
         # The pool's first copies precede the batch, so a batch row that
         # repeats one of them is not a first copy.
         ids = np.concatenate([firsts, np.arange(len(pool), len(pool) + len(batch))])
         pool = np.concatenate([pool, batch])
         drawn = np.concatenate([drawn, np.zeros(len(batch), dtype=np.intp)])
+        evaluated_at = np.concatenate([evaluated_at, np.full(len(batch), -1)])
+        row = np.concatenate([row, np.full(len(batch), -1)])
         firsts = ids[distinct_rows(pool[ids])[0]]
 
-    def evaluate_batch(sids: list[int], step: int) -> None:
-        """Evaluate a batch, then commit its results one at a time in batch order."""
-        nonlocal train_ids, train_stress, train_bits
-        stress, converged = evaluate_scenarios(feeder, pool[sids], pf)
-        for sid, ok in zip(sids, converged):
-            if not ok:
-                invalid.append(sid)
-                log.warning("power flow did not converge for scenario %d; excluded", sid)
-                attempts = len(eval_ids) + len(invalid)
-                if attempts >= 10 and len(invalid) > 0.1 * attempts:
-                    raise SearchAbort(
-                        f"{len(invalid)}/{attempts} power flows failed to converge; "
-                        "check feeder data and solver settings"
-                    )
-                continue
-            eval_ids.append(sid)
-            eval_steps.append(step)
-        new = np.asarray(sids, dtype=np.intp)[converged]
-        order = np.argsort(new)
-        at = np.searchsorted(train_ids, new[order])
-        train_ids = np.insert(train_ids, at, new[order])
-        train_stress = np.insert(train_stress, at, stress[converged][order], axis=0)
-        train_bits = np.insert(train_bits, at, pool[new[order]], axis=0)
+    def evaluate_batch(sids: list[int] | np.ndarray, step: int) -> None:
+        """Evaluate a batch, then commit its results in batch order."""
+        nonlocal stress
+        sids = np.asarray(sids, dtype=np.intp)
+        new, converged = evaluate_scenarios(feeder, pool[sids], pf)
+        # Running counts over the search, as each row of the batch commits.
+        attempts = np.count_nonzero(evaluated_at >= 0) + np.arange(1, len(sids) + 1)
+        failed = attempts - len(stress) - np.cumsum(converged)
+        for i in np.flatnonzero(~converged):
+            log.warning("power flow did not converge for scenario %d; excluded", sids[i])
+            if attempts[i] >= 10 and failed[i] > 0.1 * attempts[i]:
+                raise SearchAbort(
+                    f"{failed[i]}/{attempts[i]} power flows failed to converge; "
+                    "check feeder data and solver settings"
+                )
+        evaluated_at[sids] = step
+        row[sids[converged]] = len(stress) + np.arange(np.count_nonzero(converged))
+        stress = np.concatenate([stress, new[converged]])
 
     # Initialization: n0 evaluated scenarios, then grow to |S_1|.
     add_scenarios(simulate_batch(feeder, diffusion, cfg.n0, seed=(cfg.seed, 0)))
-    evaluate_batch(list(range(cfg.n0)), step=0)
-    if len(eval_ids) < 2:
+    evaluate_batch(np.arange(cfg.n0), step=0)
+    if len(stress) < 2:
         raise SearchAbort(
-            f"{len(eval_ids)} of {cfg.n0} initial power flows converged; "
+            f"{len(stress)} of {cfg.n0} initial power flows converged; "
             "the GP fits need at least two"
         )
     add_scenarios(simulate_batch(feeder, diffusion, cfg.n_init, seed=(cfg.seed, 1)))
@@ -378,8 +370,7 @@ def run_search(
         step = 0
         while True:
             is_open = np.zeros(len(pool), dtype=bool)
-            is_open[firsts] = True
-            is_open[eval_ids + invalid] = False
+            is_open[firsts] = evaluated_at[firsts] < 0
             open_ids = np.flatnonzero(is_open)  # first copies not yet evaluated
             if np.all(tau < cfg.tau_bar):
                 stop_reason = "converged"
@@ -393,12 +384,16 @@ def run_search(
             step += 1
             phase = (step - 1) % 2  # 0: bus, 1: line
             family = range(num_bus, dim) if phase else range(num_bus)
-            active = detect_active_objectives(train_stress, family, cfg.stress_threshold)
+            active = detect_active_objectives(stress, family, cfg.stress_threshold)
 
             # With no active objective, or nothing left to evaluate, no
             # scenario in the pool can be a missed critical one.
             tau_val = 0.0
             if active and len(open_ids):
+                # The GPs train in id order: a fit's roundoff depends on the
+                # row order, and seeded results use this one.
+                train = np.flatnonzero(row >= 0)
+                train_bits, train_stress = pool[train], stress[row[train]]
                 gps: dict[int, GPSurrogate] = {}
                 for k in active:
                     params, fitted = fits.get(k, (None, 0))
@@ -421,7 +416,7 @@ def run_search(
 
                 cand_ids = sample_candidates(open_ids, drawn[open_ids], m_cand, cand_rng)
                 drawn[cand_ids] += 1
-                alpha = acquisition_alpha_nd(gps, pool[cand_ids], train_stress, num_bus, viol_cfg,
+                alpha = acquisition_alpha_nd(gps, pool[cand_ids], stress, num_bus, viol_cfg,
                                              cfg.num_mc_samples, seed=(cfg.seed, 5, step))
 
                 # Stopping subsample: prefer unevaluated scenarios disjoint from the
@@ -430,7 +425,7 @@ def run_search(
                 take = min(m_cand, len(rest))
                 if take > 0:
                     sub = np.sort(stop_rng.choice(rest, size=take, replace=False))
-                    sub_alpha = acquisition_alpha_nd(gps, pool[sub], train_stress, num_bus, viol_cfg,
+                    sub_alpha = acquisition_alpha_nd(gps, pool[sub], stress, num_bus, viol_cfg,
                                                      cfg.num_mc_samples, seed=(cfg.seed, 6, step))
                     tau_val += float(np.sum(sub_alpha))
                 if take < m_cand:
@@ -454,14 +449,16 @@ def run_search(
             if n_new > 0:
                 add_scenarios(simulate_batch(feeder, diffusion, n_new, seed=(cfg.seed, 7, step)))
 
-    ids = np.asarray(eval_ids, dtype=np.intp)
-    fields = _result_fields(feeder, viol_cfg, pool, ids,
-                            train_stress[np.searchsorted(train_ids, ids)], sorted(invalid))
+    evaluated = np.flatnonzero(row >= 0)
+    ids = np.empty_like(evaluated)
+    ids[row[evaluated]] = evaluated  # in evaluation order, as ``stress`` is
+    invalid = np.flatnonzero((evaluated_at >= 0) & (row < 0))
+    fields = _result_fields(feeder, viol_cfg, pool, ids, stress, invalid.tolist())
     fronts = fields["fronts"]
     critical = set(fronts.critical_objectives_bus) | set(fronts.critical_objectives_line)
     return SearchResult(
         **fields,
-        steps=np.asarray(eval_steps),
+        steps=evaluated_at[ids],
         tau=np.array(tau_rows).reshape(-1, 2),
         relevance={
             k: adopter_relevance(params) for k, (params, _) in fits.items() if k in critical

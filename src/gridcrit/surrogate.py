@@ -62,11 +62,6 @@ class JointPosterior:
     mean: np.ndarray
     chol: np.ndarray
 
-    @property
-    def covariance(self) -> np.ndarray:
-        """``chol @ chol.T``, built on demand; the search reads only ``chol``."""
-        return self.chol @ self.chol.T
-
 
 @functools.cache
 def _scipy() -> SimpleNamespace:

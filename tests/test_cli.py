@@ -15,7 +15,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import run_fresh_python
+from conftest import build_chain_feeder, run_fresh_python
 from gridcrit import cli
 from gridcrit.cli import _Table, _write_json, main
 from gridcrit.powerflow import ViolationConfig, violation_map
@@ -37,6 +37,13 @@ def write_feeder(runner, path, buses=10, adopters=6, groups=2, seed=3):
     )
     assert res.exit_code == 0, res.output
     return path
+
+
+def unconverged_chain():
+    """A 40-bus chain of 10 kW loads, 10 of its buses adopters, whose power
+    flow converges for no scenario: one bus group and 39 lines."""
+    return build_chain_feeder([0.0] + [10.0] * 39,
+                              pv_kw=[20.0 if i % 4 == 3 else 0.0 for i in range(40)], r_ohm=0.2)
 
 
 def write_config(path, feeder_path, **overrides):
@@ -101,9 +108,10 @@ class TestMakeFeeder:
             # and the writer byte for byte.
             assert path.read_bytes() == (DATA_DIR / "standard_feeder.json").read_bytes()
 
-    def test_unsolvable_feeder_exit_3(self, runner, tmp_path):
-        # The generator does not scale load or impedance with depth: on this
-        # 30-bus feeder neither zero nor full adoption converges.
+    def test_unsolvable_feeder_exit_3(self, runner, tmp_path, monkeypatch):
+        # A generator whose feeder converges at neither zero nor full adoption.
+        monkeypatch.setattr(cli, "generate_synthetic_feeder",
+                            lambda buses, adopters, seed: unconverged_chain())
         out = tmp_path / "f.json"
         res = runner.invoke(
             main,
@@ -184,15 +192,15 @@ class TestSimulateEvaluate:
 
 
 class TestUnconvergedFeeder:
-    """A feeder the generator makes and make-feeder refuses: its power flow
-    converges for no scenario."""
+    """A feeder that make-feeder would refuse: its power flow converges for
+    no scenario."""
 
     @pytest.fixture
     def config(self, tmp_path):
-        from gridcrit.feeder import generate_synthetic_feeder, save_feeder
+        from gridcrit.feeder import save_feeder
 
         feeder = tmp_path / "f.json"
-        save_feeder(generate_synthetic_feeder(40, 10, 0), feeder)
+        save_feeder(unconverged_chain(), feeder)
         return write_config(tmp_path / "cfg.json", feeder)
 
     def test_search_exit_4_leaves_no_directory(self, runner, tmp_path, config):

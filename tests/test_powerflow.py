@@ -6,6 +6,7 @@ balance computed from the admittance matrix.
 """
 
 import inspect
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,17 @@ from gridcrit.powerflow import (
     solve_power_flow,
     violation_map,
 )
+
+
+def generator_feeder(num_buses, seed, impedance):
+    """A generator feeder with a third of its buses adopters and its line
+    impedances scaled by ``impedance``: at x50 no power flow converges."""
+    feeder = generate_synthetic_feeder(num_buses, max(1, num_buses // 3), seed=seed)
+    return replace(feeder, lines=tuple(
+        replace(line, resistance=impedance * line.resistance,
+                reactance=impedance * line.reactance)
+        for line in feeder.lines
+    ))
 
 
 def admittance_matrix(feeder):
@@ -261,17 +273,18 @@ class TestSolvePowerFlow:
     @given(
         num_buses=st.integers(min_value=4, max_value=30),
         feeder_seed=st.integers(min_value=0, max_value=2**16),
+        impedance=st.sampled_from([1.0, 50.0]),
         bits_seed=st.integers(min_value=0, max_value=2**16),
         pv_derate=st.floats(min_value=0.0, max_value=1.5),
         max_iter=st.integers(min_value=1, max_value=50),
     )
     @settings(max_examples=300, deadline=None)
     def test_bit_identical_to_numpy_scalar_sweep(
-        self, num_buses, feeder_seed, bits_seed, pv_derate, max_iter
+        self, num_buses, feeder_seed, impedance, bits_seed, pv_derate, max_iter
     ):
-        # Generator feeders above ~20 buses often do not converge; those
-        # (and max_iter cut-offs) must match the reference just as well.
-        feeder = generate_synthetic_feeder(num_buses, max(1, num_buses // 3), seed=feeder_seed)
+        # Feeders with scaled-up impedances do not converge; those (and
+        # max_iter cut-offs) must match the reference just as well.
+        feeder = generator_feeder(num_buses, feeder_seed, impedance)
         rng = np.random.default_rng(bits_seed)
         scenario = Scenario(bits=tuple(int(b) for b in rng.integers(0, 2, feeder.num_adopters)))
         with np.errstate(all="ignore"):
@@ -285,6 +298,7 @@ class TestSolvePowerFlow:
     @given(
         num_buses=st.integers(min_value=4, max_value=40),
         feeder_seed=st.integers(min_value=0, max_value=2**16),
+        impedance=st.sampled_from([1.0, 50.0]),
         bits_seed=st.integers(min_value=0, max_value=2**16),
         distinct=st.integers(min_value=1, max_value=6),
         rows=st.integers(min_value=1, max_value=12),
@@ -293,11 +307,11 @@ class TestSolvePowerFlow:
     )
     @settings(max_examples=150, deadline=None)
     def test_batch_rows_bit_identical_to_numpy_scalar_sweep(
-        self, num_buses, feeder_seed, bits_seed, distinct, rows, pv_derate, max_iter
+        self, num_buses, feeder_seed, impedance, bits_seed, distinct, rows, pv_derate, max_iter
     ):
         # Duplicate rows, rows that converge at different sweeps, rows that
         # diverge and max_iter cut-offs, all in one batch.
-        feeder = generate_synthetic_feeder(num_buses, max(1, num_buses // 3), seed=feeder_seed)
+        feeder = generator_feeder(num_buses, feeder_seed, impedance)
         rng = np.random.default_rng(bits_seed)
         pool = rng.integers(0, 2, (distinct, feeder.num_adopters))
         bits = pool[rng.integers(0, distinct, rows)].astype(np.uint8)

@@ -713,6 +713,83 @@ class TestRunSearch:
         with pytest.raises(SearchAbort, match="^1 of 8 initial power flows converged"):
             run_search(small_feeder(), FAST_DIFFUSION, ViolationConfig(), cfg)
 
+    @staticmethod
+    def record_failing_search(monkeypatch, fails) -> list:
+        """Wrap the search's evaluations, GP builds and acquisition calls.
+
+        Evaluation call c (0 for the initial batch) reports its first row
+        unconverged when ``fails(c)``. Returns the calls in order:
+        ("eval", step, bits, converged), ("train", bits) and ("cand", bits).
+        """
+        events, step = [], [0]
+        evaluate, build = search.evaluate_scenarios, GPSurrogate.build.__func__
+        alpha_nd = search.acquisition_alpha_nd
+
+        def failing_evaluate(feeder, bits, pf):
+            stress, converged = evaluate(feeder, bits, pf)
+            if fails(sum(e[0] == "eval" for e in events)) and len(converged):
+                converged = converged.copy()
+                converged[0] = False
+            events.append(("eval", step[0], np.array(bits), converged))
+            return stress, converged
+
+        def recording_build(cls, train_inputs, *args):
+            events.append(("train", np.array(train_inputs)))
+            return build(cls, train_inputs, *args)
+
+        def recording_alpha(gps, candidate_bits, *args, seed, **kwargs):
+            step[0] = seed[2]
+            events.append(("cand", np.array(candidate_bits)))
+            return alpha_nd(gps, candidate_bits, *args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(search, "evaluate_scenarios", failing_evaluate)
+        monkeypatch.setattr(GPSurrogate, "build", classmethod(recording_build))
+        monkeypatch.setattr(search, "acquisition_alpha_nd", recording_alpha)
+        return events
+
+    def test_invalid_rows_stay_out_of_fits_candidates_and_results(
+        self, monkeypatch, standard_feeder, std_diffusion
+    ):
+        # Every third batch after step 0 loses its first row, fewer than a
+        # tenth of the attempts: the search goes on without those rows.
+        events = self.record_failing_search(monkeypatch, lambda call: call > 0 and call % 3 == 0)
+        cfg = SearchConfig(seed=2, **{**FAST_CONFIG, "max_steps": 16})
+        result = run_search(standard_feeder, std_diffusion, ViolationConfig(), cfg)
+        evals = [e[1:] for e in events if e[0] == "eval"]
+        failed = [tuple(r) for _, bits, ok in evals for r, o in zip(bits.tolist(), ok) if not o]
+        assert len(failed) >= 2
+        rows = [tuple(r) for r in result.bits.tolist()]
+        # A failed row is the first copy of its bits: its id is their lowest.
+        assert result.invalid_ids == sorted(rows.index(b) for b in failed)
+        assert not set(result.invalid_ids) & set(result.ids.tolist())
+        committed = [(step, tuple(r)) for step, bits, ok in evals
+                     for r, o in zip(bits.tolist(), ok) if o]
+        assert list(zip(result.steps.tolist(), (rows[i] for i in result.ids))) == committed
+        # Once a row fails, no later GP trains on its bits and no later
+        # candidate set holds them.
+        invalid, checked = set(), 0
+        for kind, *rest in events:
+            if kind == "eval":
+                invalid |= {tuple(r) for r, o in zip(rest[1].tolist(), rest[2]) if not o}
+            else:
+                assert not invalid & {tuple(r) for r in rest[0].tolist()}
+                checked += bool(invalid)
+        assert checked > 0
+
+    def test_aborts_when_failures_over_several_steps_cross_a_tenth(
+        self, monkeypatch, standard_feeder, std_diffusion
+    ):
+        # Step 0's 8 rows converge; each later batch loses its first row. At
+        # step 1 that is 1 failure in 9 attempts, below ten attempts; step 2's
+        # first row makes it 2 of 13, counting step 0's and step 1's attempts.
+        events = self.record_failing_search(monkeypatch, lambda call: call > 0)
+        cfg = SearchConfig(seed=2, **FAST_CONFIG)
+        with pytest.raises(SearchAbort, match=r"^2/13 power flows failed to converge; "):
+            run_search(standard_feeder, std_diffusion, ViolationConfig(), cfg)
+        evals = [(step, len(bits)) for kind, step, bits, _ in
+                 (e for e in events if e[0] == "eval")]
+        assert evals == [(0, 8), (1, 4), (2, 4)]
+
     def test_quiet_feeder_converges_with_empty_archives(self):
         feeder = quiet_feeder()
         cfg = SearchConfig(seed=0, **FAST_CONFIG)
