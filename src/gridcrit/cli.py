@@ -49,6 +49,7 @@ from gridcrit.search import (
 from gridcrit.surrogate import NumericalError
 
 CONFIG_SCHEMA_VERSION = 1
+ORACLE_COUNT = 4096  # scenarios ``brute-force`` simulates by default
 
 EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
@@ -113,14 +114,19 @@ _SECTIONS = {
 }
 
 
-def _load_config(path: str) -> dict:
-    """Read a run config (or a manifest wrapping one) and apply defaults."""
+def _load_config(path: str) -> tuple[dict, dict]:
+    """Read a run config (or a manifest wrapping one) and apply defaults.
+
+    Returns the resolved config and the manifest (empty for a plain config),
+    whose command options a re-run takes where no flag sets them.
+    """
     try:
         doc = _read_json_object(path, "config file")
     except ParseError as exc:
         raise ConfigError(str(exc))
+    manifest = {}
     if "command" in doc and "config" in doc:
-        doc = doc["config"]  # manifest re-run
+        manifest, doc = doc, doc["config"]  # manifest re-run
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
     if isinstance(doc.get("schema"), bool) or doc.get("schema") != CONFIG_SCHEMA_VERSION:
@@ -156,7 +162,20 @@ def _load_config(path: str) -> dict:
             )
         resolved[section].update(extra)
     resolved["search"].setdefault("seed", resolved["seed"])
-    return resolved
+    return resolved, manifest
+
+
+def _recorded_scenarios(manifest: dict) -> tuple[str | None, int]:
+    """The scenario file (``None`` if simulated) and count a brute-force
+    manifest recorded."""
+    scenarios, count = manifest.get("scenarios"), manifest.get("count", ORACLE_COUNT)
+    if scenarios is not None and not isinstance(scenarios, str):
+        raise ConfigError(f"manifest 'scenarios' must be a path string or null, not {scenarios!r}")
+    try:
+        _check_int("count", count, 1)
+    except ValueError:
+        raise ConfigError(f"manifest 'count' must be a positive integer, not {count!r}")
+    return scenarios, count
 
 
 def _build_parts(config: dict):
@@ -345,7 +364,7 @@ def cmd_simulate(config_path, count, output) -> None:
     if count < 1:
         raise click.UsageError("count must be >= 1")
     _check_output_file(output)
-    config = _load_config(config_path)
+    config, _ = _load_config(config_path)
     feeder, diffusion, *_ = _build_parts(config)
     bits = simulate_batch(feeder, diffusion, count, seed=config["seed"])
     save_scenarios(output, bits, feeder)
@@ -359,7 +378,7 @@ def cmd_simulate(config_path, count, output) -> None:
 def cmd_evaluate(config_path, scenario_path, output) -> None:
     """Evaluate a scenario file: power flow, stresses and violations to CSV."""
     _check_output_file(output)
-    config = _load_config(config_path)
+    config, _ = _load_config(config_path)
     feeder, _, viol_cfg, pf_cfg, _ = _build_parts(config)
     try:
         bits = load_scenarios(scenario_path, feeder)
@@ -421,7 +440,7 @@ def _write_search_artifacts(outdir: Path, feeder, result) -> None:
 def cmd_search(config_path, output_dir) -> None:
     """Run the Bayesian-optimization search and write result artifacts."""
     _check_output_dir(output_dir)
-    config = _load_config(config_path)
+    config, _ = _load_config(config_path)
     feeder, diffusion, viol_cfg, pf_cfg, search_cfg = _build_parts(config)
     try:
         result = run_search(feeder, diffusion, viol_cfg, search_cfg, pf_cfg)
@@ -445,13 +464,18 @@ def cmd_search(config_path, output_dir) -> None:
 @click.option("--config", "config_path", type=click.Path(), required=True)
 @click.option("--scenarios", "scenario_path", type=click.Path(), default=None,
               help="Scenario file to enumerate; simulated from config when omitted.")
-@click.option("--count", type=int, default=4096, show_default=True,
-              help="Number of scenarios to simulate when --scenarios is omitted.")
+@click.option("--count", type=int, default=None,
+              help="Number of scenarios to simulate when --scenarios is omitted "
+                   f"[default: a brute-force manifest's, else {ORACLE_COUNT}].")
 @click.option("--output-dir", "-o", type=click.Path(), required=True)
 def cmd_brute_force(config_path, scenario_path, count, output_dir) -> None:
     """Exhaustively evaluate a scenario set and write the exact fronts."""
     _check_output_dir(output_dir)
-    config = _load_config(config_path)
+    config, manifest = _load_config(config_path)
+    if scenario_path is None and count is None and manifest.get("command") == "brute-force":
+        scenario_path, count = _recorded_scenarios(manifest)
+    if count is None:
+        count = ORACLE_COUNT
     feeder, diffusion, viol_cfg, pf_cfg, _ = _build_parts(config)
     if scenario_path is not None:
         try:

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import importlib.machinery
+import importlib.util
 import logging
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,30 +66,66 @@ class JointPosterior:
     chol: np.ndarray
 
 
+# SciPy's compiled modules that hold the GP routines, and the routines.
+_SCIPY_ROUTINES = {
+    "scipy.linalg._fblas": ("dsyr", "dsyrk", "dtrsm"),
+    "scipy.linalg._flapack": ("dpotrf", "dpotri", "dpotrs"),
+    "scipy.optimize._lbfgsb": ("setulb",),
+}
+
+
 @functools.cache
 def _scipy() -> SimpleNamespace:
-    """SciPy's BLAS and LAPACK wrappers and its L-BFGS-B step, imported on
-    first use.
+    """SciPy's BLAS and LAPACK wrappers and its L-BFGS-B step, loaded on
+    first use from their compiled modules alone.
 
-    Only the GP routines need SciPy, and importing it takes about half a
-    second, longer than a small ``brute-force`` runs; so the first GP
-    routine to run loads it, not ``import gridcrit``.
+    Only the GP routines need SciPy, so the first GP routine to run loads
+    it, not ``import gridcrit``. ``import scipy`` loads its subpackages
+    lazily; the ``scipy.linalg`` and ``scipy.optimize`` packages would load
+    some 300 modules more (~0.3 s, ~44 MB). So each compiled module is
+    loaded from its file; its routines are the very objects those packages
+    expose.
     """
-    from scipy.linalg.blas import dsyr, dsyrk, dtrsm
-    from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
-    from scipy.optimize._lbfgsb import setulb
+    import scipy
 
-    return SimpleNamespace(dsyr=dsyr, dsyrk=dsyrk, dtrsm=dtrsm, dpotrf=dpotrf,
-                           dpotri=dpotri, dpotrs=dpotrs, setulb=setulb)
+    root = Path(scipy.__file__).parent
+    return SimpleNamespace(**{
+        name: getattr(_extension_module(root, module), name)
+        for module, names in _SCIPY_ROUTINES.items() for name in names
+    })
+
+
+def _extension_module(root: Path, name: str):
+    """The compiled module ``name`` of the package at ``root``: the loaded one,
+    else loaded from its file without importing its parent packages.
+    ``ImportError`` names the module when no file has an extension suffix."""
+    if name in sys.modules:
+        return sys.modules[name]
+    stem = root.joinpath(*name.split(".")[1:])
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = stem.parent / (stem.name + suffix)
+        if path.is_file():
+            break
+    else:
+        raise ImportError(f"no compiled module {name} in {stem.parent}", name=name)
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # Kept out of sys.modules: a later import of its package then loads it
+    # as usual and binds it as the package's attribute, which an entry found
+    # there would skip; CPython hands that load the same routines.
+    sys.modules.pop(name, None)
+    return module
 
 
 @functools.cache
 def _openblas_thread_setters() -> tuple:
     """``openblas_set_num_threads_local`` of every OpenBLAS this process has loaded.
 
-    numpy and scipy each bring their own OpenBLAS. SciPy is loaded before
-    the scan, which is cached, so that its OpenBLAS is among them. Empty
-    where ``/proc`` or the symbol is missing.
+    numpy and scipy each bring their own OpenBLAS; scipy's comes with its
+    compiled BLAS and LAPACK modules. Those are loaded before the scan,
+    which is cached, so that its OpenBLAS is among them. Empty where
+    ``/proc`` or the symbol is missing.
     """
     _scipy()
     try:

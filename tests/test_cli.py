@@ -689,6 +689,59 @@ class TestBruteForceAndReport:
         assert set(bits[:block]) & set(bits[block:2 * block])
         assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
+    @pytest.mark.parametrize("source", ["simulated", "scenario-file"])
+    def test_manifest_rerun_is_byte_identical(self, runner, tmp_path, source):
+        # The manifest records the scenario set, not only the config.
+        feeder = write_feeder(runner, tmp_path / "f.json")
+        config = write_config(tmp_path / "cfg.json", feeder)
+        if source == "simulated":
+            flags = ["--count", "64"]
+        else:
+            scen = tmp_path / "scen.txt"
+            res = runner.invoke(main, ["simulate", "--config", str(config), "--count", "40",
+                                       "-o", str(scen)])
+            assert res.exit_code == 0, res.output
+            flags = ["--scenarios", str(scen)]
+        first, rerun = tmp_path / "a", tmp_path / "b"
+        res = runner.invoke(main, ["brute-force", "--config", str(config), *flags,
+                                   "-o", str(first)])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(main, ["brute-force", "--config", str(first / "manifest.json"),
+                                   "-o", str(rerun)])
+        assert res.exit_code == 0, res.output
+        for name in ("result.json", "manifest.json"):
+            assert (first / name).read_bytes() == (rerun / name).read_bytes(), name
+
+    def test_count_flag_overrides_manifest(self, runner, tmp_path):
+        feeder = write_feeder(runner, tmp_path / "f.json")
+        config = write_config(tmp_path / "cfg.json", feeder)
+        first, rerun = tmp_path / "a", tmp_path / "b"
+        res = runner.invoke(main, ["brute-force", "--config", str(config), "--count", "64",
+                                   "-o", str(first)])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(main, ["brute-force", "--config", str(first / "manifest.json"),
+                                   "--count", "30", "-o", str(rerun)])
+        assert res.exit_code == 0, res.output
+        assert json.loads((rerun / "result.json").read_text())["num_evaluations"] == 30
+        assert json.loads((rerun / "manifest.json").read_text())["count"] == 30
+
+    @pytest.mark.parametrize("recorded", [{"count": 0}, {"count": "64"},
+                                          {"scenarios": 5}])
+    def test_bad_recorded_scenario_set_exits_3(self, runner, tmp_path, recorded):
+        feeder = write_feeder(runner, tmp_path / "f.json")
+        config = write_config(tmp_path / "cfg.json", feeder)
+        first = tmp_path / "a"
+        res = runner.invoke(main, ["brute-force", "--config", str(config), "--count", "20",
+                                   "-o", str(first)])
+        assert res.exit_code == 0, res.output
+        manifest = json.loads((first / "manifest.json").read_text())
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps({**manifest, **recorded}))
+        res = runner.invoke(main, ["brute-force", "--config", str(edited),
+                                   "-o", str(tmp_path / "b")])
+        assert res.exit_code == 3, res.output
+        assert "manifest" in res.output
+
     def test_report_top_n_covers_all_equals_oracle(self, runner, tmp_path):
         # When top-n spans every evaluated scenario, the naive comparator's
         # maxima must coincide with the oracle maxima.
@@ -869,6 +922,8 @@ class TestScipyLoading:
         *without, (search_exit, after_search) = report.values()
         assert without == [[0, []]] * 6, report
         assert search_exit == 0 and "scipy" in after_search
+        # Only SciPy's compiled modules: not the linalg and optimize packages.
+        assert not {"scipy.linalg", "scipy.optimize"} & set(after_search), after_search
 
 
 class TestNumpyRandomLoading:

@@ -6,7 +6,9 @@ loop against scipy's ``minimize``; the posterior against closed-form small
 cases and against its previous arithmetic on the x·theta Gram matrix.
 """
 
+import importlib.machinery
 import logging
+import sys
 import warnings
 from types import SimpleNamespace
 from unittest import mock
@@ -625,6 +627,44 @@ with surrogate._single_thread_blas():
 print(json.dumps({"scipy_loaded": scipy_loaded, "cached": cached, "fresh": fresh,
                   "fit": [fit.eta.hex(), fit.noise.hex(), [t.hex() for t in fit.theta]]}))
 """
+
+
+SCIPY_ROUTINES_PROBE = """
+import json, sys
+from gridcrit import surrogate
+
+routines = surrogate._scipy()
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import scipy.linalg.blas, scipy.linalg.lapack, scipy.optimize._lbfgsb
+
+owners = {"dsyr": scipy.linalg.blas, "dsyrk": scipy.linalg.blas, "dtrsm": scipy.linalg.blas,
+          "dpotrf": scipy.linalg.lapack, "dpotri": scipy.linalg.lapack,
+          "dpotrs": scipy.linalg.lapack, "setulb": scipy.optimize._lbfgsb}
+print(json.dumps({"loaded": loaded,
+                  "same": {n: getattr(routines, n) is getattr(m, n) for n, m in owners.items()}}))
+"""
+
+
+class TestScipyRoutines:
+    """``_scipy()`` loads SciPy's compiled modules from their files, without
+    the ``scipy.linalg`` and ``scipy.optimize`` packages."""
+
+    def test_routines_are_the_packages_own(self):
+        # A fresh interpreter loads the routines first and the public
+        # modules after; the public modules must reuse what was loaded.
+        report = run_fresh_python(SCIPY_ROUTINES_PROBE)
+        assert report["same"] == dict.fromkeys(report["same"], True)
+        assert len(report["same"]) == 7
+        assert "scipy" in report["loaded"]
+        assert not {"scipy.linalg", "scipy.optimize"} & set(report["loaded"])
+
+    def test_missing_module_file_names_the_module(self, monkeypatch):
+        for name in surrogate._SCIPY_ROUTINES:
+            monkeypatch.delitem(sys.modules, name, raising=False)
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing.so"])
+        with pytest.raises(ImportError, match=r"scipy\.linalg\._fblas") as err:
+            surrogate._scipy.__wrapped__()
+        assert err.value.name == "scipy.linalg._fblas"
 
 
 class TestSingleThreadBlas:
