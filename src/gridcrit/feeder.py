@@ -304,11 +304,20 @@ def generate_synthetic_feeder(
     - load_p ~ U(8, 16) kW times a branch factor in {2.2, 1.2, 0.7},
       load_q = 0.3 * load_p
     - pv_capacity ~ U(18, 40) kW times a branch factor in {0.45, 1.0, 1.8}
-      on adopter buses (placed uniformly among non-slack buses)
-    - line resistance ~ U(0.15, 0.45) ohm, reactance = 0.5 * resistance
+      on adopter buses (placed uniformly among non-slack buses), times
+      max(1, (15/14) * (n - 1) / A)
+    - line resistance ~ U(0.15, 0.45) ohm times (15/n)^1.5,
+      reactance = 0.5 * resistance
     - line rating ~ U(0.6, 1.1) p.u. scaled up near the substation by the
-      number of downstream buses
+      number of downstream buses, times (n/15)^0.5
     - voltage tolerance (0.95, 1.05) p.u., base 1.0 kV / 0.1 MVA
+
+    Here n is ``num_buses`` and A ``num_adopters``. The three size factors
+    keep the voltage drop and the PV per adopter near those of a 15-bus
+    feeder with 12 adopters; each is exactly 1 when n <= 15, so those feeders
+    are unscaled. Checked from 16 to 400 buses with A = max(12, n // 5): the
+    power flow converges for every adoption pattern tried, and each feeder
+    can undervolt, overvolt and overload a line.
 
     Deterministic for a fixed argument triple. All buses are placed in a
     single group; :func:`fallback_partition` regroups it for multi-group
@@ -319,6 +328,11 @@ def generate_synthetic_feeder(
     if not 1 <= num_adopters < num_buses:
         raise ValueError("need 1 <= num_adopters < num_buses")
     rng = np.random.default_rng(seed)
+    # Size factors; a factor of exactly 1.0 leaves a feeder of <= 15 buses bit for bit.
+    n, scaled = num_buses, num_buses > 15
+    z_scale = (15 / n) ** 1.5 if scaled else 1.0
+    rating_scale = (n / 15) ** 0.5 if scaled else 1.0
+    pv_scale = max(1.0, (15 / 14) * (n - 1) / num_adopters) if scaled else 1.0
 
     num_branches = min(3, num_buses - 1)
     parents = np.zeros(num_buses, dtype=int)  # parents[i] for bus i >= 1
@@ -367,13 +381,14 @@ def generate_synthetic_feeder(
                 v_upper=1.05,
                 group=1,
                 is_adopter=is_adopter,
-                pv_capacity=float(rng.uniform(18.0, 40.0)) * pf if is_adopter else 0.0,
+                pv_capacity=float(rng.uniform(18.0, 40.0)) * pf * pv_scale if is_adopter else 0.0,
             )
         )
     lines = []
     for i in range(1, num_buses):
-        r = float(rng.uniform(0.15, 0.45))
-        rating = float(rng.uniform(0.6, 1.1)) * (1.0 + 0.35 * np.log1p(downstream[i]))
+        r = float(rng.uniform(0.15, 0.45)) * z_scale
+        grade = 1.0 + 0.35 * np.log1p(downstream[i])
+        rating = float(rng.uniform(0.6, 1.1)) * grade * rating_scale
         lines.append(
             Line(
                 id=num_buses + i - 1,

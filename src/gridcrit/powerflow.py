@@ -26,7 +26,9 @@ class PowerFlowResult:
 
 @dataclass(frozen=True)
 class ViolationConfig:
-    """Strictly increasing excess-flow thresholds for line severity binning."""
+    """Strictly increasing excess-flow thresholds c_0 = 0 < c_1 < ... < c_J
+    for line severity binning: a line's severity is the number of edges
+    c_1..c_J its rectified excess flow reaches (``violation_map``)."""
 
     line_bins: tuple[float, ...] = (0.0, 0.1, 0.25, 0.5)
 
@@ -238,11 +240,11 @@ def violation_map(stress: np.ndarray, num_bus: int, cfg: ViolationConfig) -> np.
     """Rectify bus stresses; bin positive line excess flows by severity.
 
     Objectives run along the last axis of ``stress``: the first ``num_bus``
-    are bus objectives, the others line objectives.
+    are bus objectives, the others line objectives. A line's severity is the
+    number of edges above 0 that its rectified excess y+ reaches, so j for y+
+    in [c_j, c_{j+1}) and J for y+ >= c_J (a NaN excess reaches none).
     """
     out = np.maximum(np.asarray(stress, dtype=float), 0.0)
-    bins = np.asarray(cfg.line_bins)
-    # Bin index j with y+ in [c_j, c_{j+1}); values above the last edge map to J.
-    idx = np.searchsorted(bins, out[..., num_bus:], side="right") - 1
-    out[..., num_bus:] = np.minimum(idx, len(bins) - 1)
+    line = out[..., num_bus:]
+    line[...] = sum(line >= edge for edge in cfg.line_bins[1:])
     return out

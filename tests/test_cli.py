@@ -100,7 +100,9 @@ class TestMakeFeeder:
         assert "'--seed'" in res.output
         assert not out.exists()
 
-    @pytest.mark.parametrize("buses,adopters,groups,seed", [(10, 6, 2, 3), (15, 12, 3, 19)])
+    # 200 buses is a case-study size of the paper's abstract.
+    @pytest.mark.parametrize("buses,adopters,groups,seed",
+                             [(10, 6, 2, 3), (15, 12, 3, 19), (200, 40, 4, 0)])
     def test_documented_sizes_solve(self, runner, tmp_path, buses, adopters, groups, seed):
         path = write_feeder(runner, tmp_path / "f.json", buses, adopters, groups, seed)
         if (buses, adopters, groups, seed) == (15, 12, 3, 19):

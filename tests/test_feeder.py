@@ -4,6 +4,7 @@ import json
 import re
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from gridcrit.feeder import (
     load_feeder,
     save_feeder,
 )
+from gridcrit.powerflow import solve_power_flow
 
 
 def two_bus_document():
@@ -345,6 +347,22 @@ class TestGenerator:
         assert len({find(b.id) for b in feeder.buses}) == 1
         assert feeder.num_lines == feeder.num_buses - 1
         assert feeder.num_adopters == num_adopters
+
+    @pytest.mark.parametrize("num_buses", range(16, 61))
+    def test_scaled_feeders_solve_and_violate(self, num_buses):
+        # Above 15 buses the size factors keep the power flow convergent while
+        # every kind of violation stays reachable.
+        num_adopters = max(12, num_buses // 5)
+        for seed in range(5):
+            feeder = fallback_partition(generate_synthetic_feeder(num_buses, num_adopters, seed), 4)
+            rng = np.random.default_rng(seed)
+            bits = np.vstack([np.zeros((1, num_adopters)), np.ones((1, num_adopters)),
+                              rng.integers(0, 2, (64, num_adopters))]).astype(np.uint8)
+            pf = solve_power_flow(feeder, bits)
+            assert pf.converged.all(), seed
+            assert (pf.voltages < [b.v_lower for b in feeder.buses]).any(), seed
+            assert (pf.voltages > [b.v_upper for b in feeder.buses]).any(), seed
+            assert (pf.flows > [ln.rating for ln in feeder.lines]).any(), seed
 
 
 def partition_of(feeder, k):

@@ -326,6 +326,20 @@ class TestSolvePowerFlow:
             assert np.array_equal(got.voltages[r], ref.voltages, equal_nan=True)
             assert np.array_equal(got.flows[r], ref.flows, equal_nan=True)
 
+    def test_x50_generator_feeders_diverge(self):
+        # The two property tests above rely on their x50 feeders to cover rows
+        # that never converge.
+        for num_buses in range(4, 41):
+            for feeder_seed in range(5):
+                feeder = generator_feeder(num_buses, feeder_seed, 50.0)
+                a = feeder.num_adopters
+                rng = np.random.default_rng(feeder_seed)
+                bits = np.vstack([np.zeros((1, a)), np.ones((1, a)),
+                                  rng.integers(0, 2, (16, a))]).astype(np.uint8)
+                with np.errstate(all="ignore"):
+                    pf = solve_power_flow(feeder, bits)
+                assert not pf.converged.any(), (num_buses, feeder_seed)
+
     def test_block_boundaries_do_not_change_rows(self, standard_feeder, monkeypatch):
         rng = np.random.default_rng(3)
         bits = rng.integers(0, 2, (7, standard_feeder.num_adopters)).astype(np.uint8)
@@ -472,6 +486,29 @@ class TestViolationMap:
         v_lo = violation_map(lo, 2, cfg)
         v_hi = violation_map(hi, 2, cfg)
         assert np.all(v_hi >= v_lo)
+
+    @given(data=st.data(), num_bus=st.integers(0, 3), rows=st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_severity_is_the_binary_search_bin(self, data, num_bus, rows):
+        # Edges above 0 are drawn increasing; values hit each edge exactly,
+        # the float just below it, signed zeros, negatives and +inf.
+        edges = sorted(data.draw(st.lists(
+            st.floats(min_value=0.0, max_value=1e3, exclude_min=True), max_size=5, unique=True)))
+        cfg = ViolationConfig(line_bins=(0.0, *edges))
+        special = [0.0, -0.0, -1.0, -np.inf, np.inf, 5e-324,
+                   *edges, *np.nextafter(edges, 0.0).tolist()]
+        value = st.one_of(st.sampled_from(special), st.floats(allow_nan=False))
+        cols = num_bus + data.draw(st.integers(0, 4))
+        stress = np.array(data.draw(st.lists(value, min_size=rows * cols,
+                                             max_size=rows * cols))).reshape(rows, cols)
+        out = violation_map(stress, num_bus, cfg)
+        pos = np.maximum(stress, 0.0)
+        bins = np.asarray(cfg.line_bins)
+        reference = np.minimum(np.searchsorted(bins, pos[:, num_bus:], side="right") - 1,
+                               len(bins) - 1)
+        assert np.array_equal(out[:, num_bus:], reference)
+        assert np.array_equal(out[:, :num_bus], pos[:, :num_bus])
+        assert (out[:, :num_bus] >= 0).all()
 
     def test_bad_bins(self):
         with pytest.raises(ValueError):
