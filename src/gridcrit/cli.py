@@ -284,8 +284,8 @@ def _distinct_row_texts(matrix: np.ndarray, sep: str) -> tuple[list[str], np.nda
 
 def _result_document(feeder, result, stop_reason: str, extra=None) -> dict:
     """result.json of an ``OracleResult``; a ``SearchResult`` is one too."""
-    num_bus = result.num_bus_objectives
-    num_line = result.num_line_objectives
+    num_bus = feeder.num_groups
+    num_line = feeder.num_lines
     fronts = result.fronts
     order = np.argsort(result.ids)
     ids = result.ids[order]
@@ -301,7 +301,7 @@ def _result_document(feeder, result, stop_reason: str, extra=None) -> dict:
         "schema": CONFIG_SCHEMA_VERSION,
         "feeder_hash": feeder.content_hash(),
         "stop_reason": stop_reason,
-        "num_evaluations": result.num_evaluations,
+        "num_evaluations": len(ids),
         "search_space_size": len(result.bits),
         "num_bus_objectives": num_bus,
         "num_line_objectives": num_line,
@@ -399,7 +399,6 @@ def cmd_evaluate(config_path, scenario_path, output) -> None:
 
 
 def _write_search_artifacts(outdir: Path, feeder, result) -> None:
-    num_bus = result.num_bus_objectives
     doc = _result_document(
         feeder, result, result.stop_reason,
         extra={
@@ -414,7 +413,7 @@ def _write_search_artifacts(outdir: Path, feeder, result) -> None:
                ([step] + ["" if np.isnan(t) else _fmt(t) for t in row]
                 for step, row in enumerate(result.tau.tolist(), start=1)))
 
-    dim = num_bus + result.num_line_objectives
+    dim = feeder.num_groups + feeder.num_lines
     _write_csv(outdir / "evaluation_log.csv",
                ["step", "id", "bits"] + [f"stress_{k}" for k in range(dim)],
                ([step, sid, bits] + [_fmt(v) for v in stress]
@@ -452,7 +451,7 @@ def cmd_search(config_path, output_dir) -> None:
     _write_manifest(outdir, "search", config)
     _write_search_artifacts(outdir, feeder, result)
     click.echo(
-        f"{result.stop_reason}: {result.num_evaluations} evaluations, "
+        f"{result.stop_reason}: {len(result.ids)} evaluations, "
         f"{len(result.fronts.bus_ids)} bus-critical, "
         f"{len(result.fronts.line_ids)} line-critical -> {outdir}"
     )
@@ -499,7 +498,7 @@ def cmd_brute_force(config_path, scenario_path, count, output_dir) -> None:
     doc = _result_document(feeder, oracle, "oracle")
     _write_json(outdir / "result.json", doc)
     click.echo(
-        f"oracle: {oracle.num_evaluations} evaluations, "
+        f"oracle: {len(oracle.ids)} evaluations, "
         f"{len(oracle.fronts.bus_ids)} bus-critical, "
         f"{len(oracle.fronts.line_ids)} line-critical -> {outdir}"
     )

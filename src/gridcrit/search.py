@@ -95,13 +95,7 @@ class OracleResult:
     stress: np.ndarray
     violations: np.ndarray
     invalid_ids: list[int]
-    num_bus_objectives: int
-    num_line_objectives: int
     fronts: CriticalFronts
-
-    @property
-    def num_evaluations(self) -> int:
-        return len(self.ids)
 
 
 @dataclass
@@ -473,7 +467,6 @@ def _result_fields(feeder: Feeder, viol_cfg: ViolationConfig, bits: np.ndarray,
     num_bus = feeder.num_groups
     violations = violation_map(stress, num_bus, viol_cfg)
     return dict(bits=bits, ids=ids, stress=stress, violations=violations, invalid_ids=invalid_ids,
-                num_bus_objectives=num_bus, num_line_objectives=feeder.num_lines,
                 fronts=critical_fronts(ids, violations, num_bus))
 
 

@@ -79,7 +79,6 @@ def test_criterion_2_max_violation_fidelity(standard_runs):
     runs = standard_runs[:NUM_SEEDS_RECOVERY]
     good = 0
     for result, oracle, _ in runs:
-        nb = result.num_bus_objectives
         search_max = result.fronts.per_objective_max_violation
         oracle_max = oracle.fronts.per_objective_max_violation
         bus_ok = all(
@@ -101,7 +100,7 @@ def test_criterion_2_max_violation_fidelity(standard_runs):
 
 def test_criterion_3_efficiency(standard_runs):
     runs = standard_runs[:NUM_SEEDS_RECOVERY]
-    fracs = [r.num_evaluations / len(r.bits) for r, _, _ in runs]
+    fracs = [len(r.ids) / len(r.bits) for r, _, _ in runs]
     ok = all(f <= 0.25 for f in fracs)
     _report(
         3, ok,
@@ -165,7 +164,7 @@ def test_criterion_6_sensitivity_direction(standard_feeder, std_diffusion):
 
     def evals(tau_bar):
         cfg = SearchConfig(seed=0, tau_bar=tau_bar, max_search_space=SPACE_CAP)
-        return run_search(standard_feeder, std_diffusion, viol, cfg).num_evaluations
+        return len(run_search(standard_feeder, std_diffusion, viol, cfg).ids)
 
     def simulated(n_expand):
         cfg = SearchConfig(seed=0, n_expand=n_expand, max_search_space=SPACE_CAP)

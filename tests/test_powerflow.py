@@ -17,7 +17,7 @@ from scipy.optimize import fsolve
 from conftest import build_chain_feeder
 from gridcrit import powerflow
 from gridcrit.adoption import Scenario
-from gridcrit.feeder import generate_synthetic_feeder
+from gridcrit.feeder import fallback_partition, generate_synthetic_feeder
 from gridcrit.powerflow import (
     PowerFlowConfig,
     PowerFlowResult,
@@ -341,25 +341,30 @@ class TestSolvePowerFlow:
                 assert not pf.converged.any(), (num_buses, feeder_seed)
 
     def test_block_boundaries_do_not_change_rows(self, standard_feeder, monkeypatch):
-        rng = np.random.default_rng(3)
-        bits = rng.integers(0, 2, (7, standard_feeder.num_adopters)).astype(np.uint8)
-        bits[4] = bits[1]
-        # Rows converge at sweeps 8 and 9; the rest are cut off at 9.
-        whole = solve_power_flow(standard_feeder, bits, max_iter=9)
-        assert not whole.converged.all() and whole.converged.any()
-        n, s = standard_feeder.num_buses, len(bits)
-        for rows_per_block in (1, s - 1, s, s + 1):
-            monkeypatch.setattr(powerflow, "_PF_BLOCK_ELEMENTS", rows_per_block * n)
-            got = solve_power_flow(standard_feeder, bits, max_iter=9)
-            for field in ("voltages", "flows", "converged", "iterations"):
-                assert np.array_equal(getattr(got, field), getattr(whole, field)), field
-        for r, row in enumerate(bits):
-            one = solve_power_flow(standard_feeder, Scenario(bits=tuple(int(b) for b in row)),
-                                   max_iter=9)
-            assert type(one.converged) is bool and type(one.iterations) is int
-            assert (one.converged, one.iterations) == (whole.converged[r], whole.iterations[r])
-            assert np.array_equal(one.voltages, whole.voltages[r])
-            assert np.array_equal(one.flows, whole.flows[r])
+        # On the standard feeder rows converge at sweeps 8 and 9 and the rest
+        # are cut off at 9. On the 200-bus feeder, where the default cap gives
+        # 327-row blocks, rows converge at sweep 7 and the rest are cut off at 7.
+        paper_scale = fallback_partition(generate_synthetic_feeder(200, 40, seed=0), 4)
+        for feeder, max_iter in ((standard_feeder, 9), (paper_scale, 7)):
+            rng = np.random.default_rng(3)
+            bits = rng.integers(0, 2, (7, feeder.num_adopters)).astype(np.uint8)
+            bits[4] = bits[1]
+            whole = solve_power_flow(feeder, bits, max_iter=max_iter)
+            assert not whole.converged.all() and whole.converged.any()
+            n, s = feeder.num_buses, len(bits)
+            for rows_per_block in (1, s - 1, s, s + 1):
+                monkeypatch.setattr(powerflow, "_PF_BLOCK_ELEMENTS", rows_per_block * n)
+                got = solve_power_flow(feeder, bits, max_iter=max_iter)
+                for field in ("voltages", "flows", "converged", "iterations"):
+                    assert np.array_equal(getattr(got, field), getattr(whole, field)), field
+            monkeypatch.undo()  # the next feeder's whole batch runs at the default cap
+            for r, row in enumerate(bits):
+                one = solve_power_flow(feeder, Scenario(bits=tuple(int(b) for b in row)),
+                                       max_iter=max_iter)
+                assert type(one.converged) is bool and type(one.iterations) is int
+                assert (one.converged, one.iterations) == (whole.converged[r], whole.iterations[r])
+                assert np.array_equal(one.voltages, whole.voltages[r])
+                assert np.array_equal(one.flows, whole.flows[r])
 
     def test_empty_batch(self, standard_feeder):
         pf = solve_power_flow(standard_feeder, np.zeros((0, standard_feeder.num_adopters)))

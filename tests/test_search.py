@@ -605,7 +605,7 @@ class TestRunSearch:
         viol_cfg = ViolationConfig()
         cfg = SearchConfig(seed=2, **{**FAST_CONFIG, "max_steps": 8})
         result = run_search(feeder, std_diffusion, viol_cfg, cfg)
-        num_evals = result.num_evaluations
+        num_evals = len(result.ids)
         dim = feeder.num_groups + feeder.num_lines
         assert result.ids.shape == result.steps.shape == (num_evals,)
         assert result.stress.shape == result.violations.shape == (num_evals, dim)
@@ -799,14 +799,14 @@ class TestRunSearch:
         assert result.fronts.line_ids == ()
         assert not result.fronts.critical_objectives_bus
         assert not result.fronts.critical_objectives_line
-        assert result.num_evaluations == cfg.n0  # only the initial batch
+        assert len(result.ids) == cfg.n0  # only the initial batch
 
     def test_reported_criticals_are_nondominated_and_positive(self):
         feeder = small_feeder()
         cfg = SearchConfig(seed=1, **FAST_CONFIG)
         result = run_search(feeder, FAST_DIFFUSION, ViolationConfig(), cfg)
         assert result.stop_reason in ("converged", "exhausted")
-        nb = result.num_bus_objectives
+        nb = feeder.num_groups
         row = {sid: i for i, sid in enumerate(result.ids.tolist())}
         for ids, sl in (
             (result.fronts.bus_ids, slice(0, nb)),
