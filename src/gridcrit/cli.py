@@ -191,16 +191,6 @@ def _build_parts(config: dict):
     return feeder, *parts
 
 
-def _write_manifest(outdir: Path, command: str, config: dict, **extra) -> None:
-    manifest = {
-        "schema": CONFIG_SCHEMA_VERSION,
-        "command": command,
-        "config": config,
-        **extra,
-    }
-    _write_json(outdir / "manifest.json", manifest)
-
-
 def _write_json(path: Path, doc: dict) -> None:
     """Write ``json.dumps(doc, indent=2, sort_keys=True)`` and a newline; a
     ``_Table`` stands for the list of its records."""
@@ -282,8 +272,16 @@ def _distinct_row_texts(matrix: np.ndarray, sep: str) -> tuple[list[str], np.nda
     return texts, inverse
 
 
-def _result_document(feeder, result, stop_reason: str, extra=None) -> dict:
-    """result.json of an ``OracleResult``; a ``SearchResult`` is one too."""
+def _write_run(outdir: Path, command: str, config: dict, feeder, result,
+               stop_reason: str, relevance: dict | None = None, **recorded) -> None:
+    """Make ``outdir``, write its ``manifest.json`` (``config`` and the
+    ``recorded`` command options) and the ``result.json`` of an
+    ``OracleResult`` (a ``SearchResult`` is one too), then print the run's
+    summary line."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    _write_json(outdir / "manifest.json", {
+        "schema": CONFIG_SCHEMA_VERSION, "command": command, "config": config, **recorded})
+
     num_bus = feeder.num_groups
     num_line = feeder.num_lines
     fronts = result.fronts
@@ -318,9 +316,11 @@ def _result_document(feeder, result, stop_reason: str, extra=None) -> dict:
         "evaluations": _Table(id=ids.tolist(), bits=bitstrings(result.bits[ids]),
                               stress=result.stress[order], violations=violations),
     }
-    if extra:
-        doc.update(extra)
-    return doc
+    if relevance is not None:
+        doc["relevance"] = relevance
+    _write_json(outdir / "result.json", doc)
+    click.echo(f"{stop_reason}: {len(ids)} evaluations, {len(fronts.bus_ids)} bus-critical, "
+               f"{len(fronts.line_ids)} line-critical -> {outdir}")
 
 
 @click.group()
@@ -399,16 +399,7 @@ def cmd_evaluate(config_path, scenario_path, output) -> None:
 
 
 def _write_search_artifacts(outdir: Path, feeder, result) -> None:
-    doc = _result_document(
-        feeder, result, result.stop_reason,
-        extra={
-            "relevance": {
-                str(k): [float(v) for v in vec] for k, vec in result.relevance.items()
-            },
-        },
-    )
-    _write_json(outdir / "result.json", doc)
-
+    """Write a search's CSVs into its run directory."""
     _write_csv(outdir / "tau_trace.csv", ["step", "tau_bus", "tau_line"],
                ([step] + ["" if np.isnan(t) else _fmt(t) for t in row]
                 for step, row in enumerate(result.tau.tolist(), start=1)))
@@ -446,15 +437,10 @@ def cmd_search(config_path, output_dir) -> None:
     except (NumericalError, SearchAbort) as exc:
         raise NumericalFailure(str(exc))
     outdir = Path(output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    config["search"] = {**asdict(search_cfg)}
-    _write_manifest(outdir, "search", config)
+    config["search"] = asdict(search_cfg)
+    relevance = {str(k): [float(v) for v in vec] for k, vec in result.relevance.items()}
+    _write_run(outdir, "search", config, feeder, result, result.stop_reason, relevance)
     _write_search_artifacts(outdir, feeder, result)
-    click.echo(
-        f"{result.stop_reason}: {len(result.ids)} evaluations, "
-        f"{len(result.fronts.bus_ids)} bus-critical, "
-        f"{len(result.fronts.line_ids)} line-critical -> {outdir}"
-    )
     if result.stop_reason == "exhausted":
         sys.exit(EXIT_EXHAUSTED)
 
@@ -469,6 +455,8 @@ def cmd_search(config_path, output_dir) -> None:
 @click.option("--output-dir", "-o", type=click.Path(), required=True)
 def cmd_brute_force(config_path, scenario_path, count, output_dir) -> None:
     """Exhaustively evaluate a scenario set and write the exact fronts."""
+    if count is not None and count < 1:
+        raise click.UsageError("count must be >= 1")
     _check_output_dir(output_dir)
     config, manifest = _load_config(config_path)
     if scenario_path is None and count is None and manifest.get("command") == "brute-force":
@@ -482,8 +470,6 @@ def cmd_brute_force(config_path, scenario_path, count, output_dir) -> None:
         except ValueError as exc:
             raise ConfigError(str(exc))
     else:
-        if count < 1:
-            raise click.UsageError("count must be >= 1")
         if count > ORACLE_BUDGET:
             raise ConfigError(f"{count} scenarios exceed the oracle budget of {ORACLE_BUDGET}")
         bits = simulate_batch(feeder, diffusion, count, seed=config["seed"])
@@ -491,17 +477,8 @@ def cmd_brute_force(config_path, scenario_path, count, output_dir) -> None:
         oracle = brute_force_oracle(feeder, viol_cfg, bits, pf_cfg)
     except ValueError as exc:  # more scenarios than the oracle budget
         raise ConfigError(str(exc))
-    outdir = Path(output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_manifest(outdir, "brute-force", config, count=count,
-                    scenarios=scenario_path)
-    doc = _result_document(feeder, oracle, "oracle")
-    _write_json(outdir / "result.json", doc)
-    click.echo(
-        f"oracle: {len(oracle.ids)} evaluations, "
-        f"{len(oracle.fronts.bus_ids)} bus-critical, "
-        f"{len(oracle.fronts.line_ids)} line-critical -> {outdir}"
-    )
+    _write_run(Path(output_dir), "brute-force", config, feeder, oracle, "oracle",
+               count=count, scenarios=scenario_path)
 
 
 # The result.json fields that ``report`` reads.
@@ -577,7 +554,7 @@ def cmd_report(feeder_path, search_dir, oracle_dir, top_n, output_dir) -> None:
     )
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    num_bus = search_doc["num_bus_objectives"]
+    num_bus = feeder.num_groups
     pv_caps = np.array(
         [b.pv_capacity for b in feeder.buses if b.is_adopter]
     )
@@ -605,7 +582,7 @@ def cmd_report(feeder_path, search_dir, oracle_dir, top_n, output_dir) -> None:
         key=lambda e: (-total_pv(e["bits"]), e["id"]),
     )
     top = ranked[:top_n]
-    dim = num_bus + search_doc["num_line_objectives"]
+    dim = num_bus + feeder.num_lines
     top_max = np.zeros(dim)
     for e in top:
         top_max = np.maximum(top_max, e["violations"])

@@ -244,6 +244,7 @@ class TestInputBranches:
         "make-feeder-zero-groups": (2, "groups must be in [1, buses]"),
         "simulate-zero-count": (2, "count must be >= 1"),
         "brute-force-zero-count": (2, "count must be >= 1"),
+        "brute-force-scenarios-negative-count": (2, "count must be >= 1"),
         "report-zero-top-n": (2, "top-n must be >= 1"),
     }
 
@@ -265,6 +266,9 @@ class TestInputBranches:
             doc = json.loads(path.read_text())
             doc["num_bus_objectives"] += 1
             path.write_text(json.dumps(doc))
+        elif case == "brute-force-scenarios-negative-count":
+            res = runner.invoke(main, [*simulate, "-o", str(tmp_path / "scen.txt")])
+            assert res.exit_code == 0, res.output
         args = {
             "config-without-feeder": simulate,
             "config-section-not-an-object": simulate,
@@ -274,6 +278,9 @@ class TestInputBranches:
             "simulate-zero-count": [*simulate[:-1], "0"],
             "brute-force-zero-count": ["brute-force", "--config", str(config),
                                        "--count", "0"],
+            "brute-force-scenarios-negative-count": [
+                "brute-force", "--config", str(config),
+                "--scenarios", str(tmp_path / "scen.txt"), "--count", "-5"],
             "report-zero-top-n": [*report, "--top-n", "0"],
         }[case]
         out = tmp_path / "out"
@@ -535,6 +542,12 @@ class TestSearchCommand:
     def test_manifest_rerun_is_byte_identical(self, runner, tmp_path):
         res, outdir = self.run_search(runner, tmp_path)
         assert res.exit_code == 0, res.output
+        doc = json.loads((outdir / "result.json").read_text())
+        critical = doc["critical_scenarios"]
+        summary = (f"converged: {doc['num_evaluations']} evaluations, "
+                   f"{len(critical['bus'])} bus-critical, "
+                   f"{len(critical['line'])} line-critical -> {{}}\n")
+        assert res.output == summary.format(outdir)
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert "threads" not in manifest
         # Manifests of earlier versions carry a top-level thread count.
@@ -546,6 +559,7 @@ class TestSearchCommand:
                 main, ["search", "--config", str(config), "-o", str(rerun)],
             )
             assert res.exit_code == 0, res.output
+            assert res.output == summary.format(rerun)
             for name in sorted(p.name for p in outdir.iterdir()):
                 assert (outdir / name).read_bytes() == (rerun / name).read_bytes(), name
 
@@ -697,20 +711,23 @@ class TestBruteForceAndReport:
         feeder = write_feeder(runner, tmp_path / "f.json")
         config = write_config(tmp_path / "cfg.json", feeder)
         if source == "simulated":
-            flags = ["--count", "64"]
+            flags, count = ["--count", "64"], 64
         else:
             scen = tmp_path / "scen.txt"
             res = runner.invoke(main, ["simulate", "--config", str(config), "--count", "40",
                                        "-o", str(scen)])
             assert res.exit_code == 0, res.output
-            flags = ["--scenarios", str(scen)]
+            flags, count = ["--scenarios", str(scen)], 40
+        summary = f"oracle: {count} evaluations, 4 bus-critical, 4 line-critical -> {{}}\n"
         first, rerun = tmp_path / "a", tmp_path / "b"
         res = runner.invoke(main, ["brute-force", "--config", str(config), *flags,
                                    "-o", str(first)])
         assert res.exit_code == 0, res.output
+        assert res.output == summary.format(first)
         res = runner.invoke(main, ["brute-force", "--config", str(first / "manifest.json"),
                                    "-o", str(rerun)])
         assert res.exit_code == 0, res.output
+        assert res.output == summary.format(rerun)
         for name in ("result.json", "manifest.json"):
             assert (first / name).read_bytes() == (rerun / name).read_bytes(), name
 
