@@ -15,7 +15,10 @@ SCENARIO_SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class DiffusionParams:
-    """Innovation/imitation coefficients and horizon of the diffusion model."""
+    """Innovation/imitation coefficients and horizon of the diffusion model.
+
+    ``p``, ``q`` and ``initial_rate`` are stored as floats once checked: an
+    int beyond the C long range simulates as the float it rounds to."""
 
     p: float = 0.01
     q: float = 0.164
@@ -25,6 +28,7 @@ class DiffusionParams:
     def __post_init__(self):
         for name in ("p", "q", "initial_rate"):
             _check_real(name, getattr(self, name))
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.p < 0 or self.q < 0:
             raise ValueError("p and q must be non-negative")
         if self.p + self.q > 1:

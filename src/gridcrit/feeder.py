@@ -34,12 +34,13 @@ def _check_int(name: str, value, minimum: int | None = None) -> None:
 
 
 def _check_real(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is a finite real number (not a bool)."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (float, int, numbers.Real))
-        or not math.isfinite(value)
-    ):
+    """Raise ValueError unless ``value`` is a finite real number (not a bool);
+    an int beyond float range is not finite."""
+    try:
+        finite = isinstance(value, (float, int, numbers.Real)) and math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if isinstance(value, bool) or not finite:
         raise ValueError(f"{name} must be a finite number, not {value!r}")
 
 

@@ -282,6 +282,39 @@ def evaluate_scenarios(
     return stress[inverse], flow.converged[inverse]
 
 
+def fit_gps(
+    train_bits: np.ndarray,
+    train_stress: np.ndarray,
+    active: list[int],
+    fits: dict[int, tuple[KernelParams, int]],
+    step: int,
+    cfg: SearchConfig,
+) -> tuple[dict[int, GPSurrogate], list[int]]:
+    """The GP of each ``active`` objective at ``step``, and the objectives
+    refit, in ``active`` order.
+
+    ``fits`` maps an objective to its (params, step fitted) and is left as
+    it is. An objective with no fit, or one fitted ``cfg.refit_period``
+    steps ago, is refit, warm-started from its params and seeded from
+    (seed, 4, step, objective); the others keep their params. An objective's
+    GP reads only its own stress column and fit, so each one can be built
+    apart from the others.
+    """
+    gps: dict[int, GPSurrogate] = {}
+    refit: list[int] = []
+    for k in active:
+        params, fitted = fits.get(k, (None, 0))
+        if params is None or step - fitted >= cfg.refit_period:
+            params = fit_hyperparameters(train_bits, train_stress[:, k], init=params,
+                                         seed=_seed_entropy((cfg.seed, 4, step, k)))
+            refit.append(k)
+        gps[k] = GPSurrogate.build(train_bits, train_stress[:, k], params)
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("step %d obj %d: eta=%.3g noise=%.3g theta_max=%.3g refit=%s", step, k,
+                      params.eta, params.noise, float(np.max(params.theta)), k in refit)
+    return gps, refit
+
+
 def run_search(
     feeder: Feeder,
     diffusion: DiffusionParams,
@@ -387,26 +420,9 @@ def run_search(
                 # The GPs train in id order: a fit's roundoff depends on the
                 # row order, and seeded results use this one.
                 train = np.flatnonzero(row >= 0)
-                train_bits, train_stress = pool[train], stress[row[train]]
-                gps: dict[int, GPSurrogate] = {}
-                for k in active:
-                    params, fitted = fits.get(k, (None, 0))
-                    refit = params is None or step - fitted >= cfg.refit_period
-                    if refit:
-                        params = fit_hyperparameters(
-                            train_bits,
-                            train_stress[:, k],
-                            init=params,
-                            seed=_seed_entropy((cfg.seed, 4, step, k)),
-                        )
-                        fits[k] = (params, step)
-                    gps[k] = GPSurrogate.build(train_bits, train_stress[:, k], params)
-                    if log.isEnabledFor(logging.DEBUG):
-                        log.debug(
-                            "step %d obj %d: eta=%.3g noise=%.3g theta_max=%.3g refit=%s",
-                            step, k, params.eta, params.noise,
-                            float(np.max(params.theta)), refit,
-                        )
+                gps, refit = fit_gps(pool[train], stress[row[train]], active, fits, step, cfg)
+                for k in refit:
+                    fits[k] = (gps[k].params, step)
 
                 cand_ids = sample_candidates(open_ids, drawn[open_ids], m_cand, cand_rng)
                 drawn[cand_ids] += 1

@@ -160,6 +160,12 @@ def _single_thread_blas():
     set is the calling thread's where OpenBLAS keeps one per thread and the
     process's in its pthreads builds; either way the previous count is
     restored on exit. A no-op where no loaded OpenBLAS has the symbol.
+
+    Not safe to enter from two threads at once. Where the count is the
+    process's, one thread's exit restores the old count while another
+    thread may still be fitting: that fit then runs on more BLAS threads
+    and stops being bit-identical. So fits are to be run in parallel over
+    processes, each capping its own BLAS, not over threads.
     """
     setters = _openblas_thread_setters()
     previous = [set_local(1) for set_local in setters]

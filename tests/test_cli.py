@@ -159,6 +159,21 @@ class TestSimulateEvaluate:
             assert res.exit_code == 0, res.output
         assert a.read_bytes() == b.read_bytes()
 
+    def test_q_beyond_c_long_simulates_as_its_float(self, runner, tmp_path):
+        # An int q of 2**63 is taken as the float it rounds to, so it simulates
+        # as any q far above 1 does: every one-step probability is clamped.
+        feeder = write_feeder(runner, tmp_path / "f.json")
+        outputs = []
+        for name, q in (("int", 2**63), ("float", 1e300)):
+            config = write_config(tmp_path / f"{name}.json", feeder, diffusion={"q": q})
+            out = tmp_path / f"{name}.txt"
+            with pytest.warns(UserWarning, match="clamped"):
+                res = runner.invoke(main, ["simulate", "--config", str(config),
+                                           "--count", "20", "-o", str(out)])
+            assert res.exit_code == 0, res.output
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     HEADER_EDITS = {"text-adopters-header": ("adopters", "x"),
                     "fractional-schema-header": ("schema", "1.0")}
 
@@ -414,11 +429,13 @@ class TestConfigHandling:
         {"violation": {"line_bins": [0.0, float("nan")]}},
         {"violation": {"line_bins": [0.0, float("inf")]}},
         {"violation": {"line_bins": [False, True]}},
+        {"search": {"tau_bar": 10**400}},
+        {"diffusion": {"p": 10**400}},
     ], ids=["n0-zero", "n0-one", "seed-text", "seed-bool", "n0-float", "space-float",
             "space-below-initial-pool", "horizon-float", "tol-text", "tol-nan", "max-iter-zero", "max-iter-bool",
             "derate-negative", "p-nan", "p-bool", "q-inf", "initial-rate-bool",
             "tau-bar-bool", "tau-bar-nan", "threshold-inf", "bins-nan", "bins-inf",
-            "bins-bool"])
+            "bins-bool", "tau-bar-beyond-float", "p-beyond-float"])
     def test_invalid_search_section_exit_3(self, runner, tmp_path, override):
         feeder = write_feeder(runner, tmp_path / "f.json")
         config = write_config(tmp_path / "cfg.json", feeder, **override)

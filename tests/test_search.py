@@ -29,6 +29,7 @@ from gridcrit.search import (
     brute_force_oracle,
     detect_active_objectives,
     evaluate_scenarios,
+    fit_gps,
     run_search,
     sample_candidates,
     select_batch,
@@ -583,6 +584,62 @@ class TestBruteForceOracle:
         feeder = small_feeder()
         oracle = brute_force_oracle(feeder, ViolationConfig(), all_bit_vectors(3))
         assert oracle.fronts.critical_objectives_bus or oracle.fronts.critical_objectives_line
+
+
+def fit_inputs(num_objectives=3, n=24, a=6, seed=0):
+    """Training bits and a stress column per objective, each a different
+    smooth function of the bits plus noise."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, size=(n, a)).astype(np.uint8)
+    weights = rng.normal(size=(a, num_objectives))
+    stress = np.tanh(bits @ weights / a) + 0.01 * rng.normal(size=(n, num_objectives))
+    return bits, stress
+
+
+class TestFitGps:
+    def test_refit_schedule(self, monkeypatch):
+        # Objective 0 was fitted at step 3; with refit_period 5 it keeps its
+        # params at step 7 and is refit at step 8, warm-started from them.
+        # Objective 1 has no fit and is fit at once.
+        calls = []
+        fit = search.fit_hyperparameters
+
+        def recording_fit(train_inputs, train_outputs, init=None, seed=0):
+            calls.append((init, seed))
+            return fit(train_inputs, train_outputs, init=init, seed=seed)
+
+        monkeypatch.setattr(search, "fit_hyperparameters", recording_fit)
+        bits, stress = fit_inputs()
+        old = KernelParams(eta=0.5, theta=np.full(bits.shape[1], 0.3), noise=1e-3)
+        fits = {0: (old, 3)}
+        cfg = SearchConfig(seed=7, refit_period=5)
+
+        def seed_of(step, k):
+            return int(np.random.SeedSequence((7, 4, step, k)).generate_state(1)[0])
+
+        gps, refit = fit_gps(bits, stress, [0, 1], fits, 7, cfg)
+        assert refit == [1]
+        assert calls == [(None, seed_of(7, 1))]
+        assert sorted(gps) == [0, 1] and gps[0].params is old
+        assert fits == {0: (old, 3)}
+
+        calls.clear()
+        gps, refit = fit_gps(bits, stress, [1, 0], fits, 8, cfg)
+        assert refit == [1, 0]
+        assert calls == [(None, seed_of(8, 1)), (old, seed_of(8, 0))]
+        assert gps[0].params is not old
+        assert fits == {0: (old, 3)}
+
+    def test_objective_fits_apart_from_the_others(self):
+        # A worker fitting one objective alone must build the GP it would
+        # build among the others, bit for bit.
+        bits, stress = fit_inputs()
+        cfg = SearchConfig(seed=1)
+        want = fit_gps(bits, stress, [0, 2], {}, 4, cfg)[0][2]
+        got = fit_gps(bits, stress, [2], {}, 4, cfg)[0][2]
+        assert (got.params.eta, got.params.noise) == (want.params.eta, want.params.noise)
+        np.testing.assert_array_equal(got.params.theta, want.params.theta)
+        np.testing.assert_array_equal(got.factor, want.factor)
 
 
 class TestRunSearch:
