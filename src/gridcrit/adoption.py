@@ -13,6 +13,11 @@ from gridcrit.feeder import Feeder, _check_int, _check_real
 SCENARIO_SCHEMA_VERSION = 1
 
 
+# Longest horizon a config may ask for: 1 000 times the default. Draws stay
+# within _DRAW_BLOCK_ELEMENTS whatever the horizon, so only run time grows.
+MAX_HORIZON_STEPS = 10_000
+
+
 @dataclass(frozen=True)
 class DiffusionParams:
     """Innovation/imitation coefficients and horizon of the diffusion model.
@@ -36,7 +41,7 @@ class DiffusionParams:
                 "p + q > 1: one-step adoption probability will be clamped to 1",
                 stacklevel=2,
             )
-        _check_int("horizon_steps", self.horizon_steps, 1)
+        _check_int("horizon_steps", self.horizon_steps, 1, MAX_HORIZON_STEPS)
         if not 0.0 <= self.initial_rate <= 1.0:
             raise ValueError("initial_rate must be in [0, 1]")
 

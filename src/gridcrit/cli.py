@@ -178,6 +178,12 @@ def _recorded_scenarios(manifest: dict) -> tuple[str | None, int]:
     return scenarios, count
 
 
+def _check_budget(count: int) -> None:
+    """Refuse to simulate more scenarios than the oracle evaluates."""
+    if count > ORACLE_BUDGET:
+        raise ConfigError(f"{count} scenarios exceed the oracle budget of {ORACLE_BUDGET}")
+
+
 def _build_parts(config: dict):
     """The feeder and the diffusion, violation, power-flow and search settings
     of a resolved config. A feeder without adopters has no scenarios to run."""
@@ -366,6 +372,7 @@ def cmd_simulate(config_path, count, output) -> None:
     _check_output_file(output)
     config, _ = _load_config(config_path)
     feeder, diffusion, *_ = _build_parts(config)
+    _check_budget(count)
     bits = simulate_batch(feeder, diffusion, count, seed=config["seed"])
     save_scenarios(output, bits, feeder)
     click.echo(f"wrote {output} ({count} scenarios)")
@@ -470,8 +477,7 @@ def cmd_brute_force(config_path, scenario_path, count, output_dir) -> None:
         except ValueError as exc:
             raise ConfigError(str(exc))
     else:
-        if count > ORACLE_BUDGET:
-            raise ConfigError(f"{count} scenarios exceed the oracle budget of {ORACLE_BUDGET}")
+        _check_budget(count)
         bits = simulate_batch(feeder, diffusion, count, seed=config["seed"])
     try:
         oracle = brute_force_oracle(feeder, viol_cfg, bits, pf_cfg)

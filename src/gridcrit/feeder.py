@@ -23,14 +23,17 @@ class ValidationError(ValueError):
     """Raised when a feeder violates a structural invariant."""
 
 
-def _check_int(name: str, value, minimum: int | None = None) -> None:
-    """Raise ValueError unless ``value`` is an integer (not a bool), and at
-    least ``minimum`` if one is given."""
+def _check_int(name: str, value, minimum: int | None = None,
+               maximum: int | None = None) -> None:
+    """Raise ValueError unless ``value`` is an integer (not a bool), at least
+    ``minimum`` and at most ``maximum``, of those given."""
     # The builtin type first: an ABC check alone costs ~10x as much.
     if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
         raise ValueError(f"{name} must be an integer, not {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name} must be <= {maximum}")
 
 
 def _check_real(name: str, value) -> None:

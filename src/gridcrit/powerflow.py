@@ -66,9 +66,9 @@ class PowerFlowConfig:
 class _Tree:
     """A feeder's sweep constants, built once per ``solve_power_flow`` call.
 
-    ``forward``, ``backward``, ``line_bus`` and ``line_parent`` are read off
-    ``Feeder.tree``, the feeder's one orientation away from the slack bus; the
-    sweep sums in its BFS order. The sweep runs on separate float64 real and
+    ``forward``, ``line_bus`` and ``line_parent`` are read off ``Feeder.tree``,
+    the feeder's one orientation away from the slack bus; the sweep sums
+    currents in reverse BFS order. It runs on separate float64 real and
     imaginary arrays, one row per bus and one column per scenario, and writes
     every complex product out as CPython does, ``(ar*br - ai*bi, ar*bi +
     ai*br)``: numpy's complex-array ``*`` may fuse a multiply and an add and
@@ -85,7 +85,6 @@ class _Tree:
     q: np.ndarray
     pv: np.ndarray
     adopter_pos: np.ndarray    # bus position per adopter, in scenario bit order
-    backward: tuple[tuple[int, int], ...]                # (bus, parent), reverse BFS order
     forward: tuple[tuple[int, int, float, float], ...]   # (bus, parent, Re z, Im z), BFS order
     line_bus: np.ndarray       # per line, in line order: its receiving bus
     line_parent: np.ndarray    # and its sending bus
@@ -108,7 +107,6 @@ def _build_tree(feeder: Feeder) -> _Tree:
         q=np.array([b.load_q for b in feeder.buses]) / s_base_kw,
         pv=np.array([b.pv_capacity for b in feeder.buses]) / s_base_kw,
         adopter_pos=np.array([pos[a] for a in feeder.adopters], dtype=int),
-        backward=tuple((u, par) for u, par, _, _ in reversed(forward)),
         forward=tuple(forward),
         line_bus=line_bus,
         line_parent=line_parent,
@@ -180,15 +178,14 @@ def _sweep(tree: _Tree, bits: np.ndarray, tol: float, max_iter: int, pv_derate: 
     iterations = np.zeros(count, dtype=int)
     converged = np.zeros(count, dtype=bool)
     live = np.arange(count)  # rows still sweeping, in block order
-    v = v_out.copy()
-    ib = ib_out.copy()
+    v, ib = v_out, ib_out  # only read until the loop rebinds both
     it = 0
     for it in range(1, max_iter + 1):
         if not len(live):
             break
         ib = np.conj(s_load / v)  # current into each bus from its parent
         ir, ii = ib.real, ib.imag
-        for u, par in tree.backward:
+        for u, par, _, _ in reversed(tree.forward):
             ir[par] += ir[u]
             ii[par] += ii[u]
         v_new = np.ones_like(v)

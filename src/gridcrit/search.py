@@ -47,6 +47,12 @@ class SearchAbort(RuntimeError):
     """Raised when repeated power-flow non-convergence makes results unusable."""
 
 
+ORACLE_BUDGET = 100_000  # scenarios the brute-force oracle evaluates at most
+# Acquisition samples per step at most: 20 times the default. One acquisition
+# array holds K x N x M doubles: ~58 MB for 29 objectives and 250 candidates.
+MAX_MC_SAMPLES = 1_000
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Knobs of the search loop; defaults sized for desk-scale feeders."""
@@ -65,11 +71,15 @@ class SearchConfig:
     max_steps: int = 500
 
     def __post_init__(self):
-        _check_int("n0", self.n0, 2)  # a GP fit needs two training points
+        # A GP fit needs two training points; no more scenarios are simulated
+        # at once than the oracle evaluates.
+        _check_int("n0", self.n0, 2, ORACLE_BUDGET)
+        maxima = {"n_init": ORACLE_BUDGET, "n_expand": ORACLE_BUDGET,
+                  "num_mc_samples": MAX_MC_SAMPLES}
         for name in ("n_init", "n_expand", "batch_size", "num_mc_samples",
                      "refit_period", "max_steps", "num_candidates", "max_search_space"):
             if getattr(self, name) is not None:
-                _check_int(name, getattr(self, name), 1)
+                _check_int(name, getattr(self, name), 1, maxima.get(name))
         if self.max_search_space is not None and self.max_search_space < self.n0 + self.n_init:
             raise ValueError("max_search_space must be >= n0 + n_init, the initial pool")
         _check_int("seed", self.seed, 0)
@@ -484,9 +494,6 @@ def _result_fields(feeder: Feeder, viol_cfg: ViolationConfig, bits: np.ndarray,
     violations = violation_map(stress, num_bus, viol_cfg)
     return dict(bits=bits, ids=ids, stress=stress, violations=violations, invalid_ids=invalid_ids,
                 fronts=critical_fronts(ids, violations, num_bus))
-
-
-ORACLE_BUDGET = 100_000  # scenarios the brute-force oracle evaluates at most
 
 
 def brute_force_oracle(

@@ -62,6 +62,11 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             DiffusionParams(p=0.1, q=0.1, horizon_steps=0)
 
+    def test_horizon_ceiling(self):
+        DiffusionParams(p=0.1, q=0.1, horizon_steps=10_000)
+        with pytest.raises(ValueError, match="horizon_steps must be <= 10000"):
+            DiffusionParams(p=0.1, q=0.1, horizon_steps=10_001)
+
     def test_bad_initial_rate(self):
         with pytest.raises(ValueError):
             DiffusionParams(p=0.1, q=0.1, initial_rate=1.5)

@@ -258,6 +258,7 @@ class TestInputBranches:
         "report-objective-count-mismatch": (3, "does not match the feeder's"),
         "make-feeder-zero-groups": (2, "groups must be in [1, buses]"),
         "simulate-zero-count": (2, "count must be >= 1"),
+        "simulate-over-budget": (3, "100001 scenarios exceed the oracle budget of 100000"),
         "brute-force-zero-count": (2, "count must be >= 1"),
         "brute-force-scenarios-negative-count": (2, "count must be >= 1"),
         "report-zero-top-n": (2, "top-n must be >= 1"),
@@ -291,6 +292,7 @@ class TestInputBranches:
             "make-feeder-zero-groups": ["make-feeder", "--buses", "10", "--adopters", "6",
                                         "--groups", "0"],
             "simulate-zero-count": [*simulate[:-1], "0"],
+            "simulate-over-budget": [*simulate[:-1], "100001"],
             "brute-force-zero-count": ["brute-force", "--config", str(config),
                                        "--count", "0"],
             "brute-force-scenarios-negative-count": [
@@ -431,11 +433,17 @@ class TestConfigHandling:
         {"violation": {"line_bins": [False, True]}},
         {"search": {"tau_bar": 10**400}},
         {"diffusion": {"p": 10**400}},
+        {"search": {"n0": 10**30}},
+        {"search": {"n_init": 10**30}},
+        {"search": {"n_expand": 10**30}},
+        {"search": {"num_mc_samples": 10**30}},
+        {"diffusion": {"horizon_steps": 10**30}},
     ], ids=["n0-zero", "n0-one", "seed-text", "seed-bool", "n0-float", "space-float",
             "space-below-initial-pool", "horizon-float", "tol-text", "tol-nan", "max-iter-zero", "max-iter-bool",
             "derate-negative", "p-nan", "p-bool", "q-inf", "initial-rate-bool",
             "tau-bar-bool", "tau-bar-nan", "threshold-inf", "bins-nan", "bins-inf",
-            "bins-bool", "tau-bar-beyond-float", "p-beyond-float"])
+            "bins-bool", "tau-bar-beyond-float", "p-beyond-float", "n0-huge", "n-init-huge",
+            "n-expand-huge", "mc-samples-huge", "horizon-huge"])
     def test_invalid_search_section_exit_3(self, runner, tmp_path, override):
         feeder = write_feeder(runner, tmp_path / "f.json")
         config = write_config(tmp_path / "cfg.json", feeder, **override)

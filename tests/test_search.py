@@ -454,6 +454,14 @@ class TestSearchConfig:
         with pytest.raises(ValueError):
             SearchConfig(num_candidates=0)
 
+    @pytest.mark.parametrize("field, ceiling", [
+        ("n0", 100_000), ("n_init", 100_000), ("n_expand", 100_000), ("num_mc_samples", 1_000),
+    ])
+    def test_ceilings(self, field, ceiling):
+        SearchConfig(**{field: ceiling})
+        with pytest.raises(ValueError, match=f"{field} must be <= {ceiling}"):
+            SearchConfig(**{field: ceiling + 1})
+
     def test_search_space_cap_holds_the_initial_pool(self):
         with pytest.raises(ValueError, match="max_search_space must be >= n0 \\+ n_init"):
             SearchConfig(n0=10, n_init=40, max_search_space=49)
