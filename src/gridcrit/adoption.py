@@ -154,6 +154,9 @@ def _simulate(feeder: Feeder, params: DiffusionParams, entropy, count: int) -> n
     per_block = max(1, _DRAW_BLOCK_ELEMENTS // (steps * num_agents))
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
+    # One state record, refilled per trajectory: the setter copies its values.
+    seed_state = {"state": 0, "inc": 0}
+    record = {"bit_generator": "PCG64", "state": seed_state, "has_uint32": 0, "uinteger": 0}
     bits = np.empty((count, num_agents), dtype=np.uint8)
     for start in range(0, count, per_block):
         seeds = _pcg64_states(entropy, start, min(count, start + per_block))
@@ -165,12 +168,8 @@ def _simulate(feeder: Feeder, params: DiffusionParams, entropy, count: int) -> n
                 # A block of several trajectories draws its horizon in one span;
                 # a lone trajectory keeps its stream from span to span.
                 if t0 == 0:
-                    bit_generator.state = {
-                        "bit_generator": "PCG64",
-                        "state": {"state": pcg_state, "inc": inc},
-                        "has_uint32": 0,
-                        "uinteger": 0,
-                    }
+                    seed_state["state"], seed_state["inc"] = pcg_state, inc
+                    bit_generator.state = record
                 rng.random(out=own)
             for step_draws in draws.swapaxes(0, 1):
                 if state is None:

@@ -50,6 +50,7 @@ from gridcrit.surrogate import NumericalError
 
 CONFIG_SCHEMA_VERSION = 1
 ORACLE_COUNT = 4096  # scenarios ``brute-force`` simulates by default
+MAX_FEEDER_BUSES = 10_000  # largest feeder ``make-feeder`` generates
 
 EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
@@ -231,20 +232,26 @@ class _Table:
     """A JSON list of records with the same keys, held as aligned columns.
 
     A column is a list of strings or numbers, one per record, or a matrix of
-    numbers with at least one column, one row per record. Each distinct row
-    of a matrix is encoded once.
+    numbers with at least one column, one row per record. A matrix may also
+    be given as a tuple of such matrices, its column parts: a record's list
+    is their rows' items in turn. Each distinct row of a matrix, or of a
+    part, is encoded once, so a part whose rows take few values (such as the
+    line severities of a violation row) is encoded a few times only.
     """
 
     def __init__(self, **columns):
         self.columns = columns
 
     def write(self, fh, indent: str) -> None:
-        count = len(next(iter(self.columns.values())))
+        first = next(iter(self.columns.values()))
+        count = len(first[0] if isinstance(first, tuple) else first)
         if not count:
             fh.write("[]")
             return
         record, key, item = indent + "  ", indent + "    ", indent + "      "
-        entries, cells = [], []  # per key: its entry of the record template; its texts and row index
+        # Per key, its entry of the record template; per slot of the template,
+        # its texts and each record's index among them (None: one per record).
+        entries, cells = [], []
         for name, column in sorted(self.columns.items()):
             entry = f"{key}{json.dumps(name)}: ".replace("%", "%%")
             if isinstance(column, list):
@@ -252,8 +259,10 @@ class _Table:
                 entries.append(entry + "%s")
                 cells.append((json.dumps(column, separators=("\n", ":"))[1:-1].split("\n"), None))
             else:
-                entries.append(f"{entry}[\n{item}%s\n{key}]")
-                cells.append(_distinct_row_texts(column, ",\n" + item))
+                parts = column if isinstance(column, tuple) else (column,)
+                items = f",\n{item}".join(["%s"] * len(parts))
+                entries.append(f"{entry}[\n{item}{items}\n{key}]")
+                cells += [_distinct_row_texts(part, ",\n" + item) for part in parts]
         template = f"\n{record}{{\n" + ",\n".join(entries) + f"\n{record}}}"
         for start in range(0, count, _TABLE_BLOCK):
             stop = start + _TABLE_BLOCK
@@ -319,8 +328,10 @@ def _write_run(outdir: Path, command: str, config: dict, feeder, result,
             "line": critical(fronts.line_ids, slice(num_bus, num_bus + num_line)),
         },
         "invalid_ids": result.invalid_ids,
+        # Bus and line parts apart: the line part takes few distinct values.
         "evaluations": _Table(id=ids.tolist(), bits=bitstrings(result.bits[ids]),
-                              stress=result.stress[order], violations=violations),
+                              stress=result.stress[order],
+                              violations=(violations[:, :num_bus], violations[:, num_bus:])),
     }
     if relevance is not None:
         doc["relevance"] = relevance
@@ -335,9 +346,10 @@ def main() -> None:
 
 
 @main.command("make-feeder")
-@click.option("--buses", type=int, required=True)
-@click.option("--adopters", type=int, required=True)
-@click.option("--groups", type=int, default=1, show_default=True)
+@click.option("--buses", type=click.IntRange(max=MAX_FEEDER_BUSES), required=True)
+@click.option("--adopters", type=click.IntRange(max=MAX_FEEDER_BUSES - 1), required=True)
+@click.option("--groups", type=click.IntRange(max=MAX_FEEDER_BUSES), default=1,
+              show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--output", "-o", type=click.Path(), required=True)
 def cmd_make_feeder(buses, adopters, groups, seed, output) -> None:

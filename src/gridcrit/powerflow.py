@@ -43,6 +43,11 @@ class ViolationConfig:
         object.__setattr__(self, "line_bins", bins)
 
 
+# Most sweeps a config may ask for: 20 times the default, as for
+# search.MAX_MC_SAMPLES.
+MAX_SWEEPS = 1_000
+
+
 @dataclass(frozen=True)
 class PowerFlowConfig:
     """Sweep settings: stop when max |dV| < ``tol`` (p.u.) or after
@@ -56,7 +61,7 @@ class PowerFlowConfig:
         _check_real("powerflow tol", self.tol)
         if self.tol <= 0:
             raise ValueError("powerflow tol must be > 0")
-        _check_int("powerflow max_iter", self.max_iter, 1)
+        _check_int("powerflow max_iter", self.max_iter, 1, MAX_SWEEPS)
         _check_real("powerflow pv_derate", self.pv_derate)
         if self.pv_derate < 0:
             raise ValueError("powerflow pv_derate must be >= 0")
@@ -66,13 +71,14 @@ class PowerFlowConfig:
 class _Tree:
     """A feeder's sweep constants, built once per ``solve_power_flow`` call.
 
-    ``forward``, ``line_bus`` and ``line_parent`` are read off ``Feeder.tree``,
-    the feeder's one orientation away from the slack bus; the sweep sums
-    currents in reverse BFS order. It runs on separate float64 real and
-    imaginary arrays, one row per bus and one column per scenario, and writes
-    every complex product out as CPython does, ``(ar*br - ai*bi, ar*bi +
+    ``forward``, ``zr``, ``zi``, ``line_bus`` and ``line_parent`` are read off
+    ``Feeder.tree``, the feeder's one orientation away from the slack bus; the
+    sweep sums currents in reverse BFS order. It runs on separate float64 real
+    and imaginary arrays, one row per bus and one column per scenario, and
+    writes every complex product out as CPython does, ``(ar*br - ai*bi, ar*bi +
     ai*br)``: numpy's complex-array ``*`` may fuse a multiply and an add and
-    so round differently. The division
+    so round differently. Every line's drop ``z * i`` is taken for all buses
+    at once, as whole-array products of the same doubles. The division
     ``conj(s_load / v)`` and the ``np.abs`` of the voltages and of their change
     per sweep stay numpy complex-array ops, as in the one-scenario sweep; they
     are element-wise, so they do not depend on the batch. A flow magnitude is
@@ -85,7 +91,9 @@ class _Tree:
     q: np.ndarray
     pv: np.ndarray
     adopter_pos: np.ndarray    # bus position per adopter, in scenario bit order
-    forward: tuple[tuple[int, int, float, float], ...]   # (bus, parent, Re z, Im z), BFS order
+    forward: tuple[tuple[int, int], ...]   # (bus, parent), BFS order
+    zr: np.ndarray             # per bus, an (n, 1) column: Re and Im of the impedance
+    zi: np.ndarray             # of the line from its parent (0 at the slack bus)
     line_bus: np.ndarray       # per line, in line order: its receiving bus
     line_parent: np.ndarray    # and its sending bus
 
@@ -93,12 +101,14 @@ class _Tree:
 def _build_tree(feeder: Feeder) -> _Tree:
     z_base = feeder.base_voltage**2 / feeder.base_power
     forward = []
+    zr, zi = np.zeros((feeder.num_buses, 1)), np.zeros((feeder.num_buses, 1))
     line_bus = np.zeros(feeder.num_lines, dtype=int)
     line_parent = np.zeros(feeder.num_lines, dtype=int)
     for u, par, li in feeder.tree:
         ln = feeder.lines[li]
         z = complex((ln.resistance + 1j * ln.reactance) / z_base)
-        forward.append((u, par, z.real, z.imag))
+        forward.append((u, par))
+        zr[u], zi[u] = z.real, z.imag
         line_bus[li], line_parent[li] = u, par
     pos = {b.id: i for i, b in enumerate(feeder.buses)}
     s_base_kw = feeder.base_power * 1000.0
@@ -108,6 +118,8 @@ def _build_tree(feeder: Feeder) -> _Tree:
         pv=np.array([b.pv_capacity for b in feeder.buses]) / s_base_kw,
         adopter_pos=np.array([pos[a] for a in feeder.adopters], dtype=int),
         forward=tuple(forward),
+        zr=zr,
+        zi=zi,
         line_bus=line_bus,
         line_parent=line_parent,
     )
@@ -185,14 +197,16 @@ def _sweep(tree: _Tree, bits: np.ndarray, tol: float, max_iter: int, pv_derate: 
             break
         ib = np.conj(s_load / v)  # current into each bus from its parent
         ir, ii = ib.real, ib.imag
-        for u, par, _, _ in reversed(tree.forward):
+        for u, par in reversed(tree.forward):
             ir[par] += ir[u]
             ii[par] += ii[u]
+        dr = tree.zr * ir - tree.zi * ii  # each line's drop z * ib
+        di = tree.zr * ii + tree.zi * ir
         v_new = np.ones_like(v)
         vr, vi = v_new.real, v_new.imag
-        for u, par, zr, zi in tree.forward:
-            vr[u] = vr[par] - (zr * ir[u] - zi * ii[u])
-            vi[u] = vi[par] - (zr * ii[u] + zi * ir[u])
+        for u, par in tree.forward:
+            vr[u] = vr[par] - dr[u]
+            vi[u] = vi[par] - di[u]
         done = np.abs(v_new - v).max(axis=0) < tol
         v = v_new
         if done.any():

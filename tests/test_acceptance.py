@@ -15,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import critical_bits, found_bits, recovery_fraction
-from gridcrit.adoption import DiffusionParams, Scenario, bitstrings
+from gridcrit.adoption import DiffusionParams, bitstrings
 from gridcrit.cli import main as cli_main
 from gridcrit.powerflow import ViolationConfig
 from gridcrit.search import SearchConfig, brute_force_oracle, run_search
@@ -192,7 +192,6 @@ def test_criterion_7_numerical_property_suites():
     from gridcrit.adoption import simulate_batch
     from gridcrit.feeder import generate_synthetic_feeder
     from gridcrit.pareto import front_indices
-    from gridcrit.powerflow import solve_power_flow
     from gridcrit.search import acquisition_alpha_nd
     from gridcrit.surrogate import (
         GPSurrogate,
@@ -201,7 +200,12 @@ def test_criterion_7_numerical_property_suites():
         posterior,
     )
     from scipy.stats import norm
-    from test_powerflow import admittance_matrix, local_sweep_voltages, specified_injections
+    from test_powerflow import (
+        admittance_matrix,
+        local_sweep_voltages,
+        solve_one,
+        specified_injections,
+    )
 
     checks = {}
     rng = np.random.default_rng(0)
@@ -256,14 +260,13 @@ def test_criterion_7_numerical_property_suites():
     for gen_seed in range(3):
         feeder = generate_synthetic_feeder(9, 5, seed=gen_seed)
         bits = tuple(int(b) for b in rng.integers(0, 2, feeder.num_adopters))
-        scenario = Scenario(bits=bits)
-        pf = solve_power_flow(feeder, scenario, tol=1e-12, max_iter=200)
+        pf = solve_one(feeder, bits, tol=1e-12, max_iter=200)
         pf_ok &= pf.converged and np.allclose(
-            pf.voltages, newton_oracle_voltages(feeder, scenario), atol=1e-6
+            pf.voltages, newton_oracle_voltages(feeder, bits), atol=1e-6
         )
         ybus, pos = admittance_matrix(feeder)
-        v = local_sweep_voltages(feeder, scenario)
-        bal = v * np.conj(ybus @ v) - specified_injections(feeder, scenario)
+        v = local_sweep_voltages(feeder, bits)
+        bal = v * np.conj(ybus @ v) - specified_injections(feeder, bits)
         bal[pos[feeder.slack_bus]] = 0.0
         bal_ok &= (
             np.max(np.abs(np.abs(v) - pf.voltages)) < 1e-10

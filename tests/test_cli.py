@@ -100,9 +100,24 @@ class TestMakeFeeder:
         assert "'--seed'" in res.output
         assert not out.exists()
 
-    # 200 buses is a case-study size of the paper's abstract.
+    @pytest.mark.parametrize("args,option", [
+        (["--buses", str(10**30), "--adopters", "5"], "'--buses'"),
+        (["--buses", str(cli.MAX_FEEDER_BUSES + 1), "--adopters", "5"], "'--buses'"),
+        (["--buses", "10", "--adopters", str(10**30)], "'--adopters'"),
+        (["--buses", "10", "--adopters", "5", "--groups", str(10**30)], "'--groups'"),
+    ], ids=["buses-huge", "buses-above-ceiling", "adopters-huge", "groups-huge"])
+    def test_size_above_ceiling_exit_2(self, runner, tmp_path, args, option):
+        out = tmp_path / "f.json"
+        res = runner.invoke(main, ["make-feeder", *args, "-o", str(out)])
+        assert res.exit_code == 2, res.output
+        assert option in res.output
+        assert not out.exists()
+
+    # 200 buses is a case-study size of the paper's abstract; 5000 is half
+    # the ceiling.
     @pytest.mark.parametrize("buses,adopters,groups,seed",
-                             [(10, 6, 2, 3), (15, 12, 3, 19), (200, 40, 4, 0)])
+                             [(10, 6, 2, 3), (15, 12, 3, 19), (200, 40, 4, 0),
+                              (5000, 1000, 4, 0)])
     def test_documented_sizes_solve(self, runner, tmp_path, buses, adopters, groups, seed):
         path = write_feeder(runner, tmp_path / "f.json", buses, adopters, groups, seed)
         if (buses, adopters, groups, seed) == (15, 12, 3, 19):
@@ -438,12 +453,13 @@ class TestConfigHandling:
         {"search": {"n_expand": 10**30}},
         {"search": {"num_mc_samples": 10**30}},
         {"diffusion": {"horizon_steps": 10**30}},
+        {"powerflow": {"max_iter": 10**30, "pv_derate": 1000.0}},
     ], ids=["n0-zero", "n0-one", "seed-text", "seed-bool", "n0-float", "space-float",
             "space-below-initial-pool", "horizon-float", "tol-text", "tol-nan", "max-iter-zero", "max-iter-bool",
             "derate-negative", "p-nan", "p-bool", "q-inf", "initial-rate-bool",
             "tau-bar-bool", "tau-bar-nan", "threshold-inf", "bins-nan", "bins-inf",
             "bins-bool", "tau-bar-beyond-float", "p-beyond-float", "n0-huge", "n-init-huge",
-            "n-expand-huge", "mc-samples-huge", "horizon-huge"])
+            "n-expand-huge", "mc-samples-huge", "horizon-huge", "max-iter-huge"])
     def test_invalid_search_section_exit_3(self, runner, tmp_path, override):
         feeder = write_feeder(runner, tmp_path / "f.json")
         config = write_config(tmp_path / "cfg.json", feeder, **override)
@@ -451,6 +467,18 @@ class TestConfigHandling:
             main, ["search", "--config", str(config), "-o", str(tmp_path / "out")],
         )
         assert res.exit_code == 3, res.output
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_ceiling_exit_3(self, runner, tmp_path):
+        # No row converges at this derate, so without the ceiling every
+        # power flow would sweep 10**30 times.
+        feeder = write_feeder(runner, tmp_path / "f.json")
+        config = write_config(tmp_path / "cfg.json", feeder,
+                              powerflow={"max_iter": 10**30, "pv_derate": 1000.0})
+        res = runner.invoke(main, ["brute-force", "--config", str(config), "--count", "64",
+                                   "-o", str(tmp_path / "out")])
+        assert res.exit_code == 3, res.output
+        assert "powerflow max_iter must be <= 1000" in res.output
         assert not (tmp_path / "out").exists()
 
     def test_duplicate_line_ids_exit_3(self, runner, tmp_path):
@@ -1113,18 +1141,25 @@ _table_numbers = (
 def _tables(draw):
     """A table's columns, and the list of records it stands for."""
     rows = draw(st.integers(0, 9))
+
+    def matrix():
+        width = draw(st.integers(1, 3))
+        cells = draw(st.lists(_table_numbers, min_size=rows * width, max_size=rows * width))
+        return np.array(cells, dtype=float).reshape(rows, width)
+
     columns = {}
     for name in draw(st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True)):
-        kind = draw(st.sampled_from(["ints", "numbers", "text", "matrix"]))
+        kind = draw(st.sampled_from(["ints", "numbers", "text", "matrix", "parts"]))
         if kind == "matrix":
-            width = draw(st.integers(1, 3))
-            cells = draw(st.lists(_table_numbers, min_size=rows * width, max_size=rows * width))
-            columns[name] = np.array(cells, dtype=float).reshape(rows, width)
+            columns[name] = matrix()
+        elif kind == "parts":
+            columns[name] = tuple(matrix() for _ in range(draw(st.integers(1, 3))))
         else:
             values = {"ints": st.integers(), "numbers": _table_numbers, "text": st.text()}[kind]
             columns[name] = draw(st.lists(values, min_size=rows, max_size=rows))
     records = [
-        {name: col[i] if isinstance(col, list) else col[i].tolist()
+        {name: col[i] if isinstance(col, list)
+         else np.hstack(col)[i].tolist() if isinstance(col, tuple) else col[i].tolist()
          for name, col in columns.items()}
         for i in range(rows)
     ]
@@ -1173,6 +1208,24 @@ class TestJsonWriter:
                 text = _written({"t": table}, tmp_path_factory)
             assert text == json.dumps({"t": records}, indent=2, sort_keys=True) + "\n"
         assert '"-0.0"' not in text and text.count("-0.0") == 4
+
+    def test_table_parts_special_rows(self, tmp_path_factory):
+        # A matrix given as column parts, as result.json's violations are:
+        # -0.0, NaN and the infinities in either part, a one-column part,
+        # rows that repeat in one part only, and a table of no records.
+        nan, inf = float("nan"), float("inf")
+        bus = np.array([[0.0], [-0.0], [nan], [0.0], [inf], [-inf]])
+        line = np.array([[1.0, 2.0], [1.0, 2.0], [-0.0, nan], [3.0, 2.0], [1.0, 2.0],
+                         [-inf, 0.0]])
+        records = [{"id": i, "v": row} for i, row in enumerate(np.hstack([bus, line]).tolist())]
+        for block in (1, 4, 256):
+            with mock.patch.object(cli, "_TABLE_BLOCK", block):
+                text = _written({"t": _Table(id=list(range(6)), v=(bus, line))},
+                                tmp_path_factory)
+            assert text == json.dumps({"t": records}, indent=2, sort_keys=True) + "\n"
+        assert text.count("-0.0") == 2
+        empty = _Table(v=(bus[:0], line[:0]), id=[])
+        assert _written({"t": empty}, tmp_path_factory) == '{\n  "t": []\n}\n'
 
     def test_table_arrays_are_freed_without_the_cyclic_gc(self, tmp_path_factory):
         # A written table must not keep its arrays until a garbage collection:

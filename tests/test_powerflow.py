@@ -6,7 +6,7 @@ balance computed from the admittance matrix.
 """
 
 import inspect
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -39,6 +39,13 @@ def generator_feeder(num_buses, seed, impedance):
     ))
 
 
+def solve_one(feeder, bits, **kwargs):
+    """``solve_power_flow`` of one scenario, given as its adopters' bits, run
+    as a one-row batch: the result holds that row of every field."""
+    pf = solve_power_flow(feeder, np.array([bits], dtype=np.uint8), **kwargs)
+    return PowerFlowResult(*(getattr(pf, f.name)[0] for f in fields(pf)))
+
+
 def admittance_matrix(feeder):
     """Bus admittance matrix in p.u. (test-only helper)."""
     n = feeder.num_buses
@@ -55,24 +62,25 @@ def admittance_matrix(feeder):
     return y, pos
 
 
-def specified_injections(feeder, scenario, pv_derate=1.0):
-    """Net complex power injection per bus in p.u. (generation positive)."""
+def specified_injections(feeder, bits, pv_derate=1.0):
+    """Net complex power injection per bus in p.u. (generation positive) when
+    the adopters' bits are ``bits``."""
     s_base_kw = feeder.base_power * 1000.0
     inj = np.zeros(feeder.num_buses, dtype=complex)
     adopters = {a: j for j, a in enumerate(feeder.adopters)}
     for i, b in enumerate(feeder.buses):
-        pv = b.pv_capacity * pv_derate * scenario.bits[adopters[b.id]] if b.id in adopters else 0.0
+        pv = b.pv_capacity * pv_derate * bits[adopters[b.id]] if b.id in adopters else 0.0
         inj[i] = (pv - b.load_p - 1j * b.load_q) / s_base_kw
     return inj
 
 
-def newton_oracle_voltages(feeder, scenario, pv_derate=1.0):
+def newton_oracle_voltages(feeder, bits, pv_derate=1.0):
     """Solve the full nodal mismatch equations independently of the sweep."""
     y, pos = admittance_matrix(feeder)
     n = feeder.num_buses
     slack = pos[feeder.slack_bus]
     others = [i for i in range(n) if i != slack]
-    inj = specified_injections(feeder, scenario, pv_derate)
+    inj = specified_injections(feeder, bits, pv_derate)
 
     def mismatch(z):
         v = np.ones(n, dtype=complex)
@@ -89,7 +97,7 @@ def newton_oracle_voltages(feeder, scenario, pv_derate=1.0):
     return np.abs(v)
 
 
-def local_sweep_voltages(feeder, scenario, tol=1e-12, max_iter=200):
+def local_sweep_voltages(feeder, bits, tol=1e-12, max_iter=200):
     """Test-local backward/forward sweep returning complex voltages."""
     n = feeder.num_buses
     pos = {b.id: i for i, b in enumerate(feeder.buses)}
@@ -110,7 +118,7 @@ def local_sweep_voltages(feeder, scenario, tol=1e-12, max_iter=200):
                 parent[v] = u
                 zline[v] = z
                 order.append(v)
-    s_load = -specified_injections(feeder, scenario)  # consumption positive
+    s_load = -specified_injections(feeder, bits)  # consumption positive
     volts = np.ones(n, dtype=complex)
     for _ in range(max_iter):
         current = np.conj(s_load / volts)
@@ -127,8 +135,9 @@ def local_sweep_voltages(feeder, scenario, tol=1e-12, max_iter=200):
     return volts
 
 
-def numpy_scalar_sweep(feeder, scenario, tol=1e-8, max_iter=50, pv_derate=1.0):
-    """The sweep as first written, on numpy complex scalars (test-only reference).
+def numpy_scalar_sweep(feeder, bits, tol=1e-8, max_iter=50, pv_derate=1.0):
+    """The sweep as first written, on numpy complex scalars (test-only
+    reference), of the scenario whose adopters' bits are ``bits``.
 
     ``solve_power_flow`` must reproduce it bit for bit: voltages, flows,
     ``converged`` and ``iterations``.
@@ -166,7 +175,7 @@ def numpy_scalar_sweep(feeder, scenario, tol=1e-8, max_iter=50, pv_derate=1.0):
     q = np.array([b.load_q for b in feeder.buses]) / s_base_kw
     pv = np.array([b.pv_capacity for b in feeder.buses]) / s_base_kw
     x = np.zeros(n)
-    x[[pos[a] for a in feeder.adopters]] = scenario.bits
+    x[[pos[a] for a in feeder.adopters]] = bits
     s_load = (p - x * pv * pv_derate) + 1j * q
 
     v = np.ones(n, dtype=complex)
@@ -202,7 +211,7 @@ def numpy_scalar_sweep(feeder, scenario, tol=1e-8, max_iter=50, pv_derate=1.0):
 class TestSolvePowerFlow:
     def test_no_injections_is_flat(self):
         feeder = build_chain_feeder([0.0, 0.0, 0.0], pv_kw=[0, 0, 5])
-        pf = solve_power_flow(feeder, Scenario(bits=(0,)))
+        pf = solve_one(feeder, (0,))
         assert pf.converged
         np.testing.assert_allclose(pf.voltages, 1.0, atol=1e-12)
         np.testing.assert_allclose(pf.flows, 0.0, atol=1e-12)
@@ -220,15 +229,15 @@ class TestSolvePowerFlow:
         lines = [Line(2, 0, 1, r_pu * 10.0, 0.0, 1.0)]
         feeder = Feeder(buses, lines, slack_bus=0, base_voltage=1.0,
                         base_power=0.1, num_groups=1)
-        pf = solve_power_flow(feeder, Scenario(bits=()))
+        pf = solve_one(feeder, ())
         expected = (1.0 + np.sqrt(1.0 - 4.0 * r_pu * p_pu)) / 2.0
         assert pf.converged
         assert pf.voltages[1] == pytest.approx(expected, abs=1e-8)
 
     def test_reverse_flow_raises_end_voltage(self):
         feeder = build_chain_feeder([0.0, 2.0, 2.0], pv_kw=[0, 0, 30.0])
-        off = solve_power_flow(feeder, Scenario(bits=(0,)))
-        on = solve_power_flow(feeder, Scenario(bits=(1,)))
+        off = solve_one(feeder, (0,))
+        on = solve_one(feeder, (1,))
         assert on.voltages[2] > 1.0
         assert on.voltages[2] > off.voltages[2]
 
@@ -238,9 +247,9 @@ class TestSolvePowerFlow:
             feeder = generate_synthetic_feeder(8, 5, seed=gen_seed)
             for _ in range(4):
                 bits = tuple(int(b) for b in rng.integers(0, 2, feeder.num_adopters))
-                pf = solve_power_flow(feeder, Scenario(bits=bits))
+                pf = solve_one(feeder, bits)
                 assert pf.converged
-                oracle = newton_oracle_voltages(feeder, Scenario(bits=bits))
+                oracle = newton_oracle_voltages(feeder, bits)
                 np.testing.assert_allclose(pf.voltages, oracle, atol=1e-6)
 
     def test_nodal_power_balance(self):
@@ -251,13 +260,12 @@ class TestSolvePowerFlow:
         for gen_seed in range(5):
             feeder = generate_synthetic_feeder(10, 6, seed=gen_seed)
             bits = tuple(int(b) for b in rng.integers(0, 2, feeder.num_adopters))
-            scenario = Scenario(bits=bits)
-            pf = solve_power_flow(feeder, scenario, tol=1e-12, max_iter=200)
+            pf = solve_one(feeder, bits, tol=1e-12, max_iter=200)
             assert pf.converged
             y, pos = admittance_matrix(feeder)
-            inj = specified_injections(feeder, scenario)
+            inj = specified_injections(feeder, bits)
             slack = pos[feeder.slack_bus]
-            v = local_sweep_voltages(feeder, scenario)
+            v = local_sweep_voltages(feeder, bits)
             np.testing.assert_allclose(np.abs(v), pf.voltages, atol=1e-10)
             s_calc = v * np.conj(y @ v)
             balance = s_calc - inj
@@ -266,8 +274,8 @@ class TestSolvePowerFlow:
 
     def test_pv_derate_scales_injection(self):
         feeder = build_chain_feeder([0.0, 2.0, 2.0], pv_kw=[0, 0, 30.0])
-        full = solve_power_flow(feeder, Scenario(bits=(1,)), pv_derate=1.0)
-        half = solve_power_flow(feeder, Scenario(bits=(1,)), pv_derate=0.5)
+        full = solve_one(feeder, (1,), pv_derate=1.0)
+        half = solve_one(feeder, (1,), pv_derate=0.5)
         assert half.voltages[2] < full.voltages[2]
 
     @given(
@@ -286,10 +294,10 @@ class TestSolvePowerFlow:
         # max_iter cut-offs) must match the reference just as well.
         feeder = generator_feeder(num_buses, feeder_seed, impedance)
         rng = np.random.default_rng(bits_seed)
-        scenario = Scenario(bits=tuple(int(b) for b in rng.integers(0, 2, feeder.num_adopters)))
+        bits = rng.integers(0, 2, feeder.num_adopters)
         with np.errstate(all="ignore"):
-            got = solve_power_flow(feeder, scenario, max_iter=max_iter, pv_derate=pv_derate)
-        ref = numpy_scalar_sweep(feeder, scenario, max_iter=max_iter, pv_derate=pv_derate)
+            got = solve_one(feeder, bits, max_iter=max_iter, pv_derate=pv_derate)
+        ref = numpy_scalar_sweep(feeder, bits, max_iter=max_iter, pv_derate=pv_derate)
         assert got.converged == ref.converged
         assert got.iterations == ref.iterations
         assert np.array_equal(got.voltages, ref.voltages, equal_nan=True)
@@ -319,8 +327,7 @@ class TestSolvePowerFlow:
         assert got.voltages.shape == (rows, feeder.num_buses)
         assert got.flows.shape == (rows, feeder.num_lines)
         for r, row in enumerate(bits):
-            ref = numpy_scalar_sweep(feeder, Scenario(bits=tuple(int(b) for b in row)),
-                                     max_iter=max_iter, pv_derate=pv_derate)
+            ref = numpy_scalar_sweep(feeder, row, max_iter=max_iter, pv_derate=pv_derate)
             assert got.converged[r] == ref.converged
             assert got.iterations[r] == ref.iterations
             assert np.array_equal(got.voltages[r], ref.voltages, equal_nan=True)
@@ -339,6 +346,23 @@ class TestSolvePowerFlow:
                 with np.errstate(all="ignore"):
                     pf = solve_power_flow(feeder, bits)
                 assert not pf.converged.any(), (num_buses, feeder_seed)
+
+    @pytest.mark.parametrize("impedance", [1.0, 50.0])
+    @pytest.mark.parametrize("num_buses", [200, 400])
+    def test_paper_scale_rows_bit_identical_to_numpy_scalar_sweep(self, num_buses, impedance):
+        # The property tests above stop at 40 buses; the paper's feeders have
+        # hundreds. At x1 every row converges, at x50 none does.
+        feeder = generator_feeder(num_buses, 0, impedance)
+        rng = np.random.default_rng(num_buses)
+        bits = rng.integers(0, 2, (3, feeder.num_adopters)).astype(np.uint8)
+        got = solve_power_flow(feeder, bits)
+        assert (got.converged == (impedance == 1.0)).all()
+        for r, row in enumerate(bits):
+            ref = numpy_scalar_sweep(feeder, row)
+            assert got.converged[r] == ref.converged
+            assert got.iterations[r] == ref.iterations
+            assert np.array_equal(got.voltages[r], ref.voltages, equal_nan=True)
+            assert np.array_equal(got.flows[r], ref.flows, equal_nan=True)
 
     def test_block_boundaries_do_not_change_rows(self, standard_feeder, monkeypatch):
         # On the standard feeder rows converge at sweeps 8 and 9 and the rest
@@ -387,14 +411,14 @@ class TestSolvePowerFlow:
         feeder = Feeder(buses, lines, slack_bus=0, base_voltage=1.0,
                         base_power=0.001, num_groups=1)
         with np.errstate(all="ignore"):
-            pf = solve_power_flow(feeder, Scenario(bits=()), max_iter=1)
-            ref = numpy_scalar_sweep(feeder, Scenario(bits=()), max_iter=1)
+            pf = solve_one(feeder, (), max_iter=1)
+            ref = numpy_scalar_sweep(feeder, (), max_iter=1)
         assert not pf.converged
         assert pf.flows[0] == ref.flows[0] == np.inf
 
     def test_scenario_length_mismatch(self, standard_feeder):
         with pytest.raises(ValueError, match="length"):
-            solve_power_flow(standard_feeder, Scenario(bits=(1, 0)))
+            solve_one(standard_feeder, (1, 0))
         with pytest.raises(ValueError, match="length"):
             solve_power_flow(standard_feeder, np.zeros((3, 2)))
 
@@ -434,7 +458,7 @@ class TestComputeStress:
         bits = rng.integers(0, 2, (6, standard_feeder.num_adopters)).astype(np.uint8)
         batch = compute_stress(standard_feeder, part, solve_power_flow(standard_feeder, bits))
         for row, got in zip(bits, batch):
-            pf = solve_power_flow(standard_feeder, Scenario(bits=tuple(int(b) for b in row)))
+            pf = solve_one(standard_feeder, row)
             assert np.array_equal(got, compute_stress(standard_feeder, part, pf))
 
     def test_unconverged_rows_leave_the_others_alone(self):
@@ -544,10 +568,16 @@ class TestPowerFlowConfig:
         ({"max_iter": 0}, "powerflow max_iter"),
         ({"max_iter": True}, "powerflow max_iter"),
         ({"max_iter": 2.5}, "powerflow max_iter"),
+        ({"max_iter": powerflow.MAX_SWEEPS + 1}, "powerflow max_iter must be <= 1000"),
+        ({"max_iter": 10**30}, "powerflow max_iter must be <= 1000"),
         ({"pv_derate": -1.0}, "powerflow pv_derate must be >= 0"),
         ({"pv_derate": float("inf")}, "powerflow pv_derate"),
     ], ids=["tol-text", "tol-nan", "tol-zero", "max-iter-zero", "max-iter-bool",
-            "max-iter-float", "derate-negative", "derate-inf"])
+            "max-iter-float", "max-iter-above-ceiling", "max-iter-huge", "derate-negative",
+            "derate-inf"])
     def test_rejects(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             PowerFlowConfig(**kwargs)
+
+    def test_sweep_ceiling_accepted(self):
+        assert PowerFlowConfig(max_iter=powerflow.MAX_SWEEPS).max_iter == 1000
